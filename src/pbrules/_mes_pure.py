@@ -39,6 +39,26 @@ STATUS_EXHAUSTED = "exhausted"
 backend_name = "pure"
 
 
+def payment_cap(wallets, order: Sequence, cost: Fraction) -> Fraction | None:
+    """Smallest cap at which the voters in ``order`` (sorted by wallet,
+    ascending) buy a project of positive ``cost`` paying min(wallet,
+    cap) each, or None when their wallets cannot cover it.
+
+    Voters whose whole wallet is below the equal share of what is still
+    owed are peeled off and pay everything; the first who can cover that
+    share pins the cap.  The order among equal wallets does not matter.
+    """
+    if sum((wallets[i] for i in order), Fraction(0)) < cost:
+        return None
+    remaining = cost
+    for peeled, voter in enumerate(order):
+        per_agent = remaining / (len(order) - peeled)
+        if wallets[voter] >= per_agent:
+            return per_agent
+        remaining -= wallets[voter]
+    raise AssertionError("wallets cover the cost, so the last voter pins the cap")
+
+
 class MesEngine:
     def __init__(
         self,
@@ -77,31 +97,19 @@ class MesEngine:
     def _waterfill(self, p: int) -> Fraction | None:
         """Exact affordability of project p at current budgets.
 
-        Sorts p's approvers by budget ascending and peels off agents whose
-        whole budget is below the equal share of what remains; the first
-        agent who can cover the share pins the payment cap.  Returns the
-        factor (cap / cost) or None when the approvers cannot cover the
-        cost, in which case p is dropped for the rest of the run.
+        Sorts p's approvers by budget ascending and takes the payment cap
+        from :func:`payment_cap`.  Returns the factor (cap / cost) or None
+        when the approvers cannot cover the cost, in which case p is
+        dropped for the rest of the run.
         """
         budgets = self._budgets
         order = self._order[p]
         order.sort(key=budgets.__getitem__)
         cost = self.costs[p]
-        total = sum((budgets[i] for i in order), Fraction(0))
-        if total < cost:
+        cap = payment_cap(budgets, order, cost)
+        if cap is None:
             self._alive[p] = False
             return None
-        remaining = cost
-        cap: Fraction | None = None
-        for peeled, voter in enumerate(order):
-            per_agent = remaining / (len(order) - peeled)
-            if budgets[voter] < per_agent:
-                remaining -= budgets[voter]
-            else:
-                cap = per_agent
-                break
-        if cap is None:
-            cap = budgets[order[-1]]
         factor = cap / cost
         self._lb[p] = factor
         self._exact[p] = True

@@ -22,10 +22,9 @@ from typing import Sequence
 from . import stats
 from .metrics import (
     METRIC_COLUMNS,
-    CategoryReport,
     category_proportionality,
     cost_satisfaction,
-    effect_score,
+    effect_value,
     metric_row,
 )
 from .model import Allocation, Instance, Money, Profile, format_money, total_cost
@@ -436,16 +435,18 @@ def _block(ids: set[str], instance: Instance) -> BlockSummary:
     )
 
 
-def _effect_worker(args) -> tuple[str, float | None, dict | None]:
+def _effect_worker(args) -> InstanceEffectReport | None:
+    """The effect report of one instance, or None when its effect score
+    is undefined (see :func:`pbrules.metrics.effect_score`)."""
     (instance, profile), mes_spec, tiebreak = args
     greed_allocation = greed_cost(instance, profile, tiebreak)
     mes_allocation = run_rule(mes_spec, instance, profile).allocation
-    effect = effect_score(instance, profile, greed_allocation, mes_allocation)
-    if effect is None:
-        return instance.instance_id, None, None
     greed_report = category_proportionality(profile, instance, greed_allocation)
     mes_report = category_proportionality(profile, instance, mes_allocation)
-    assert greed_report is not None and mes_report is not None
+    if greed_report is None or mes_report is None:
+        return None
+    greed_satisfaction = cost_satisfaction(profile, greed_allocation, instance)
+    mes_satisfaction = cost_satisfaction(profile, mes_allocation, instance)
     bars = tuple(
         CategoryBar(
             label=g.label,
@@ -457,19 +458,16 @@ def _effect_worker(args) -> tuple[str, float | None, dict | None]:
     )
     greed_ids = set(greed_allocation.selected)
     mes_ids = set(mes_allocation.selected)
-    payload = {
-        "common": _block(greed_ids & mes_ids, instance),
-        "greed_only": _block(greed_ids - mes_ids, instance),
-        "mes_only": _block(mes_ids - greed_ids, instance),
-        "bars": bars,
-        "greed_curve": tuple(
-            sorted(float(v) for v in cost_satisfaction(profile, greed_allocation, instance))
-        ),
-        "mes_curve": tuple(
-            sorted(float(v) for v in cost_satisfaction(profile, mes_allocation, instance))
-        ),
-    }
-    return instance.instance_id, effect, payload
+    return InstanceEffectReport(
+        instance_id=instance.instance_id,
+        effect=effect_value(greed_report, mes_report, greed_satisfaction, mes_satisfaction),
+        common=_block(greed_ids & mes_ids, instance),
+        greed_only=_block(greed_ids - mes_ids, instance),
+        mes_only=_block(mes_ids - greed_ids, instance),
+        category_bars=bars,
+        greed_curve=tuple(sorted(float(v) for v in greed_satisfaction)),
+        mes_curve=tuple(sorted(float(v) for v in mes_satisfaction)),
+    )
 
 
 def extract_extremes(
@@ -492,29 +490,21 @@ def extract_extremes(
     else:
         results = [_effect_worker(item) for item in work]
 
-    uncategorized = tuple(iid for iid, effect, _ in results if effect is None)
-    scored = [(iid, effect, payload) for iid, effect, payload in results if effect is not None]
+    uncategorized = tuple(
+        instance.instance_id
+        for (instance, _), report in zip(dataset, results)
+        if report is None
+    )
+    scored = sorted(
+        (report for report in results if report is not None),
+        key=lambda report: (report.effect, report.instance_id),
+    )
     if not scored:
         raise ValueError("no categorized instances: effect scores undefined everywhere")
-    scored.sort(key=lambda item: (item[1], item[0]))
-
-    def report(index: int) -> InstanceEffectReport:
-        iid, effect, payload = scored[index]
-        return InstanceEffectReport(
-            instance_id=iid,
-            effect=effect,
-            common=payload["common"],
-            greed_only=payload["greed_only"],
-            mes_only=payload["mes_only"],
-            category_bars=payload["bars"],
-            greed_curve=payload["greed_curve"],
-            mes_curve=payload["mes_curve"],
-        )
-
     return ExtremesReport(
-        ranking=tuple((iid, effect) for iid, effect, _ in scored),
-        minimum=report(0),
-        median=report((len(scored) - 1) // 2),
-        maximum=report(len(scored) - 1),
+        ranking=tuple((report.instance_id, report.effect) for report in scored),
+        minimum=scored[0],
+        median=scored[(len(scored) - 1) // 2],
+        maximum=scored[-1],
         uncategorized=uncategorized,
     )

@@ -40,26 +40,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
-_CONFIG_KEYS = {
-    "dir",
-    "out",
-    "raw_out",
-    "skip_report",
-    "format",
-    "rules",
-    "rule",
-    "file",
-    "epsilon",
-    "max_iterations",
-    "min_voters",
-    "min_projects",
-    "filter_defaults",
-    "jobs",
-    "trace",
-    "ledger_out",
-}
-
-
 class _UsageError(Exception):
     pass
 
@@ -76,7 +56,26 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _load_config(path: str) -> dict[str, str]:
+def _subparsers(parser: argparse.ArgumentParser) -> list[argparse.ArgumentParser]:
+    return [
+        sub
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+        for sub in action.choices.values()
+    ]
+
+
+def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
+    """Dests of the subcommands' long options, minus config and help."""
+    return {
+        action.dest
+        for sub in _subparsers(parser)
+        for action in sub._actions
+        if any(option.startswith("--") for option in action.option_strings)
+    } - {"config", "help"}
+
+
+def _load_config(path: str, keys: set[str]) -> dict[str, str]:
     mapping: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -90,7 +89,7 @@ def _load_config(path: str) -> dict[str, str]:
         if not sep:
             raise _UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         dest = key.strip().replace("-", "_")
-        if dest not in _CONFIG_KEYS:
+        if dest not in keys:
             raise _UsageError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
         mapping[dest] = value.strip()
     return mapping
@@ -100,12 +99,8 @@ def _apply_config(parser: argparse.ArgumentParser, mapping: dict[str, str]) -> N
     # set_defaults keeps explicit flags winning; subparsers parse into a
     # fresh namespace, so each one needs the defaults as well
     parser.set_defaults(**mapping)
-    for action in parser._actions:
-        choices = getattr(action, "choices", None)
-        if isinstance(choices, dict):
-            for sub in choices.values():
-                if isinstance(sub, argparse.ArgumentParser):
-                    sub.set_defaults(**mapping)
+    for sub in _subparsers(parser):
+        sub.set_defaults(**mapping)
 
 
 def _as_int(value, flag: str) -> int:
@@ -360,7 +355,7 @@ def cli_main(argv=None) -> int:
         known, _ = probe.parse_known_args(argv)
         parser = _build_parser()
         if known.config:
-            _apply_config(parser, _load_config(known.config))
+            _apply_config(parser, _load_config(known.config, _config_keys(parser)))
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help / --version

@@ -198,11 +198,25 @@ def effect_score(
     mes_report = category_proportionality(profile, instance, mes_allocation)
     if greed_report is None or mes_report is None:
         return None
-    greed_gini = gini(cost_satisfaction(profile, greed_allocation, instance))
-    mes_gini = gini(cost_satisfaction(profile, mes_allocation, instance))
+    return effect_value(
+        greed_report,
+        mes_report,
+        cost_satisfaction(profile, greed_allocation, instance),
+        cost_satisfaction(profile, mes_allocation, instance),
+    )
+
+
+def effect_value(
+    greed_report: CategoryReport,
+    mes_report: CategoryReport,
+    greed_satisfaction: Sequence[Fraction],
+    mes_satisfaction: Sequence[Fraction],
+) -> float:
+    """The :func:`effect_score` formula on the category reports and the
+    per-voter cost satisfactions of the two outcomes."""
     return 0.5 * (
         (mes_report.proportionality - greed_report.proportionality)
-        + (float(greed_gini) - float(mes_gini))
+        + (float(gini(greed_satisfaction)) - float(gini(mes_satisfaction)))
     )
 
 

@@ -91,6 +91,12 @@ def format_money(value: Money) -> str:
     return decimal_string(value) or f"{value.numerator}/{value.denominator}"
 
 
+def id_sort_key(identifier: str) -> tuple[int, int, str]:
+    """Sort key for project, voter and instance ids: all-digit ids first,
+    numerically, then the rest lexicographically."""
+    return (0, int(identifier), "") if identifier.isdigit() else (1, 0, identifier)
+
+
 @dataclass(frozen=True)
 class Project:
     """A candidate project: unique id, strictly positive cost, optional
@@ -212,15 +218,6 @@ class Profile:
                     f"ballot {ballot.voter_id!r} approves unknown project "
                     f"{sorted(unknown)[0]!r}"
                 )
-
-    def restricted_to(self, project_ids: Iterable[str]) -> "Profile":
-        """A copy with every approval set intersected with ``project_ids``."""
-        keep = frozenset(project_ids)
-        return Profile(
-            tuple(
-                ApprovalBallot(b.voter_id, b.approved & keep) for b in self.ballots
-            )
-        )
 
 
 @dataclass(frozen=True)

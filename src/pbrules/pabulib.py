@@ -25,6 +25,7 @@ from .model import (
     Profile,
     Project,
     decimal_string,
+    id_sort_key,
     parse_money,
 )
 
@@ -316,10 +317,6 @@ def parse_pabulib(
     return document_to_model(parse_document(text), source=source, drop_costless=drop_costless)
 
 
-def _vote_sort_key(pid: str) -> tuple[int, int, str]:
-    return (0, int(pid), "") if pid.isdigit() else (1, 0, pid)
-
-
 def write_pabulib(
     instance: Instance,
     profile: Profile,
@@ -384,7 +381,7 @@ def write_pabulib(
     lines.append("VOTES")
     lines.append("voter_id;vote")
     for ballot in profile.ballots:
-        vote = ",".join(sorted(ballot.approved, key=_vote_sort_key))
+        vote = ",".join(sorted(ballot.approved, key=id_sort_key))
         lines.append(f"{ballot.voter_id};{vote}")
     return "\n".join(lines) + "\n"
 
@@ -397,7 +394,6 @@ class IngestFilter:
     min_voters: int = 100
     min_projects: int = 10
     require_costs: bool = True
-    require_votes: bool = True
 
 
 @dataclass(frozen=True)
@@ -427,19 +423,14 @@ def _skip_reason(exc: PabulibParseError) -> str:
     return f"parse error: {exc}"
 
 
-def _instance_sort_key(pair: tuple[Instance, Profile]) -> tuple[int, int, str]:
-    iid = pair[0].instance_id
-    return (0, int(iid), "") if iid.isdigit() else (1, 0, iid)
-
-
 def ingest_directory(path: str | Path, ingest_filter: IngestFilter = IngestFilter()) -> IngestResult:
     """Load every ``*.pb`` file under ``path`` (non-recursive).
 
     Files that fail to parse or fail the filter are recorded with a
-    reason instead of aborting the run.  Note a file with no vote rows can
-    never produce a Profile, so it is skipped even when ``require_votes``
-    is False.  Accepted instances are sorted by instance id (numeric ids
-    first, numerically) so downstream reports are deterministic.
+    reason instead of aborting the run; a file with no vote rows can never
+    produce a Profile, so it is always skipped.  Accepted instances are
+    sorted by instance id (numeric ids first, numerically) so downstream
+    reports are deterministic.
     """
     root = Path(path)
     if not root.is_dir():
@@ -467,5 +458,5 @@ def ingest_directory(path: str | Path, ingest_filter: IngestFilter = IngestFilte
             skipped.append(SkippedFile(file.name, f"too few projects ({m} < {ingest_filter.min_projects})"))
             continue
         accepted.append((instance, profile))
-    accepted.sort(key=_instance_sort_key)
+    accepted.sort(key=lambda pair: id_sort_key(pair[0].instance_id))
     return IngestResult(tuple(accepted), tuple(skipped))

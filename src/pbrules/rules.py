@@ -8,7 +8,9 @@ smaller project id) so reruns and backends agree bit for bit.
 The equal-shares selection itself runs on an engine chosen in
 ``_backend`` (GMP kernel when compiled, pure Python otherwise); this
 module owns the model-to-array translation, the completion logic and the
-ledger bookkeeping.
+ledger bookkeeping.  Greedy cost welfare and the greedy top-up of the
+``mes+`` and ``mes*+`` completions share one greedy walk: the top-up
+resumes it from the equal-shares selection with the money left over.
 """
 
 from __future__ import annotations
@@ -19,15 +21,17 @@ import json
 import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import _backend
+from ._mes_pure import payment_cap
 from .model import (
     Allocation,
     Instance,
     Money,
     Profile,
     format_money,
+    id_sort_key,
     is_complete,
     money,
 )
@@ -209,7 +213,7 @@ class RuleResult:
         return {
             "instance_id": instance.instance_id,
             "rule": self.rule,
-            "selected": sorted(self.allocation.selected, key=_id_key),
+            "selected": sorted(self.allocation.selected, key=id_sort_key),
             "winner_count": len(self.allocation),
             "total_cost": format_money(self.allocation.total_cost),
             "budget_limit": format_money(instance.budget_limit),
@@ -218,8 +222,27 @@ class RuleResult:
         }
 
 
-def _id_key(pid: str) -> tuple[int, int, str]:
-    return (0, int(pid), "") if pid.isdigit() else (1, 0, pid)
+def _greedy_walk(
+    instance: Instance,
+    profile: Profile,
+    tiebreak: TieBreak,
+    funded: frozenset[str],
+    remaining: Money,
+) -> Allocation:
+    """Walk the projects by (-approval score, tie rank), skip those in
+    ``funded`` and fund each other one that fits in ``remaining``."""
+    score: dict[str, int] = {p.id: 0 for p in instance.projects}
+    for ballot in profile.ballots:
+        for pid in ballot.approved:
+            score[pid] += 1
+    rank = tiebreak.rank(instance)
+    order = sorted(instance.projects, key=lambda p: (-score[p.id], rank[p.id]))
+    selected = list(funded)
+    for project in order:
+        if project.id not in funded and project.cost <= remaining:
+            selected.append(project.id)
+            remaining -= project.cost
+    return Allocation.of(selected, instance)
 
 
 def greed_cost(
@@ -227,21 +250,10 @@ def greed_cost(
 ) -> Allocation:
     """Greedy cost welfare: walk projects by approval score (descending)
     and fund each one that still fits.  Complete by construction."""
-    tiebreak = tiebreak or TieBreak()
     profile.validate_against(instance)
-    score: dict[str, int] = {p.id: 0 for p in instance.projects}
-    for ballot in profile.ballots:
-        for pid in ballot.approved:
-            score[pid] += 1
-    rank = tiebreak.rank(instance)
-    order = sorted(instance.projects, key=lambda p: (-score[p.id], rank[p.id]))
-    remaining = instance.budget_limit
-    selected: list[str] = []
-    for project in order:
-        if project.cost <= remaining:
-            selected.append(project.id)
-            remaining -= project.cost
-    return Allocation.of(selected, instance)
+    return _greedy_walk(
+        instance, profile, tiebreak or TieBreak(), frozenset(), instance.budget_limit
+    )
 
 
 def mes_affordability(
@@ -258,27 +270,13 @@ def mes_affordability(
     cost = money(cost)
     if cost <= 0:
         raise ValueError("cost must be positive")
-    ids = sorted(set(approver_ids))
-    if not ids:
-        return None
-    total = sum((money(budgets[i]) for i in ids), Fraction(0))
-    if total < cost:
-        return None
-    order = sorted(ids, key=lambda i: (budgets[i], i))
-    remaining = cost
-    cap: Money | None = None
-    for peeled, voter in enumerate(order):
-        per_agent = remaining / (len(order) - peeled)
-        if budgets[voter] < per_agent:
-            remaining -= budgets[voter]
-        else:
-            cap = per_agent
-            break
+    wallets = {i: money(budgets[i]) for i in sorted(set(approver_ids))}
+    cap = payment_cap(wallets, sorted(wallets, key=wallets.__getitem__), cost)
     if cap is None:
-        cap = budgets[order[-1]]
+        return None
     contributions = {}
-    for voter in ids:
-        pay = min(budgets[voter], cap)
+    for voter, wallet in wallets.items():
+        pay = min(wallet, cap)
         if pay > 0:
             contributions[voter] = pay
     return cap / cost, contributions
@@ -352,28 +350,25 @@ def mes(
     return allocation, ledger
 
 
-SecondaryRule = Callable[[Instance, Profile], Allocation]
-
-
 def complete_with_secondary(
     base: Allocation,
     instance: Instance,
     profile: Profile,
-    secondary: SecondaryRule | None = None,
+    tiebreak: TieBreak | None = None,
 ) -> Allocation:
-    """Top up ``base`` by running ``secondary`` (default greedy cost
-    welfare) on the leftover projects and leftover budget, then taking
-    the union.  The result is complete whenever ``secondary`` is."""
-    if secondary is None:
-        secondary = greed_cost
+    """Top up ``base`` with the greedy rule on the leftover budget.
+
+    The greedy walk of :func:`greed_cost` resumes from ``base`` with the
+    money it leaves over.  That equals greedy cost welfare on the
+    leftover projects with ballots limited to them, because neither a
+    leftover project's approval score nor its relative tie order depends
+    on the other projects.  The result is complete; a complete ``base``
+    is returned as is.
+    """
     if is_complete(base, instance):
         return base
     leftover = instance.budget_limit - base.total_cost
-    rest = tuple(p for p in instance.projects if p.id not in base.selected)
-    sub_instance = Instance(projects=rest, budget_limit=leftover, meta=dict(instance.meta))
-    sub_profile = profile.restricted_to(p.id for p in rest)
-    extra = secondary(sub_instance, sub_profile)
-    return Allocation.of(base.selected | extra.selected, instance)
+    return _greedy_walk(instance, profile, tiebreak or TieBreak(), base.selected, leftover)
 
 
 def _mes_star(
@@ -438,7 +433,7 @@ def complete_star(
     if rule is mes or rule == "mes" or rule is Variant.MES:
         return _mes_star(instance, profile, epsilon, max_iterations, tiebreak)
     if rule == "greedcost" or rule is Variant.GREED_COST:
-        rule_fn: SecondaryRule = lambda inst, prof: greed_cost(inst, prof, tiebreak)
+        rule_fn = lambda inst, prof: greed_cost(inst, prof, tiebreak)
     elif callable(rule):
         rule_fn = rule
     else:
@@ -498,10 +493,9 @@ def run_rule(spec: RuleSpec, instance: Instance, profile: Profile) -> RuleResult
         allocation, ledger = mes(instance, profile, tiebreak)
         return RuleResult(name, allocation, ledger=ledger)
 
-    secondary: SecondaryRule = lambda inst, prof: greed_cost(inst, prof, tiebreak)
     if spec.variant is Variant.MES_PLUS:
         allocation, ledger = mes(instance, profile, tiebreak)
-        completed = complete_with_secondary(allocation, instance, profile, secondary)
+        completed = complete_with_secondary(allocation, instance, profile, tiebreak)
         return RuleResult(name, completed, ledger=ledger)
     if spec.variant is Variant.MES_STAR_PLUS:
         star = complete_star(
@@ -512,7 +506,7 @@ def run_rule(spec: RuleSpec, instance: Instance, profile: Profile) -> RuleResult
             max_iterations=spec.max_iterations,
             tiebreak=tiebreak,
         )
-        completed = complete_with_secondary(star.allocation, instance, profile, secondary)
+        completed = complete_with_secondary(star.allocation, instance, profile, tiebreak)
         return RuleResult(name, completed, ledger=star.ledger, star=star)
     raise ValueError(f"unhandled variant {spec.variant!r}")
 

@@ -122,3 +122,30 @@ def star_bruteforce(
             return order, r, r + 1, "complete"
         previous = order
     return previous, max_rounds - 1, max_rounds, "exhausted"
+
+
+def topup_bruteforce(base_ids, instance: Instance, profile: Profile, tiebreak: TieBreak):
+    """Definitional greedy top-up: a separate greedy election on the
+    projects ``base_ids`` leaves unfunded, at the budget it leaves over,
+    with every ballot cut down to those projects.
+
+    Ties in approval score go to the project whose values under the
+    ``tiebreak`` tokens ("cost", "-cost", "id") compare smaller, token by
+    token.  Returns the union of ``base_ids`` and the projects bought.
+    """
+    funded = set(base_ids)
+    leftover = instance.budget_limit - total_cost(funded, instance)
+    rest = [project for project in instance.projects if project.id not in funded]
+    rest_ids = {project.id for project in rest}
+    ballots = [ballot.approved & rest_ids for ballot in profile.ballots]
+
+    def priority(project):
+        score = sum(1 for approved in ballots if project.id in approved)
+        values = {"cost": project.cost, "-cost": -project.cost, "id": project.id}
+        return (-score, tuple(values[token] for token in tiebreak.criteria))
+
+    for project in sorted(rest, key=priority):
+        if project.cost <= leftover:
+            funded.add(project.id)
+            leftover -= project.cost
+    return funded

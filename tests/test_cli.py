@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, outputs, config precedence."""
 
+import argparse
 import csv
 import io
 import json
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from pbrules.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, cli_main
+from pbrules.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_parser, cli_main
 from pbrules.metrics import METRIC_COLUMNS
 from pbrules.model import ApprovalBallot, Instance, Profile, Project
 from pbrules.pabulib import write_pabulib
@@ -353,10 +354,32 @@ class TestConfig:
         rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
         assert {r[1] for r in rows[1:]} == {"greedcost", "mes+"}
 
+    def test_every_subcommand_option_is_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "pb.cfg"
+        (subcommands,) = [
+            action.choices
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        checked = 0
+        for command, sub in subcommands.items():
+            for action in sub._actions:
+                for option in action.option_strings:
+                    if not option.startswith("--") or option in ("--config", "--help"):
+                        continue
+                    cfg.write_text(f"{option[2:]} = 1\n", encoding="utf-8")
+                    args = [command, "--config", str(cfg), "--help"]
+                    assert cli_main(args) == EXIT_OK, option
+                    checked += 1
+        assert checked >= 16
+        capsys.readouterr()
+
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "pb.cfg"
-        cfg.write_text("colour = blue\n", encoding="utf-8")
-        assert cli_main(["stats", "--config", str(cfg)]) == EXIT_USAGE
+        for key in ("colour", "config", "help", "version"):
+            cfg.write_text(f"{key} = blue\n", encoding="utf-8")
+            assert cli_main(["stats", "--config", str(cfg)]) == EXIT_USAGE, key
+            assert "unknown config key" in capsys.readouterr().err
 
     def test_malformed_line_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "pb.cfg"

@@ -108,10 +108,6 @@ class TestValidation:
         with pytest.raises(KeyError):
             profile.validate_against(inst)
 
-    def test_restricted_to(self):
-        profile = Profile((ApprovalBallot("v", frozenset({"a", "b"})),))
-        assert profile.restricted_to({"b", "c"}).ballots[0].approved == {"b"}
-
     def test_lookup_helpers(self):
         inst = make_instance([2, 3], 10, ids=["a", "b"])
         assert inst.cost_of("b") == 3

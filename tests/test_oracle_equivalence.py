@@ -5,13 +5,27 @@ drops); the oracles recompute everything from the definitions at every
 step.  Observable behaviour must match exactly, Fraction for Fraction.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 import helpers
-from oracle import affordability_fixed_point, mes_bruteforce, star_bruteforce
-from pbrules.model import approvers, total_cost
-from pbrules.rules import TieBreak, complete_star, mes, mes_affordability
+from oracle import (
+    affordability_fixed_point,
+    mes_bruteforce,
+    star_bruteforce,
+    topup_bruteforce,
+)
+from pbrules.model import Allocation, Instance, approvers, is_complete, total_cost
+from pbrules.rules import (
+    TieBreak,
+    complete_star,
+    complete_with_secondary,
+    mes,
+    mes_affordability,
+)
 
 
 def random_budgets(rng, k):
@@ -114,3 +128,49 @@ class TestStarOracle:
             assert result.status == status
             assert result.budget_used == instance.budget_limit + chosen * eps
             assert result.allocation.total_cost == total_cost(selected, instance)
+
+
+def random_feasible_base(rng, instance):
+    """A random subset of the projects that fits in the budget limit."""
+    chosen = []
+    left = instance.budget_limit
+    for project in rng.sample(instance.projects, len(instance.projects)):
+        if rng.random() < 0.5 and project.cost <= left:
+            chosen.append(project.id)
+            left -= project.cost
+    return Allocation.of(chosen, instance)
+
+
+class TestTopUpOracle:
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        criteria=st.lists(st.sampled_from(("cost", "-cost", "id")), unique=True, max_size=3),
+        mes_base=st.booleans(),
+        tie_heavy=st.booleans(),
+    )
+    def test_matches_bruteforce(self, seed, criteria, mes_base, tie_heavy):
+        rng = random.Random(seed)
+        instance, profile = helpers.random_instance(rng)
+        if tie_heavy:
+            # few distinct costs and a tight limit, so score and cost ties
+            # reach the later tie-break tokens
+            instance = Instance(
+                projects=tuple(
+                    dataclasses.replace(p, cost=Fraction(rng.randint(1, 3)))
+                    for p in instance.projects
+                ),
+                budget_limit=Fraction(rng.randint(1, 8)),
+                meta=instance.meta,
+            )
+        tiebreak = TieBreak(tuple(criteria))
+        if mes_base:
+            base, _ = mes(instance, profile, tiebreak)
+        else:
+            base = random_feasible_base(rng, instance)
+        completed = complete_with_secondary(base, instance, profile, tiebreak)
+        assert completed.selected == topup_bruteforce(
+            base.selected, instance, profile, tiebreak
+        )
+        assert completed.total_cost == total_cost(completed.selected, instance)
+        assert is_complete(completed, instance)

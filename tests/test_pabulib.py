@@ -258,7 +258,7 @@ class TestIngest:
     def test_defaults(self):
         f = IngestFilter()
         assert (f.min_voters, f.min_projects) == (100, 10)
-        assert f.require_costs and f.require_votes
+        assert f.require_costs
 
     def test_directory_filtering_and_report(self, tmp_path):
         _write_corpus_file(tmp_path / "city_10.pb", "10", 5, 3)
