@@ -107,16 +107,73 @@ def voter_category_share(profile: Profile, instance: Instance, label: str) -> Fr
     """Demand share of a category: the average, over voters whose ballot
     has positive total cost, of the cost fraction of their ballot that
     lies in the category."""
-    members = _category_ids(instance, label)
-    shares: list[Fraction] = []
+    shares, _ = _demand_shares(profile, instance, (label,))
+    return shares[label]
+
+
+def _demand_shares(
+    profile: Profile, instance: Instance, labels: Sequence[str]
+) -> tuple[dict[str, Fraction], int]:
+    """:func:`voter_category_share` of every label in one pass over the
+    ballots, and the number of ballots with zero total cost.
+
+    Costs are integers over their common denominator, so each ballot's
+    cost is summed once in ints; the per-label sums are grouped by
+    ballot cost, and each share becomes a Fraction only at the end.
+    """
+    denominator = math.lcm(*(p.cost.denominator for p in instance.projects))
+    units = {
+        p.id: (
+            p.cost.numerator * (denominator // p.cost.denominator),
+            [i for i, label in enumerate(labels) if label in p.categories],
+        )
+        for p in instance.projects
+    }
+    # ballot cost -> per-label summed cost inside the label
+    by_cost: dict[int, list[int]] = {}
+    excluded = 0
     for ballot in profile.ballots:
-        ballot_cost = total_cost(ballot.approved, instance)
+        ballot_cost = 0
+        inside = [0] * len(labels)
+        for pid in ballot.approved:
+            cost, members = units[pid]
+            ballot_cost += cost
+            for i in members:
+                inside[i] += cost
         if ballot_cost == 0:
+            excluded += 1
             continue
-        shares.append(total_cost(ballot.approved & members, instance) / ballot_cost)
-    if not shares:
-        return Fraction(0)
-    return sum(shares, Fraction(0)) / len(shares)
+        sums = by_cost.setdefault(ballot_cost, [0] * len(labels))
+        for i, amount in enumerate(inside):
+            sums[i] += amount
+    counted = len(profile.ballots) - excluded
+    if not counted:
+        return {label: Fraction(0) for label in labels}, excluded
+    common, numerators = _sum_fractions(list(by_cost.items()))
+    shares = {
+        label: Fraction(numerator, common * counted)
+        for label, numerator in zip(labels, numerators)
+    }
+    return shares, excluded
+
+
+def _sum_fractions(terms: list[tuple[int, list[int]]]) -> tuple[int, list[int]]:
+    """Sum of the vectors ``nums / den`` over ``terms`` of ``(den, nums)``,
+    as one common denominator and a vector of numerators.
+
+    Pairs are merged in a balanced tree over the lcm of their
+    denominators, so the big integers only grow near the root.
+    """
+    while len(terms) > 1:
+        merged = []
+        for (d1, n1), (d2, n2) in zip(terms[::2], terms[1::2]):
+            g = math.gcd(d1, d2)
+            w1, w2 = d2 // g, d1 // g
+            merged.append((d1 * w1, [a * w1 + b * w2 for a, b in zip(n1, n2)]))
+        if len(terms) % 2:
+            merged.append(terms[-1])
+        terms = merged
+    return terms[0]
 
 
 def rule_category_share(
@@ -165,13 +222,11 @@ def category_proportionality(
     chosen = _selected(allocation)
     if not labels or not chosen:
         return None
-    excluded = sum(
-        1 for ballot in profile.ballots if total_cost(ballot.approved, instance) == 0
-    )
+    voter_shares, excluded = _demand_shares(profile, instance, labels)
     entries = []
     gap_squares = 0.0
     for label in labels:
-        voter_share = voter_category_share(profile, instance, label)
+        voter_share = voter_shares[label]
         rule_share = rule_category_share(chosen, instance, label)
         assert rule_share is not None
         entries.append(CategoryScores(label, voter_share, rule_share))

@@ -271,9 +271,11 @@ def mes_affordability(
     if cost <= 0:
         raise ValueError("cost must be positive")
     wallets = {i: money(budgets[i]) for i in sorted(set(approver_ids))}
-    cap = payment_cap(wallets, sorted(wallets, key=wallets.__getitem__), cost)
-    if cap is None:
+    peel = payment_cap(wallets, sorted(wallets, key=wallets.__getitem__), cost)
+    if peel is None:
         return None
+    remaining, left = peel
+    cap = remaining / left
     contributions = {}
     for voter, wallet in wallets.items():
         pay = min(wallet, cap)

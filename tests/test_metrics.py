@@ -20,7 +20,7 @@ from pbrules.metrics import (
     similarity,
     voter_category_share,
 )
-from pbrules.model import ApprovalBallot, Instance, Profile, Project
+from pbrules.model import ApprovalBallot, Instance, Profile, Project, total_cost
 
 
 def build(projects, budget, ballots, categories=None):
@@ -140,6 +140,34 @@ class TestCategories:
             Fraction(6, 10) + 1 + 1
         ) / 3
         assert voter_category_share(PROFILE, INSTANCE, "parks") == Fraction(4, 10) / 3
+
+    def test_demand_shares_match_the_definition(self):
+        # the literal per-ballot Fraction average, with costs of mixed
+        # denominators, empty ballots and labels no project carries
+        rng = random.Random(41)
+        for _ in range(300):
+            instance, profile = helpers.random_instance(
+                rng, with_categories=True, approval_rate=rng.choice((0.1, 0.4))
+            )
+            labels = instance.category_labels
+            for label in labels + ("unused",):
+                members = {p.id for p in instance.projects if label in p.categories}
+                shares = [
+                    total_cost(b.approved & members, instance)
+                    / total_cost(b.approved, instance)
+                    for b in profile.ballots
+                    if b.approved
+                ]
+                expected = sum(shares, Fraction(0)) / len(shares) if shares else 0
+                assert voter_category_share(profile, instance, label) == expected
+            report = category_proportionality(profile, instance, instance.project_ids)
+            if report is None:
+                assert not labels
+                continue
+            assert report.excluded_voters == sum(1 for b in profile.ballots if not b.approved)
+            assert [e.voter_share for e in report.entries] == [
+                voter_category_share(profile, instance, label) for label in labels
+            ]
 
     def test_rule_share(self):
         assert rule_category_share({"a", "b"}, INSTANCE, "roads") == Fraction(6, 10)

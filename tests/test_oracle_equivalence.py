@@ -6,6 +6,7 @@ step.  Observable behaviour must match exactly, Fraction for Fraction.
 """
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -18,9 +19,20 @@ from oracle import (
     star_bruteforce,
     topup_bruteforce,
 )
-from pbrules.model import Allocation, Instance, approvers, is_complete, total_cost
+from pbrules import _mes_pure
+from pbrules.model import (
+    Allocation,
+    ApprovalBallot,
+    Instance,
+    Profile,
+    Project,
+    approvers,
+    is_complete,
+    total_cost,
+)
 from pbrules.rules import (
     TieBreak,
+    _mes_arrays,
     complete_star,
     complete_with_secondary,
     mes,
@@ -62,6 +74,128 @@ class TestAffordabilityOracle:
             assert max(pays.values()) == factor * cost
             for vid, amount in pays.items():
                 assert 0 < amount <= budgets[vid]
+
+
+class TestPaymentCap:
+    def test_scaled_integer_wallets_give_the_scaled_cap(self):
+        rng = random.Random(26)
+        for _ in range(400):
+            k = rng.randint(1, 9)
+            wallets = list(random_budgets(rng, k).values())
+            cost = Fraction(rng.randint(1, 60), rng.choice((1, 2, 3, 7)))
+            units = math.lcm(cost.denominator, *(w.denominator for w in wallets))
+            units *= rng.choice((1, 2, 5))
+            scaled = [int(w * units) for w in wallets]
+            order = sorted(range(k), key=wallets.__getitem__)
+            exact = _mes_pure.payment_cap(wallets, order, cost)
+            integral = _mes_pure.payment_cap(scaled, order, int(cost * units))
+            if exact is None:
+                assert integral is None
+                assert sum(wallets) < cost
+                continue
+            assert all(isinstance(x, int) for x in integral)
+            assert Fraction(*integral) == exact[0] / exact[1] * units
+
+
+PRIME_VOTER_COUNTS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def odd_money_instance(rng, n, thirds):
+    """Costs in cents or thirds and a prime voter count, so the share's
+    denominator differs from the costs' and most payment caps are not
+    whole units."""
+
+    def amount(top):
+        if thirds:
+            return Fraction(rng.randint(1, 3 * top), 3)
+        return Fraction(rng.randint(1, 100 * top), 100)
+
+    m = rng.randint(1, 10)
+    projects = tuple(Project(id=f"p{j + 1}", cost=amount(40)) for j in range(m))
+    ballots = []
+    for i in range(n):
+        approved = {p.id for p in projects if rng.random() < 0.5}
+        ballots.append(ApprovalBallot(voter_id=f"v{i + 1}", approved=frozenset(approved)))
+    for project in projects:
+        if not any(project.id in b.approved for b in ballots):
+            i = rng.randrange(n)
+            ballots[i] = ApprovalBallot(
+                voter_id=ballots[i].voter_id, approved=ballots[i].approved | {project.id}
+            )
+    instance = Instance(projects=projects, budget_limit=amount(80), meta={"instance_id": "odd"})
+    return instance, Profile(ballots=tuple(ballots))
+
+
+def pure_engine_ledger(instance, profile):
+    """The pure engine's ledger run, keyed by ids like the oracle's."""
+    costs, approver_lists, tie_rank, ballot_lists = _mes_arrays(
+        instance, profile, TieBreak()
+    )
+    engine = _mes_pure.MesEngine(
+        profile.voter_count, costs, approver_lists, tie_rank, ballot_lists
+    )
+    share = Fraction(instance.budget_limit, profile.voter_count)
+    selected, factors, payments, wallets = engine.run(share, want_ledger=True)
+    pids = [p.id for p in instance.projects]
+    vids = [b.voter_id for b in profile.ballots]
+    return engine, (
+        [pids[p] for p in selected],
+        {pids[p]: f for p, f in zip(selected, factors)},
+        {pids[p]: {vids[v]: a for v, a in pays} for p, pays in zip(selected, payments)},
+        {vids[i]: w for i, w in enumerate(wallets)},
+    )
+
+
+class TestPureEngineOracle:
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from(PRIME_VOTER_COUNTS),
+        thirds=st.booleans(),
+    )
+    def test_ledger_matches_bruteforce(self, seed, n, thirds):
+        instance, profile = odd_money_instance(random.Random(seed), n, thirds)
+        _, ledger = pure_engine_ledger(instance, profile)
+        order, factors, payments, wallets = ledger
+        assert (order, factors, payments, wallets) == mes_bruteforce(instance, profile)
+        values = [*factors.values(), *wallets.values()]
+        values += [a for pays in payments.values() for a in pays.values()]
+        assert all(type(value) is Fraction for value in values)
+
+    def test_recomputed_bound_ties_go_to_the_tie_order(self):
+        # x drains v1, so a's bound 1/3 goes stale; recomputed it is 1/2,
+        # equal to b's exact factor, and b is first in the tie order
+        projects = (
+            Project(id="x", cost=Fraction(4)),
+            Project(id="a", cost=Fraction(2)),
+            Project(id="b", cost=Fraction(1)),
+        )
+        approved = {1: "xa", 2: "a", 3: "a", 4: "b", 5: "b", 6: "x", 7: "x", 8: "x"}
+        profile = Profile(
+            ballots=tuple(
+                ApprovalBallot(voter_id=f"v{i}", approved=frozenset(ids))
+                for i, ids in approved.items()
+            )
+        )
+        instance = Instance(projects=projects, budget_limit=Fraction(8), meta={})
+        _, ledger = pure_engine_ledger(instance, profile)
+        assert ledger == mes_bruteforce(instance, profile)
+        assert ledger[0] == ["x", "b", "a"]
+        assert ledger[1] == {"x": Fraction(1, 4), "b": Fraction(1, 2), "a": Fraction(1, 2)}
+
+    def test_payment_caps_refine_the_unit(self):
+        rng = random.Random(27)
+        refined = 0
+        for _ in range(60):
+            n = rng.choice(PRIME_VOTER_COUNTS)
+            instance, profile = odd_money_instance(rng, n, rng.random() < 0.5)
+            engine, _ = pure_engine_ledger(instance, profile)
+            start = math.lcm(
+                Fraction(instance.budget_limit, n).denominator,
+                *(p.cost.denominator for p in instance.projects),
+            )
+            refined += engine._units != start
+        assert refined >= 30
 
 
 class TestSelectionOracle:
