@@ -156,8 +156,8 @@ class TestPureEngineOracle:
     def test_ledger_matches_bruteforce(self, seed, n, thirds):
         instance, profile = odd_money_instance(random.Random(seed), n, thirds)
         _, ledger = pure_engine_ledger(instance, profile)
-        order, factors, payments, wallets = ledger
-        assert (order, factors, payments, wallets) == mes_bruteforce(instance, profile)
+        assert ledger == mes_bruteforce(instance, profile)
+        _, factors, payments, wallets = ledger
         values = [*factors.values(), *wallets.values()]
         values += [a for pays in payments.values() for a in pays.values()]
         assert all(type(value) is Fraction for value in values)
