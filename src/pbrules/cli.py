@@ -32,6 +32,7 @@ from .rules import (
     RULE_NAMES,
     SELECTION_BACKEND,
     RuleSpec,
+    Variant,
     emit_trace,
     run_rule,
 )
@@ -269,6 +270,10 @@ def _cmd_run(args) -> int:
     if not args.rule:
         raise _UsageError("run needs --rule")
     spec = _make_spec(args.rule, args)
+    trace = _as_bool(args.trace)
+    if spec.variant is Variant.GREED_COST and (args.ledger_out or trace):
+        kept = "payment ledger" if args.ledger_out else "purchase trace"
+        raise _UsageError(f"rule {spec.variant.value} produces no {kept}")
     path = Path(args.file)
     try:
         text = path.read_text(encoding="utf-8")
@@ -281,12 +286,8 @@ def _cmd_run(args) -> int:
     result = run_rule(spec, instance, profile)
     _write_out(json.dumps(result.to_json_dict(instance), indent=2), args.out)
     if args.ledger_out:
-        if result.ledger is None:
-            raise _UsageError(f"rule {result.rule} produces no payment ledger")
         Path(args.ledger_out).write_text(result.ledger.to_json(indent=2), encoding="utf-8")
-    if _as_bool(args.trace):
-        if result.ledger is None:
-            raise _UsageError(f"rule {result.rule} produces no purchase trace")
+    if trace:
         print(emit_trace(result.ledger, instance))
     return EXIT_OK
 

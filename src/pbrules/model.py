@@ -66,10 +66,9 @@ def parse_money(text: str) -> Money:
 def decimal_string(value: Money) -> str | None:
     """Render ``value`` as an exact finite decimal, or None if impossible."""
     den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
+    twos = (den & -den).bit_length() - 1
+    den >>= twos
+    fives = 0
     while den % 5 == 0:
         den //= 5
         fives += 1

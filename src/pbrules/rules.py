@@ -18,9 +18,12 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-import statistics
+import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Mapping
 
 from . import _backend
@@ -141,6 +144,11 @@ class MesLedger:
     contributions (approvers with an empty wallet are omitted);
     ``affordabilities`` holds the factor each project was bought at;
     ``budgets`` the final wallets, in ballot order.
+
+    :meth:`to_json_dict` renders every value exactly (see
+    :func:`~pbrules.model.format_money`) and formats each distinct value
+    once, so beyond one lookup per payment and wallet its cost grows
+    with the number of distinct money values, not with the voters.
     """
 
     run_budget: Money
@@ -151,18 +159,17 @@ class MesLedger:
     budgets: dict[str, Money]
 
     def to_json_dict(self) -> dict:
+        text = _money_text()
         return {
-            "run_budget": format_money(self.run_budget),
-            "initial_share": format_money(self.initial_share),
+            "run_budget": text(self.run_budget),
+            "initial_share": text(self.initial_share),
             "selection_order": list(self.selection_order),
-            "affordabilities": {
-                pid: format_money(a) for pid, a in self.affordabilities.items()
-            },
+            "affordabilities": {pid: text(a) for pid, a in self.affordabilities.items()},
             "payments": {
-                pid: {vid: format_money(x) for vid, x in sorted(pays.items())}
+                pid: {vid: text(x) for vid, x in sorted(pays.items())}
                 for pid, pays in self.payments.items()
             },
-            "budgets": {vid: format_money(b) for vid, b in self.budgets.items()},
+            "budgets": {vid: text(b) for vid, b in self.budgets.items()},
         }
 
     def to_json(self, indent: int | None = None) -> str:
@@ -513,55 +520,114 @@ def run_rule(spec: RuleSpec, instance: Instance, profile: Profile) -> RuleResult
     raise ValueError(f"unhandled variant {spec.variant!r}")
 
 
+def _money_text():
+    """A :func:`format_money` that formats each distinct value once.
+
+    Values are keyed by their ``(numerator, denominator)`` pair: hashing
+    a ``Fraction`` computes a modular inverse of its denominator.
+    """
+    seen: dict[tuple[int, int], str] = {}
+
+    def text(value: Money) -> str:
+        key = value.as_integer_ratio()
+        found = seen.get(key)
+        if found is None:
+            found = seen[key] = format_money(value)
+        return found
+
+    return text
+
+
 def _group_payments(pays: dict[str, Money]) -> list[tuple[Money, list[str]]]:
-    groups: dict[Money, list[str]] = {}
+    """Payers grouped by amount, ascending, voters in ledger order.
+
+    Amounts are grouped by ``(numerator, denominator)`` and ordered as
+    ints over the lcm of their denominators.
+    """
+    groups: dict[tuple[int, int], tuple[Money, list[str]]] = {}
     for vid, amount in pays.items():
-        groups.setdefault(amount, []).append(vid)
-    return [(amount, sorted(groups[amount])) for amount in sorted(groups)]
+        key = amount.as_integer_ratio()
+        group = groups.get(key)
+        if group is None:
+            groups[key] = (amount, [vid])
+        else:
+            group[1].append(vid)
+    unit = math.lcm(*(den for _, den in groups))
+    order = sorted(groups, key=lambda key: key[0] * (unit // key[1]))
+    return [groups[key] for key in order]
+
+
+def _wallet_summary(wallets: Iterable[Money]) -> tuple[Money, Money, Money, Money]:
+    """(min, median, max, total) of the wallets.
+
+    The distinct values are tallied by ``(numerator, denominator)`` and
+    summed and ranked as ints over the lcm of their denominators; one
+    ``Fraction`` is built per result.  For an even count the median is
+    the exact mean of the two middle wallets.
+    """
+    tally = Counter(wallet.as_integer_ratio() for wallet in wallets)
+    unit = math.lcm(*(den for _, den in tally))
+    counts = sorted((num * (unit // den), count) for (num, den), count in tally.items())
+    ends = list(accumulate(count for _, count in counts))
+
+    def ranked(rank: int) -> int:  # the wallet at 0-based ``rank``, ascending
+        return counts[bisect_right(ends, rank)][0]
+
+    n = ends[-1]
+    middle = ranked((n - 1) // 2) + ranked(n // 2)
+    total = sum(value * count for value, count in counts)
+    return (
+        Fraction(counts[0][0], unit),
+        Fraction(middle, 2 * unit),
+        Fraction(counts[-1][0], unit),
+        Fraction(total, unit),
+    )
 
 
 def emit_trace(ledger: MesLedger, instance: Instance) -> str:
     """Human-readable account of an equal-shares run: the per-voter share,
     each purchase with its affordability factor and payments, and the
-    final wallets."""
+    final wallets.
+
+    Every number is exact.  Each distinct money value is formatted once,
+    payments are grouped and the wallet summary (min, median, max, total
+    left) is computed as ints over the lcm of the distinct denominators,
+    so beyond one pass over the payments and wallets the cost grows with
+    the number of distinct values, not with the voters.
+    """
+    text = _money_text()
     n = len(ledger.budgets)
     lines = [
-        f"Budget {format_money(ledger.run_budget)} split equally: "
-        f"{n} voters, {format_money(ledger.initial_share)} each."
+        f"Budget {text(ledger.run_budget)} split equally: "
+        f"{n} voters, {text(ledger.initial_share)} each."
     ]
     for step, pid in enumerate(ledger.selection_order, start=1):
         project = instance.project(pid)
         pays = ledger.payments[pid]
         factor = ledger.affordabilities[pid]
         label = f"{pid} ({project.name})" if project.name else pid
-        head = (
-            f"{step}. buy {label}, cost {format_money(project.cost)}, "
-            f"alpha = {format_money(factor)}: "
-        )
+        head = f"{step}. buy {label}, cost {text(project.cost)}, alpha = {text(factor)}: "
         groups = _group_payments(pays)
         if len(groups) == 1:
             amount, voters = groups[0]
-            detail = f"{len(voters)} payer{'s' if len(voters) != 1 else ''}, each pays {format_money(amount)}."
+            detail = f"{len(voters)} payer{'s' if len(voters) != 1 else ''}, each pays {text(amount)}."
         elif len(pays) <= 8:
             detail = "; ".join(
-                f"{', '.join(voters)} pay{'s' if len(voters) == 1 else ''} {format_money(amount)}"
+                f"{', '.join(sorted(voters))} pay{'s' if len(voters) == 1 else ''} {text(amount)}"
                 for amount, voters in groups
             ) + "."
         else:
             detail = "; ".join(
-                f"{len(voters)} pay {format_money(amount)}" for amount, voters in groups
+                f"{len(voters)} pay {text(amount)}" for amount, voters in groups
             ) + "."
         lines.append(head + detail)
-    wallets = list(ledger.budgets.values())
     if n <= 12:
-        listing = ", ".join(
-            f"{vid}={format_money(b)}" for vid, b in ledger.budgets.items()
-        )
+        listing = ", ".join(f"{vid}={text(b)}" for vid, b in ledger.budgets.items())
         lines.append(f"Final wallets: {listing}.")
     else:
+        low, median, high, total = _wallet_summary(ledger.budgets.values())
         lines.append(
-            "Final wallets: min "
-            f"{format_money(min(wallets))}, median {format_money(statistics.median(wallets))}, "
-            f"max {format_money(max(wallets))}; total left {format_money(sum(wallets))}."
+            f"Final wallets: min {text(low)}, median {text(median)}, "
+            f"max {text(high)}; total left {text(total)}."
         )
     return "\n".join(lines)

@@ -4,15 +4,17 @@ Everything here follows the definitions literally and slowly: the
 affordability fixed point iterates poor/rich contributions until stable,
 and the brute-force method recomputes every candidate's affordability
 from scratch at every step.  No laziness, no caching, no shared code
-with the engines under test.
+with the engines under test.  The ledger renderings format every value
+on its own and sort and group ``Fraction``s directly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import statistics
 from fractions import Fraction
 
-from pbrules.model import Instance, Profile, total_cost
+from pbrules.model import Instance, Profile, format_money, total_cost
 from pbrules.rules import TieBreak
 
 
@@ -149,3 +151,74 @@ def topup_bruteforce(base_ids, instance: Instance, profile: Profile, tiebreak: T
             funded.add(project.id)
             leftover -= project.cost
     return funded
+
+
+def ledger_json_dict(ledger):
+    """``MesLedger.to_json_dict`` by definition: every money value is
+    formatted on its own."""
+    return {
+        "run_budget": format_money(ledger.run_budget),
+        "initial_share": format_money(ledger.initial_share),
+        "selection_order": list(ledger.selection_order),
+        "affordabilities": {
+            pid: format_money(a) for pid, a in ledger.affordabilities.items()
+        },
+        "payments": {
+            pid: {vid: format_money(x) for vid, x in sorted(pays.items())}
+            for pid, pays in ledger.payments.items()
+        },
+        "budgets": {vid: format_money(b) for vid, b in ledger.budgets.items()},
+    }
+
+
+def _payment_groups(pays):
+    groups = {}
+    for vid, amount in pays.items():
+        groups.setdefault(amount, []).append(vid)
+    return [(amount, sorted(groups[amount])) for amount in sorted(groups)]
+
+
+def trace_text(ledger, instance: Instance) -> str:
+    """``emit_trace`` by definition: payments grouped by ``Fraction``
+    value, the wallet summary from ``min``, ``statistics.median``,
+    ``max`` and ``sum`` over every wallet."""
+    n = len(ledger.budgets)
+    lines = [
+        f"Budget {format_money(ledger.run_budget)} split equally: "
+        f"{n} voters, {format_money(ledger.initial_share)} each."
+    ]
+    for step, pid in enumerate(ledger.selection_order, start=1):
+        project = instance.project(pid)
+        pays = ledger.payments[pid]
+        label = f"{pid} ({project.name})" if project.name else pid
+        head = (
+            f"{step}. buy {label}, cost {format_money(project.cost)}, "
+            f"alpha = {format_money(ledger.affordabilities[pid])}: "
+        )
+        groups = _payment_groups(pays)
+        if len(groups) == 1:
+            amount, voters = groups[0]
+            plural = "s" if len(voters) != 1 else ""
+            detail = f"{len(voters)} payer{plural}, each pays {format_money(amount)}."
+        elif len(pays) <= 8:
+            detail = "; ".join(
+                f"{', '.join(voters)} pay{'s' if len(voters) == 1 else ''} "
+                f"{format_money(amount)}"
+                for amount, voters in groups
+            ) + "."
+        else:
+            detail = "; ".join(
+                f"{len(voters)} pay {format_money(amount)}" for amount, voters in groups
+            ) + "."
+        lines.append(head + detail)
+    wallets = list(ledger.budgets.values())
+    if n <= 12:
+        listing = ", ".join(f"{vid}={format_money(b)}" for vid, b in ledger.budgets.items())
+        lines.append(f"Final wallets: {listing}.")
+    else:
+        lines.append(
+            f"Final wallets: min {format_money(min(wallets))}, "
+            f"median {format_money(statistics.median(wallets))}, "
+            f"max {format_money(max(wallets))}; total left {format_money(sum(wallets))}."
+        )
+    return "\n".join(lines)

@@ -4,6 +4,8 @@ import argparse
 import csv
 import io
 import json
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -184,18 +186,60 @@ class TestRun:
         assert payload["winner_count"] >= 1
 
     def test_greedy_has_no_ledger(self, one_file, tmp_path, capsys):
-        code = cli_main(
-            [
-                "run",
-                "--file",
-                str(one_file),
-                "--rule",
-                "greedcost",
-                "--ledger-out",
-                str(tmp_path / "x.json"),
-            ]
+        ledger = tmp_path / "x.json"
+        out = tmp_path / "result.json"
+        for flags in (["--ledger-out", str(ledger)], ["--trace"]):
+            for to_file in (True, False):
+                argv = ["run", "--file", str(one_file), "--rule", "greedcost", *flags]
+                code = cli_main(argv + (["--out", str(out)] if to_file else []))
+                assert code == EXIT_USAGE
+                assert not out.exists()
+                assert not ledger.exists()
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert "greedcost produces no" in captured.err
+        # rejected before the file is read: a missing file is not a data error
+        ghost = str(tmp_path / "ghost.pb")
+        assert cli_main(["run", "--file", ghost, "--rule", "greedcost", "--trace"]) == EXIT_USAGE
+
+    def test_ledger_and_trace_agree_on_a_large_election(self, tmp_path, capsys):
+        rng = random.Random(400)
+        projects = tuple(
+            Project(id=str(j + 1), cost=Fraction(rng.randint(5_000, 90_000), 100))
+            for j in range(24)
         )
-        assert code == EXIT_USAGE
+        ballots = tuple(
+            ApprovalBallot(
+                f"v{i + 1}",
+                frozenset(p.id for p in rng.sample(projects, rng.randint(1, 4))),
+            )
+            for i in range(400)
+        )
+        instance = Instance(
+            projects=projects,
+            budget_limit=Fraction(600_017, 100),
+            meta={"instance_id": "400"},
+        )
+        election = tmp_path / "large.pb"
+        election.write_text(write_pabulib(instance, Profile(ballots)), encoding="utf-8")
+        ledger_path = tmp_path / "ledger.json"
+        argv = ["run", "--file", str(election), "--rule", "mes", "--trace"]
+        argv += ["--out", str(tmp_path / "result.json"), "--ledger-out", str(ledger_path)]
+        assert cli_main(argv) == EXIT_OK
+        ledger = json.loads(ledger_path.read_text(encoding="utf-8"))
+        assert len(ledger["budgets"]) == 400
+        assert ledger["selection_order"]
+        paid = Fraction(0)
+        for pid in ledger["selection_order"]:
+            amount = sum(map(Fraction, ledger["payments"][pid].values()), Fraction(0))
+            assert amount == instance.cost_of(pid)
+            paid += amount
+        left = sum(map(Fraction, ledger["budgets"].values()), Fraction(0))
+        assert paid + left == Fraction(ledger["run_budget"])
+        last = capsys.readouterr().out.splitlines()[-1]
+        match = re.fullmatch(r"Final wallets: min \S+, median \S+, max \S+; total left (\S+)\.", last)
+        assert match is not None, last
+        assert Fraction(match.group(1)) == left
 
     def test_epsilon_flag(self, one_file, capsys):
         assert (

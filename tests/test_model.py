@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pbrules.model import (
@@ -21,6 +21,21 @@ from pbrules.model import (
     parse_money,
     total_cost,
 )
+
+
+# Odd, not a multiple of 5, and 159 digits long.
+LARGE_ODD = 3**301 * 7 * 11
+
+
+def decimal_by_definition(value, max_places=200):
+    """The shortest exact decimal of ``value``, found by trying 0, 1, 2,
+    ... places; None when no count up to ``max_places`` is exact."""
+    for places in range(max_places + 1):
+        scaled = value * 10**places
+        if scaled.denominator == 1:
+            digits = str(scaled.numerator).rjust(places + 1, "0")
+            return f"{digits[:-places]}.{digits[-places:]}" if places else digits
+    return None
 
 
 def make_instance(costs, budget, ids=None):
@@ -66,6 +81,26 @@ class TestMoney:
         assert decimal_string(Fraction(1, 8)) == "0.125"
         assert decimal_string(Fraction(3)) == "3"
         assert decimal_string(Fraction(1, 3)) is None
+
+    # stop at the first failing example: a wrong twos count can turn the
+    # fives loop into an endless one on the examples that follow
+    @settings(max_examples=300, report_multiple_bugs=False)
+    @given(
+        st.integers(0, 10**40),
+        st.integers(0, 80),
+        st.integers(0, 80),
+        st.sampled_from((1, LARGE_ODD)),
+        st.booleans(),
+    )
+    @example(3, 80, 80, LARGE_ODD, True)
+    @example(0, 7, 3, LARGE_ODD, False)
+    @example(250000, 0, 0, 1, False)
+    @example(0, 0, 0, 1, False)
+    def test_decimal_string_matches_definition(self, units, twos, fives, odd, cancel):
+        """Denominators 2^a * 5^b * r; with ``cancel`` the numerator is a
+        multiple of r, so r cancels and the value is a finite decimal."""
+        value = Fraction(units * (odd if cancel else 1), 2**twos * 5**fives * odd)
+        assert decimal_string(value) == decimal_by_definition(value)
 
     def test_format_money_falls_back_to_fraction(self):
         assert format_money(Fraction(1, 3)) == "1/3"

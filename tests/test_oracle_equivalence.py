@@ -6,6 +6,7 @@ step.  Observable behaviour must match exactly, Fraction for Fraction.
 """
 
 import dataclasses
+import json
 import math
 import random
 from fractions import Fraction
@@ -15,9 +16,11 @@ from hypothesis import given, settings, strategies as st
 import helpers
 from oracle import (
     affordability_fixed_point,
+    ledger_json_dict,
     mes_bruteforce,
     star_bruteforce,
     topup_bruteforce,
+    trace_text,
 )
 from pbrules import _mes_pure
 from pbrules.model import (
@@ -31,12 +34,17 @@ from pbrules.model import (
     total_cost,
 )
 from pbrules.rules import (
+    MesLedger,
+    RuleSpec,
     TieBreak,
+    Variant,
     _mes_arrays,
     complete_star,
     complete_with_secondary,
+    emit_trace,
     mes,
     mes_affordability,
+    run_rule,
 )
 
 
@@ -308,3 +316,110 @@ class TestTopUpOracle:
         )
         assert completed.total_cost == total_cost(completed.selected, instance)
         assert is_complete(completed, instance)
+
+
+DECIMAL_DENOMS = (1, 2, 4, 5, 8, 20, 100, 2**30 * 5**2)
+# Denominators of 96 to 125 digits, none of them a finite decimal.
+HUGE_DENOMS = (3**200, 7**150 * 2**9, 11**120 * 5**4 * 3)
+
+
+def random_rendering_case(rng, n, huge, sharing, group_sizes, split_middle):
+    """A hand-built ledger and a matching instance for the renderers.
+
+    Money comes from a small pool of values; ``sharing`` says whether
+    equal values are one shared object ("shared"), distinct equal
+    objects ("distinct") or either ("mixed").  ``group_sizes`` gives one
+    project per entry with 1, "few" (2 to 8) or "many" (more than 8)
+    payers.  With ``split_middle`` the lower half of the wallets comes
+    from strictly smaller values than the upper half, so for an even
+    ``n`` the two middle wallets differ.
+    """
+    dens = DECIMAL_DENOMS + (HUGE_DENOMS if huge else ())
+    pool = [Fraction(rng.randint(0, 40 * d), d) for d in rng.choices(dens, k=rng.randint(1, 6))]
+
+    def take(values):
+        value = rng.choice(values)
+        fresh = sharing == "distinct" or (sharing == "mixed" and rng.random() < 0.5)
+        return Fraction(value.numerator, value.denominator) if fresh else value
+
+    voters = [f"v{i + 1}" for i in range(n)]
+    rng.shuffle(voters)
+    if split_middle:
+        values = sorted(set(pool))
+        if len(values) == 1:
+            values.append(values[0] + 1)
+        cut = rng.randint(1, len(values) - 1)
+        low, high = values[:cut], values[cut:]
+        wallets = [take(low) for _ in range(n // 2)] + [take(high) for _ in range(n - n // 2)]
+        rng.shuffle(wallets)
+    else:
+        wallets = [take(pool) for _ in range(n)]
+
+    projects, payments, factors = [], {}, {}
+    for j, size in enumerate(group_sizes):
+        pid = f"p{j + 1}"
+        if size == "many" and n > 8:
+            k = rng.randint(9, n)
+        elif size == 1:
+            k = 1
+        else:
+            k = rng.randint(min(2, n), min(8, n))
+        payers = sorted(rng.sample(range(n), k))
+        amounts = [rng.choice(pool)] if rng.random() < 0.3 else pool
+        payments[pid] = {voters[i]: take(amounts) for i in payers}
+        factors[pid] = take(pool)
+        name = f"Project {j + 1}" if rng.random() < 0.5 else None
+        projects.append(Project(id=pid, cost=take(pool) + 1, name=name))
+    instance = Instance(projects=tuple(projects), budget_limit=take(pool) + 1)
+    ledger = MesLedger(
+        run_budget=take(pool),
+        initial_share=take(pool),
+        selection_order=tuple(rng.sample(list(payments), len(payments))),
+        affordabilities=factors,
+        payments=payments,
+        budgets=dict(zip(voters, wallets)),
+    )
+    return ledger, instance
+
+
+def assert_renderings_match(ledger, instance):
+    oracle_dict = ledger_json_dict(ledger)
+    assert ledger.to_json(indent=2) == json.dumps(oracle_dict, indent=2)
+    assert ledger.to_json() == json.dumps(oracle_dict)
+    assert emit_trace(ledger, instance) == trace_text(ledger, instance)
+
+
+class TestRenderingOracle:
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(st.integers(1, 12), st.integers(13, 40)),
+        huge=st.booleans(),
+        sharing=st.sampled_from(("shared", "distinct", "mixed")),
+        group_sizes=st.lists(st.sampled_from((1, "few", "many")), min_size=1, max_size=5),
+        split_middle=st.booleans(),
+    )
+    def test_matches_per_value_rendering(
+        self, seed, n, huge, sharing, group_sizes, split_middle
+    ):
+        ledger, instance = random_rendering_case(
+            random.Random(seed), n, huge, sharing, group_sizes, split_middle
+        )
+        if split_middle and n % 2 == 0:
+            wallets = sorted(ledger.budgets.values())
+            assert wallets[n // 2 - 1] < wallets[n // 2]
+        assert_renderings_match(ledger, instance)
+
+    def test_engine_ledgers_match(self):
+        rng = random.Random(31)
+        specs = (RuleSpec(Variant.MES), RuleSpec(Variant.MES_STAR_PLUS, max_iterations=60))
+        cases = 0
+        for k in range(80):
+            if k % 2:
+                instance, profile = odd_money_instance(rng, rng.choice(PRIME_VOTER_COUNTS), k % 4 == 1)
+            else:
+                instance, profile = helpers.random_instance(rng, max_voters=30, max_projects=8)
+            for spec in specs:
+                assert_renderings_match(run_rule(spec, instance, profile).ledger, instance)
+                cases += profile.voter_count > 12
+        assert cases >= 40

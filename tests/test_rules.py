@@ -396,6 +396,22 @@ class TestTrace:
             "Final wallets: min 0, median 0, max 0; total left 0."
         )
 
+    def test_large_profile_summary_is_exact(self):
+        # 14 voters with 1 each: x leaves seven wallets at 1/2, y five at
+        # 2/3, and two voters approve nothing.  The middle wallets (ranks 7
+        # and 8 of 14) are 1/2 and 2/3, so the median is their mean 7/12;
+        # the total 7/2 + 10/3 + 2 = 53/6 has no finite decimal.
+        ballots = [(f"v{i}", {"x"}) for i in range(1, 8)]
+        ballots += [(f"v{i}", {"y"}) for i in range(8, 13)]
+        ballots += [("v13", set()), ("v14", set())]
+        instance, profile = build([("x", Fraction(7, 2)), ("y", Fraction(5, 3))], 14, ballots)
+        _, ledger = mes(instance, profile)
+        assert ledger.selection_order == ("x", "y")
+        text = emit_trace(ledger, instance)
+        assert text.splitlines()[-1] == (
+            "Final wallets: min 0.5, median 7/12, max 1; total left 53/6."
+        )
+
     def test_project_names_shown(self):
         instance = Instance(
             projects=(Project(id="x", cost=Fraction(6), name="Pool"),),
