@@ -319,8 +319,8 @@ class TestTopUpOracle:
 
 
 DECIMAL_DENOMS = (1, 2, 4, 5, 8, 20, 100, 2**30 * 5**2)
-# Denominators of 96 to 125 digits, none of them a finite decimal.
-HUGE_DENOMS = (3**200, 7**150 * 2**9, 11**120 * 5**4 * 3)
+# Denominators of 239 to 264 digits, none of them a finite decimal.
+HUGE_DENOMS = (3**500, 7**300 * 2**9, 11**250 * 5**4 * 3)
 
 
 def random_rendering_case(rng, n, huge, sharing, group_sizes, split_middle):
