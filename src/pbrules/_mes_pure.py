@@ -1,12 +1,12 @@
 """Pure Python engine for equal-shares selection.
 
-Backend twin of ``_mes_kernel`` (the GMP extension): same constructor,
-same methods, bit-identical results.  The arithmetic is exact; inside a
-run, money is a Python ``int`` counting units of ``1/L``, where ``L`` is
-the lcm of the cost denominators and the share's denominator.  A purchase
-whose payment cap is not a whole number of units multiplies ``L``, every
-wallet and every cost by the cap's reduced denominator, so every payment
-stays an integer.  ``fractions.Fraction`` appears only at the edges: the
+The one selection engine behind every equal-shares rule in ``rules``.
+The arithmetic is exact; inside a run, money is a Python ``int``
+counting units of ``1/L``, where ``L`` is the lcm of the cost
+denominators and the share's denominator.  A purchase whose payment cap
+is not a whole number of units multiplies ``L``, every wallet and every
+cost by the cap's reduced denominator, so every payment stays an
+integer.  ``fractions.Fraction`` appears only at the edges: the
 arguments, and the factors, payments and wallets of a ledger run.
 
 Affordability factors are dimensionless ``(num, den)`` integer pairs, so
@@ -49,8 +49,6 @@ from typing import Sequence
 STATUS_COMPLETE = "complete"
 STATUS_NEXT_INFEASIBLE = "next_infeasible"
 STATUS_EXHAUSTED = "exhausted"
-
-backend_name = "pure"
 
 
 def payment_cap(wallets, order: Sequence, cost):

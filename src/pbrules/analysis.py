@@ -183,6 +183,16 @@ class ComparisonReport:
         return out.getvalue()
 
 
+def _map_jobs(worker, work: list, jobs: int) -> list:
+    """``worker`` over ``work`` in order: in this process when one worker
+    would do, else on a pool of at most one process per item."""
+    workers = min(jobs, len(work))
+    if workers <= 1:
+        return [worker(item) for item in work]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, work))
+
+
 def _instance_comparison(args) -> list[dict]:
     (instance, profile), specs = args
     baseline_spec = next(
@@ -215,11 +225,7 @@ def compare_rules(
     if not specs:
         raise ValueError("no rules requested")
     work = [((instance, profile), tuple(specs)) for instance, profile in dataset]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_instance = list(pool.map(_instance_comparison, work))
-    else:
-        per_instance = [_instance_comparison(item) for item in work]
+    per_instance = _map_jobs(_instance_comparison, work, jobs)
 
     raw: list[dict] = [row for rows in per_instance for row in rows]
     rule_names = [spec.variant.value for spec in specs]
@@ -484,11 +490,7 @@ def extract_extremes(
     mes_spec = mes_spec or RuleSpec(Variant.MES_STAR_PLUS)
     tiebreak = tiebreak or TieBreak()
     work = [((instance, profile), mes_spec, tiebreak) for instance, profile in dataset]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_effect_worker, work))
-    else:
-        results = [_effect_worker(item) for item in work]
+    results = _map_jobs(_effect_worker, work, jobs)
 
     uncategorized = tuple(
         instance.instance_id

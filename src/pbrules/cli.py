@@ -30,7 +30,6 @@ from .model import format_money, parse_money
 from .pabulib import IngestFilter, PabulibParseError, ingest_directory, parse_pabulib
 from .rules import (
     RULE_NAMES,
-    SELECTION_BACKEND,
     RuleSpec,
     Variant,
     emit_trace,
@@ -122,11 +121,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", metavar="FILE", help="flat key=value config file")
 
     parser = _Parser(prog="pbrules", description=__doc__, parents=[common])
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=f"pbrules {__version__} (selection backend: {SELECTION_BACKEND})",
-    )
+    parser.add_argument("--version", action="version", version=f"pbrules {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     def add_dir(p):
@@ -292,14 +287,22 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
+def _jobs(args) -> int:
+    if args.jobs is None:
+        return 1
+    jobs = _as_int(args.jobs, "--jobs")
+    if jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 def _cmd_compare(args) -> int:
-    dataset = _ingest(args)
     names = [name.strip() for name in str(args.rules).split(",") if name.strip()]
     if not names:
         raise _UsageError("--rules lists no rule names")
     specs = [_make_spec(name, args) for name in names]
-    jobs = _as_int(args.jobs, "--jobs") if args.jobs is not None else 1
-    report = compare_rules(dataset, specs, jobs=jobs)
+    jobs = _jobs(args)
+    report = compare_rules(_ingest(args), specs, jobs=jobs)
     if args.format == "json":
         payload = {
             "rules": list(report.rules),
@@ -327,10 +330,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_extremes(args) -> int:
+    spec = _make_spec("mes*+", args)
+    jobs = _jobs(args)
     dataset = _ingest(args)
-    kwargs = _star_kwargs(args)
-    spec = RuleSpec.from_name("mes*+", **kwargs)
-    jobs = _as_int(args.jobs, "--jobs") if args.jobs is not None else 1
     try:
         report = extract_extremes(dataset, mes_spec=spec, jobs=jobs)
     except ValueError as exc:

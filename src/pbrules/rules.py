@@ -3,14 +3,14 @@ its completions.
 
 All rules are deterministic: ties are resolved by an explicit
 :class:`TieBreak` (default: lower cost first, then lexicographically
-smaller project id) so reruns and backends agree bit for bit.
+smaller project id) so reruns agree bit for bit.
 
-The equal-shares selection itself runs on an engine chosen in
-``_backend`` (GMP kernel when compiled, pure Python otherwise); this
-module owns the model-to-array translation, the completion logic and the
-ledger bookkeeping.  Greedy cost welfare and the greedy top-up of the
-``mes+`` and ``mes*+`` completions share one greedy walk: the top-up
-resumes it from the equal-shares selection with the money left over.
+The equal-shares selection itself runs on the exact engine of
+``_mes_pure``; this module owns the model-to-array translation, the
+completion logic and the ledger bookkeeping.  Greedy cost welfare and
+the greedy top-up of the ``mes+`` and ``mes*+`` completions share one
+greedy walk: the top-up resumes it from the equal-shares selection with
+the money left over.
 """
 
 from __future__ import annotations
@@ -26,8 +26,13 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Iterable, Mapping
 
-from . import _backend
-from ._mes_pure import payment_cap
+from . import _mes_pure
+from ._mes_pure import (
+    STATUS_COMPLETE,
+    STATUS_EXHAUSTED,
+    STATUS_NEXT_INFEASIBLE,
+    payment_cap,
+)
 from .model import (
     Allocation,
     Instance,
@@ -39,11 +44,9 @@ from .model import (
     money,
 )
 
-STATUS_COMPLETE = _backend.STATUS_COMPLETE
-STATUS_NEXT_INFEASIBLE = _backend.STATUS_NEXT_INFEASIBLE
-STATUS_EXHAUSTED = _backend.STATUS_EXHAUSTED
-
-SELECTION_BACKEND = _backend.BACKEND
+# perfbench patches _backend.MesEngine and reads SELECTION_BACKEND: keep both
+_backend = _mes_pure
+SELECTION_BACKEND = "pure"
 
 _TIE_TOKENS = ("cost", "-cost", "id")
 

@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from pbrules import analysis
 from pbrules.analysis import (
     AGGREGATE_METRICS,
     QUADRANT_LABELS,
@@ -123,6 +124,31 @@ class TestCompareRules:
         parallel = compare_rules(dataset, specs, jobs=2)
         assert first == second
         assert first == parallel
+
+    def test_pool_is_capped_at_the_work_size(self, monkeypatch):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, worker, work):
+                return map(worker, work)
+
+        monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+        dataset = categorized_dataset(43, 2)
+        specs = self.make_specs()
+        assert compare_rules(dataset, specs, jobs=500) == compare_rules(dataset, specs)
+        extract_extremes(dataset, mes_spec=RuleSpec(Variant.MES_PLUS), jobs=500)
+        assert pools == [2, 2]
+        compare_rules(dataset[:1], specs, jobs=500)
+        assert pools == [2, 2]
 
     def test_proportionality_pairs_only_defined(self):
         # One categorized and one uncategorized instance: the paired test

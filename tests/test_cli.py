@@ -68,9 +68,7 @@ def one_file(tmp_path):
 class TestBasics:
     def test_version(self, capsys):
         assert cli_main(["--version"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert out.startswith("pbrules ")
-        assert "selection backend:" in out
+        assert capsys.readouterr().out == "pbrules 0.1.0\n"
 
     def test_help(self, capsys):
         assert cli_main(["--help"]) == EXIT_OK
@@ -344,6 +342,16 @@ class TestCompare:
     def test_empty_rules_is_usage_error(self, corpus, capsys):
         assert cli_main(["compare", "--dir", str(corpus), "--rules", " , "]) == EXIT_USAGE
 
+    def test_rules_are_checked_before_the_corpus_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        assert cli_main(["compare", "--dir", missing, "--rules", "bogus"]) == EXIT_USAGE
+        assert "unknown rule 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_usage_error(self, corpus, capsys, jobs):
+        assert cli_main(["compare", "--dir", str(corpus), "--jobs", jobs]) == EXIT_USAGE
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
 
 class TestExtremes:
     def test_json_report(self, corpus, capsys):
@@ -356,6 +364,24 @@ class TestExtremes:
         out = tmp_path / "extremes.json"
         assert cli_main(["extremes", "--dir", str(corpus), "--out", str(out)]) == EXIT_OK
         json.loads(out.read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--epsilon", "0", "epsilon must be positive"),
+            ("--max-iterations", "0", "max_iterations must be at least 1"),
+        ],
+    )
+    def test_invalid_star_option_is_usage_error(
+        self, corpus, tmp_path, capsys, flag, value, message
+    ):
+        assert cli_main(["extremes", "--dir", str(corpus), flag, value]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        missing = str(tmp_path / "missing")
+        assert cli_main(["extremes", "--dir", missing, flag, value]) == EXIT_USAGE
+
+    def test_jobs_below_one_is_usage_error(self, corpus, capsys):
+        assert cli_main(["extremes", "--dir", str(corpus), "--jobs", "0"]) == EXIT_USAGE
 
     def test_uncategorized_corpus_is_data_error(self, tmp_path, capsys):
         root = tmp_path / "plain"

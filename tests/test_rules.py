@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
+from pbrules import rules
 from pbrules.model import (
     Allocation,
     ApprovalBallot,
@@ -275,6 +276,22 @@ class TestCompletions:
         assert result.status == STATUS_COMPLETE
         assert result.chosen_round == 0
         assert result.allocation.selected == {"x", "y"}
+
+    def test_engine_is_built_through_the_backend_binding(self, monkeypatch):
+        # benchmark tracing wraps the engine by patching this one attribute
+        original = rules._backend.MesEngine
+        built = []
+
+        def counting(*args):
+            built.append(original(*args))
+            return built[-1]
+
+        monkeypatch.setattr(rules._backend, "MesEngine", counting)
+        instance, profile = XY
+        mes(instance, profile)
+        assert len(built) == 1
+        complete_star(mes, instance, profile, epsilon=Fraction(2))
+        assert len(built) > 1
 
     def test_default_epsilon_is_a_cent_per_voter(self):
         _, profile = XY
