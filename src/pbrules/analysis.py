@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,12 +24,19 @@ from . import stats
 from .metrics import (
     METRIC_COLUMNS,
     category_proportionality,
-    cost_satisfaction,
+    compile_election,
     effect_value,
     metric_row,
 )
-from .model import Allocation, Instance, Money, Profile, format_money, total_cost
-from .rules import RuleSpec, TieBreak, Variant, greed_cost, run_rule
+from .model import Allocation, Instance, Money, Profile, format_money
+from .rules import (
+    RuleSpec,
+    TieBreak,
+    Variant,
+    complete_with_secondary,
+    greed_cost,
+    run_rule,
+)
 
 Dataset = Sequence[tuple[Instance, Profile]]
 
@@ -80,11 +88,13 @@ STAT_COLUMNS = (
 
 
 def instance_stats(instance: Instance, profile: Profile) -> InstanceStats:
+    election = compile_election(instance, profile)
     limit = instance.budget_limit
     m = len(instance.projects)
-    asked = sum((p.cost for p in instance.projects), Fraction(0))
-    ballot_cost = sum(
-        (total_cost(b.approved, instance) for b in profile.ballots), Fraction(0)
+    asked = Fraction(sum(election.costs), election.cost_den)
+    # every ballot's cost summed: each project's cost once per approver
+    ballot_cost = Fraction(
+        sum(map(operator.mul, election.costs, election.approvers)), election.cost_den
     )
     return InstanceStats(
         instance_id=instance.instance_id,
@@ -194,20 +204,46 @@ def _map_jobs(worker, work: list, jobs: int) -> list:
 
 
 def _instance_comparison(args) -> list[dict]:
+    """The metric rows of every rule on one instance.  ``mes`` and ``mes+``
+    with the same tie-break share one equal-shares run."""
     (instance, profile), specs = args
+    election = compile_election(instance, profile)
     baseline_spec = next(
         (s for s in specs if s.variant is Variant.GREED_COST),
         RuleSpec(Variant.GREED_COST),
     )
     baseline = greed_cost(instance, profile, baseline_spec.tiebreak)
+    mes_runs: dict[TieBreak, Allocation] = {}
+
+    def mes_run(tiebreak: TieBreak) -> Allocation:
+        if tiebreak not in mes_runs:
+            spec = RuleSpec(Variant.MES, tiebreak=tiebreak)
+            mes_runs[tiebreak] = run_rule(spec, instance, profile).allocation
+        return mes_runs[tiebreak]
+
     rows = []
     for spec in specs:
         if spec.variant is Variant.GREED_COST:
             allocation = baseline
+        elif spec.variant is Variant.MES:
+            allocation = mes_run(spec.tiebreak)
+        elif spec.variant is Variant.MES_PLUS:
+            allocation = complete_with_secondary(
+                mes_run(spec.tiebreak), instance, profile, spec.tiebreak
+            )
         else:
             allocation = run_rule(spec, instance, profile).allocation
-        rows.append(metric_row(instance, profile, spec.variant.value, allocation, baseline))
+        rows.append(
+            metric_row(instance, profile, spec.variant.value, allocation, baseline, election)
+        )
     return rows
+
+
+def repeated_rules(specs: Sequence[RuleSpec]) -> list[str]:
+    """The rule names ``specs`` lists more than once, sorted.  A report
+    keys its rows by rule name, so each may appear only once."""
+    names = [spec.variant.value for spec in specs]
+    return sorted({name for name in names if names.count(name) > 1})
 
 
 def compare_rules(
@@ -224,11 +260,14 @@ def compare_rules(
         raise ValueError("empty dataset")
     if not specs:
         raise ValueError("no rules requested")
+    repeated = repeated_rules(specs)
+    if repeated:
+        raise ValueError(f"rules requested more than once: {', '.join(repeated)}")
+    rule_names = [spec.variant.value for spec in specs]
     work = [((instance, profile), tuple(specs)) for instance, profile in dataset]
     per_instance = _map_jobs(_instance_comparison, work, jobs)
 
     raw: list[dict] = [row for rows in per_instance for row in rows]
-    rule_names = [spec.variant.value for spec in specs]
     baseline_name = Variant.GREED_COST.value
 
     by_rule: dict[str, list[dict]] = {name: [] for name in rule_names}
@@ -447,12 +486,16 @@ def _effect_worker(args) -> InstanceEffectReport | None:
     (instance, profile), mes_spec, tiebreak = args
     greed_allocation = greed_cost(instance, profile, tiebreak)
     mes_allocation = run_rule(mes_spec, instance, profile).allocation
-    greed_report = category_proportionality(profile, instance, greed_allocation)
-    mes_report = category_proportionality(profile, instance, mes_allocation)
+    election = compile_election(instance, profile)
+    greed_report = category_proportionality(profile, instance, greed_allocation, election)
+    mes_report = category_proportionality(profile, instance, mes_allocation, election)
     if greed_report is None or mes_report is None:
         return None
-    greed_satisfaction = cost_satisfaction(profile, greed_allocation, instance)
-    mes_satisfaction = cost_satisfaction(profile, mes_allocation, instance)
+    greed_funding = sorted(election.voter_funding(greed_allocation))
+    mes_funding = sorted(election.voter_funding(mes_allocation))
+    # satisfaction = funding / cost_den / limit = funding * num / den
+    limit = instance.budget_limit
+    num, den = limit.denominator, election.cost_den * limit.numerator
     bars = tuple(
         CategoryBar(
             label=g.label,
@@ -466,13 +509,14 @@ def _effect_worker(args) -> InstanceEffectReport | None:
     mes_ids = set(mes_allocation.selected)
     return InstanceEffectReport(
         instance_id=instance.instance_id,
-        effect=effect_value(greed_report, mes_report, greed_satisfaction, mes_satisfaction),
+        effect=effect_value(greed_report, mes_report, greed_funding, mes_funding),
         common=_block(greed_ids & mes_ids, instance),
         greed_only=_block(greed_ids - mes_ids, instance),
         mes_only=_block(mes_ids - greed_ids, instance),
         category_bars=bars,
-        greed_curve=tuple(sorted(float(v) for v in greed_satisfaction)),
-        mes_curve=tuple(sorted(float(v) for v in mes_satisfaction)),
+        # int / int rounds correctly, as float(Fraction) does
+        greed_curve=tuple(x * num / den for x in greed_funding),
+        mes_curve=tuple(x * num / den for x in mes_funding),
     )
 
 

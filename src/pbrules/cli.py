@@ -24,6 +24,7 @@ from .analysis import (
     extract_extremes,
     format_sig,
     instance_stats,
+    repeated_rules,
     stats_csv,
 )
 from .model import format_money, parse_money
@@ -301,6 +302,9 @@ def _cmd_compare(args) -> int:
     if not names:
         raise _UsageError("--rules lists no rule names")
     specs = [_make_spec(name, args) for name in names]
+    repeated = repeated_rules(specs)
+    if repeated:
+        raise _UsageError(f"--rules lists {', '.join(repeated)} more than once")
     jobs = _jobs(args)
     report = compare_rules(_ingest(args), specs, jobs=jobs)
     if args.format == "json":

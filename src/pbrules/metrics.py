@@ -1,18 +1,27 @@
 """Outcome metrics: overlap, satisfaction, inequality, category shares.
 
-Metrics stay exact (:class:`fractions.Fraction`) wherever the definition
-is rational arithmetic; only the proportionality index, an exponential of
-a root mean square, is a float.  Functions taking an allocation accept
-either an :class:`Allocation` or a plain set of project ids.
+Per-voter metrics are computed in integers over a
+:class:`CompiledElection`, built once per instance: costs are ints over
+their common denominator, so a voter's funded cost is an int, and the
+Gini coefficient, being scale-invariant, needs no per-voter fraction.
+Results stay exact: each reported number is one
+:class:`fractions.Fraction`, built at the end.  Only the proportionality
+index, an exponential of a root mean square, is a float.  Functions
+taking an allocation accept either an :class:`Allocation` or a plain set
+of project ids.
 """
 
 from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Sequence
+from functools import cached_property
+from itertools import chain
+from operator import mul
+from typing import AbstractSet, Sequence
 
 from .model import Allocation, Instance, Money, Profile, total_cost
 
@@ -21,6 +30,86 @@ def _selected(allocation: Allocation | AbstractSet[str]) -> frozenset[str]:
     if isinstance(allocation, Allocation):
         return allocation.selected
     return frozenset(allocation)
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledElection:
+    """An instance and its profile in integers, shared by every metric.
+
+    Project ``j`` is ``ids[j]`` (instance order) and costs
+    ``costs[j] / cost_den``, ``cost_den`` being the lcm of the cost
+    denominators.  ``ballots[i]`` lists voter ``i``'s approved project
+    indices, ``approvers[j]`` counts project ``j``'s approvers, and
+    ``members[label]`` lists the projects of each category label of the
+    instance, in ``labels`` order.  Build it with :func:`compile_election`.
+    """
+
+    ids: tuple[str, ...]
+    cost_den: int
+    costs: tuple[int, ...]
+    ballots: tuple[tuple[int, ...], ...]
+    approvers: tuple[int, ...]
+    labels: tuple[str, ...]
+    members: dict[str, tuple[int, ...]]
+
+    @cached_property
+    def demand(self) -> tuple[dict[str, Fraction], int]:
+        """Every label's demand share (:func:`voter_category_share`) and
+        the number of ballots with zero total cost, computed on first use."""
+        return _demand_shares(self, self.labels)
+
+    def funded(self, allocation: Allocation | AbstractSet[str]) -> list[int]:
+        """Per project, its int cost when ``allocation`` funds it, else 0."""
+        chosen = _selected(allocation)
+        return [cost if pid in chosen else 0 for pid, cost in zip(self.ids, self.costs)]
+
+    def per_voter(self, weights: Sequence[int]) -> list[int]:
+        """Per voter, the sum of the project ``weights`` over their
+        ballot; ballot order."""
+        weight = weights.__getitem__
+        return [sum(map(weight, ballot)) for ballot in self.ballots]
+
+    def voter_funding(self, allocation: Allocation | AbstractSet[str]) -> list[int]:
+        """Per voter, the funded cost of their approved projects as an int
+        over ``cost_den``; ballot order."""
+        return self.per_voter(self.funded(allocation))
+
+    def effort_weights(self, funded: Sequence[int]) -> tuple[list[int], int]:
+        """Each funded project's cost split equally over its approvers, as
+        ints over ``cost_den * scale``, and that ``scale``: the lcm of the
+        funded projects' approver counts.  Projects nobody approves, and
+        unfunded ones, weigh 0."""
+        scale = math.lcm(*(k for cost, k in zip(funded, self.approvers) if cost and k))
+        weights = [
+            cost * (scale // k) if cost and k else 0
+            for cost, k in zip(funded, self.approvers)
+        ]
+        return weights, scale
+
+
+def compile_election(instance: Instance, profile: Profile) -> CompiledElection:
+    """The :class:`CompiledElection` of ``instance`` and ``profile``;
+    KeyError when a ballot approves a project the instance lacks."""
+    ids = tuple(p.id for p in instance.projects)
+    index = {pid: j for j, pid in enumerate(ids)}
+    cost_den = math.lcm(*(p.cost.denominator for p in instance.projects))
+    ballots = tuple(tuple(map(index.__getitem__, b.approved)) for b in profile.ballots)
+    counts = Counter(chain.from_iterable(ballots))
+    labels = instance.category_labels
+    return CompiledElection(
+        ids=ids,
+        cost_den=cost_den,
+        costs=tuple(
+            p.cost.numerator * (cost_den // p.cost.denominator) for p in instance.projects
+        ),
+        ballots=ballots,
+        approvers=tuple(counts[j] for j in range(len(ids))),
+        labels=labels,
+        members={
+            label: tuple(j for j, p in enumerate(instance.projects) if label in p.categories)
+            for label in labels
+        },
+    )
 
 
 def similarity(
@@ -42,11 +131,11 @@ def cost_satisfaction(
 ) -> list[Fraction]:
     """Per voter, the funded cost of their approved projects as a fraction
     of the budget limit; ballot order."""
-    chosen = _selected(allocation)
+    election = compile_election(instance, profile)
     limit = instance.budget_limit
+    numerator, denominator = limit.denominator, election.cost_den * limit.numerator
     return [
-        total_cost(ballot.approved & chosen, instance) / limit
-        for ballot in profile.ballots
+        Fraction(x * numerator, denominator) for x in election.voter_funding(allocation)
     ]
 
 
@@ -54,21 +143,29 @@ def gini(values: Sequence[Fraction | int]) -> Fraction:
     """Gini coefficient of non-negative values, exact.
 
     Uses the sorted form sum_k (2k - n - 1) x_(k) / (n * sum x); an
-    all-zero sequence has no dispersion and returns 0.
+    all-zero sequence has no dispersion and returns 0.  The coefficient
+    is scale-invariant, so fractions are scaled to ints over their common
+    denominator first.
     """
     if not values:
         raise ValueError("gini of an empty sequence")
-    ordered = sorted(Fraction(v) for v in values)
-    if ordered[0] < 0:
+    if not all(type(v) is int for v in values):
+        fractions = [Fraction(v) for v in values]
+        common = math.lcm(*(f.denominator for f in fractions))
+        values = [f.numerator * (common // f.denominator) for f in fractions]
+    if min(values) < 0:
         raise ValueError("gini needs non-negative values")
-    n = len(ordered)
-    total = sum(ordered, Fraction(0))
+    return _gini(values)
+
+
+def _gini(values: Sequence[int]) -> Fraction:
+    """:func:`gini` of a non-empty sequence of non-negative ints."""
+    n = len(values)
+    total = sum(values)
     if total == 0:
         return Fraction(0)
-    weighted = sum(
-        ((2 * k - n - 1) * x for k, x in enumerate(ordered, start=1)), Fraction(0)
-    )
-    return weighted / (n * total)
+    weighted = sum(map(mul, range(1 - n, n, 2), sorted(values)))
+    return Fraction(weighted, n * total)
 
 
 def effort(
@@ -77,19 +174,10 @@ def effort(
     """Per voter, the funded cost attributed to them when each funded
     project's cost is split equally over all its approvers; ballot order.
     Funded projects nobody approved contribute to nobody."""
-    chosen = _selected(allocation)
-    weight: dict[str, Fraction] = {}
-    counts: dict[str, int] = {pid: 0 for pid in chosen}
-    for ballot in profile.ballots:
-        for pid in ballot.approved & chosen:
-            counts[pid] += 1
-    for pid, k in counts.items():
-        if k:
-            weight[pid] = instance.cost_of(pid) / k
-    return [
-        sum((weight[pid] for pid in ballot.approved & chosen if pid in weight), Fraction(0))
-        for ballot in profile.ballots
-    ]
+    election = compile_election(instance, profile)
+    weights, scale = election.effort_weights(election.funded(allocation))
+    denominator = election.cost_den * scale
+    return [Fraction(x, denominator) for x in election.per_voter(weights)]
 
 
 def happiness(profile: Profile, allocation: Allocation | AbstractSet[str]) -> Fraction:
@@ -99,54 +187,42 @@ def happiness(profile: Profile, allocation: Allocation | AbstractSet[str]) -> Fr
     return Fraction(happy, profile.voter_count)
 
 
-def _category_ids(instance: Instance, label: str) -> frozenset[str]:
-    return frozenset(p.id for p in instance.projects if label in p.categories)
-
-
 def voter_category_share(profile: Profile, instance: Instance, label: str) -> Fraction:
     """Demand share of a category: the average, over voters whose ballot
     has positive total cost, of the cost fraction of their ballot that
     lies in the category."""
-    shares, _ = _demand_shares(profile, instance, (label,))
+    shares, _ = _demand_shares(compile_election(instance, profile), (label,))
     return shares[label]
 
 
 def _demand_shares(
-    profile: Profile, instance: Instance, labels: Sequence[str]
+    election: CompiledElection, labels: Sequence[str]
 ) -> tuple[dict[str, Fraction], int]:
     """:func:`voter_category_share` of every label in one pass over the
     ballots, and the number of ballots with zero total cost.
 
-    Costs are integers over their common denominator, so each ballot's
-    cost is summed once in ints; the per-label sums are grouped by
-    ballot cost, and each share becomes a Fraction only at the end.
+    Each ballot's cost is summed once in ints; the per-label sums are
+    grouped by ballot cost, and each share becomes a Fraction only at the
+    end.
     """
-    denominator = math.lcm(*(p.cost.denominator for p in instance.projects))
-    units = {
-        p.id: (
-            p.cost.numerator * (denominator // p.cost.denominator),
-            [i for i, label in enumerate(labels) if label in p.categories],
-        )
-        for p in instance.projects
-    }
+    costs = election.costs
+    in_labels: list[list[int]] = [[] for _ in costs]
+    for i, label in enumerate(labels):
+        for j in election.members.get(label, ()):
+            in_labels[j].append(i)
     # ballot cost -> per-label summed cost inside the label
     by_cost: dict[int, list[int]] = {}
     excluded = 0
-    for ballot in profile.ballots:
-        ballot_cost = 0
-        inside = [0] * len(labels)
-        for pid in ballot.approved:
-            cost, members = units[pid]
-            ballot_cost += cost
-            for i in members:
-                inside[i] += cost
+    for ballot in election.ballots:
+        ballot_cost = sum(map(costs.__getitem__, ballot))
         if ballot_cost == 0:
             excluded += 1
             continue
         sums = by_cost.setdefault(ballot_cost, [0] * len(labels))
-        for i, amount in enumerate(inside):
-            sums[i] += amount
-    counted = len(profile.ballots) - excluded
+        for j in ballot:
+            for i in in_labels[j]:
+                sums[i] += costs[j]
+    counted = len(election.ballots) - excluded
     if not counted:
         return {label: Fraction(0) for label in labels}, excluded
     common, numerators = _sum_fractions(list(by_cost.items()))
@@ -184,7 +260,7 @@ def rule_category_share(
     chosen = _selected(allocation)
     if not chosen:
         return None
-    members = _category_ids(instance, label)
+    members = frozenset(p.id for p in instance.projects if label in p.categories)
     return total_cost(chosen & members, instance) / total_cost(chosen, instance)
 
 
@@ -215,14 +291,18 @@ def category_proportionality(
     profile: Profile,
     instance: Instance,
     allocation: Allocation | AbstractSet[str],
+    election: CompiledElection | None = None,
 ) -> CategoryReport | None:
     """Build the :class:`CategoryReport`, or None when the instance has no
-    category labels or the allocation is empty (supply shares undefined)."""
+    category labels or the allocation is empty (supply shares undefined).
+    ``election``, when given, is the compiled ``instance`` and ``profile``
+    and keeps its demand shares across calls."""
     labels = instance.category_labels
     chosen = _selected(allocation)
     if not labels or not chosen:
         return None
-    voter_shares, excluded = _demand_shares(profile, instance, labels)
+    election = election or compile_election(instance, profile)
+    voter_shares, excluded = election.demand
     entries = []
     gap_squares = 0.0
     for label in labels:
@@ -249,26 +329,29 @@ def effect_score(
     """How much switching from the greedy rule to equal shares helps:
     the mean of the proportionality gain and the satisfaction-Gini drop.
     None when either category report is undefined."""
-    greed_report = category_proportionality(profile, instance, greed_allocation)
-    mes_report = category_proportionality(profile, instance, mes_allocation)
+    election = compile_election(instance, profile)
+    greed_report = category_proportionality(profile, instance, greed_allocation, election)
+    mes_report = category_proportionality(profile, instance, mes_allocation, election)
     if greed_report is None or mes_report is None:
         return None
     return effect_value(
         greed_report,
         mes_report,
-        cost_satisfaction(profile, greed_allocation, instance),
-        cost_satisfaction(profile, mes_allocation, instance),
+        election.voter_funding(greed_allocation),
+        election.voter_funding(mes_allocation),
     )
 
 
 def effect_value(
     greed_report: CategoryReport,
     mes_report: CategoryReport,
-    greed_satisfaction: Sequence[Fraction],
-    mes_satisfaction: Sequence[Fraction],
+    greed_satisfaction: Sequence[Fraction | int],
+    mes_satisfaction: Sequence[Fraction | int],
 ) -> float:
     """The :func:`effect_score` formula on the category reports and the
-    per-voter cost satisfactions of the two outcomes."""
+    per-voter cost satisfactions of the two outcomes.  Only their Gini
+    coefficients enter, so each may be scaled by any positive constant,
+    such as the int funded costs of :meth:`CompiledElection.voter_funding`."""
     return 0.5 * (
         (mes_report.proportionality - greed_report.proportionality)
         + (float(gini(greed_satisfaction)) - float(gini(mes_satisfaction)))
@@ -304,12 +387,18 @@ def metric_row(
     rule_name: str,
     allocation: Allocation | AbstractSet[str],
     baseline: Allocation | AbstractSet[str],
+    election: CompiledElection | None = None,
 ) -> dict:
     """One per-instance result row, keyed exactly by METRIC_COLUMNS.
     ``baseline`` is the allocation similarity is measured against (the
-    greedy outcome in the comparison pipeline)."""
-    satisfaction = cost_satisfaction(profile, allocation, instance)
-    report = category_proportionality(profile, instance, allocation)
+    greedy outcome in the comparison pipeline); ``election``, when given,
+    is the compiled ``instance`` and ``profile``."""
+    election = election or compile_election(instance, profile)
+    funded = election.funded(allocation)
+    funding = election.per_voter(funded)
+    weights, _ = election.effort_weights(funded)
+    n = len(funding)
+    report = category_proportionality(profile, instance, allocation, election)
     return {
         "instance_id": instance.instance_id,
         "rule": rule_name,
@@ -317,8 +406,10 @@ def metric_row(
         "winners": len(_selected(allocation)),
         "median_cost": median_selected_cost(allocation, instance),
         "proportionality": report.proportionality if report else None,
-        "avg_satisfaction": sum(satisfaction, Fraction(0)) / len(satisfaction),
-        "gini_cost": gini(satisfaction),
-        "gini_effort": gini(effort(profile, allocation, instance)),
-        "happiness": happiness(profile, allocation),
+        "avg_satisfaction": Fraction(sum(funding), election.cost_den * n)
+        / instance.budget_limit,
+        "gini_cost": _gini(funding),
+        "gini_effort": _gini(election.per_voter(weights)),
+        # costs are positive: a voter is happy iff some funding reaches them
+        "happiness": Fraction(n - funding.count(0), n),
     }

@@ -5,12 +5,14 @@ affordability fixed point iterates poor/rich contributions until stable,
 and the brute-force method recomputes every candidate's affordability
 from scratch at every step.  No laziness, no caching, no shared code
 with the engines under test.  The ledger renderings format every value
-on its own and sort and group ``Fraction``s directly.
+on its own and sort and group ``Fraction``s directly.  The outcome
+metrics are per-voter ``Fraction``s summed and sorted as such.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import statistics
 from fractions import Fraction
 
@@ -222,3 +224,144 @@ def trace_text(ledger, instance: Instance) -> str:
             f"max {format_money(max(wallets))}; total left {format_money(sum(wallets))}."
         )
     return "\n".join(lines)
+
+
+def cost_satisfaction(profile: Profile, chosen, instance: Instance) -> list[Fraction]:
+    """Per voter, the funded cost of their approved projects over the
+    budget limit."""
+    limit = instance.budget_limit
+    return [total_cost(ballot.approved & chosen, instance) / limit for ballot in profile.ballots]
+
+
+def gini(values) -> Fraction:
+    """sum_k (2k - n - 1) x_(k) / (n * sum x) over the sorted values; 0
+    when every value is 0."""
+    ordered = sorted(Fraction(v) for v in values)
+    n = len(ordered)
+    total = sum(ordered, Fraction(0))
+    if total == 0:
+        return Fraction(0)
+    weighted = sum(
+        ((2 * k - n - 1) * x for k, x in enumerate(ordered, start=1)), Fraction(0)
+    )
+    return weighted / (n * total)
+
+
+def effort(profile: Profile, chosen, instance: Instance) -> list[Fraction]:
+    """Per voter, each funded approved project's cost over its number of
+    approvers, summed; funded projects nobody approves count for nobody."""
+    counts = {pid: 0 for pid in chosen}
+    for ballot in profile.ballots:
+        for pid in ballot.approved & chosen:
+            counts[pid] += 1
+    weight = {pid: instance.cost_of(pid) / k for pid, k in counts.items() if k}
+    return [
+        sum((weight[pid] for pid in ballot.approved & chosen if pid in weight), Fraction(0))
+        for ballot in profile.ballots
+    ]
+
+
+def happiness(profile: Profile, chosen) -> Fraction:
+    happy = sum(1 for ballot in profile.ballots if ballot.approved & chosen)
+    return Fraction(happy, profile.voter_count)
+
+
+def _members(instance: Instance, label: str) -> frozenset[str]:
+    return frozenset(p.id for p in instance.projects if label in p.categories)
+
+
+def voter_category_share(profile: Profile, instance: Instance, label: str) -> Fraction:
+    """The average, over ballots of positive cost, of the cost fraction
+    of the ballot inside the category; 0 when no ballot counts."""
+    members = _members(instance, label)
+    shares = [
+        total_cost(ballot.approved & members, instance) / total_cost(ballot.approved, instance)
+        for ballot in profile.ballots
+        if total_cost(ballot.approved, instance) > 0
+    ]
+    return sum(shares, Fraction(0)) / len(shares) if shares else Fraction(0)
+
+
+def category_report(profile: Profile, instance: Instance, chosen):
+    """``(entries, excluded_voters, disproportionality, proportionality)``
+    with entries ``(label, voter share, rule share)``, or None without
+    labels or funded projects."""
+    labels = instance.category_labels
+    if not labels or not chosen:
+        return None
+    entries = []
+    gap_squares = 0.0
+    for label in labels:
+        voter_share = voter_category_share(profile, instance, label)
+        rule_share = total_cost(chosen & _members(instance, label), instance) / total_cost(
+            chosen, instance
+        )
+        entries.append((label, voter_share, rule_share))
+        gap_squares += float(voter_share - rule_share) ** 2
+    rms = math.sqrt(gap_squares / len(labels))
+    excluded = sum(1 for b in profile.ballots if total_cost(b.approved, instance) == 0)
+    return entries, excluded, rms, math.exp(-rms)
+
+
+def metric_row(instance: Instance, profile: Profile, rule_name: str, chosen, baseline) -> dict:
+    """``metrics.metric_row`` by definition, for sets of project ids."""
+    chosen, baseline = frozenset(chosen), frozenset(baseline)
+    both = total_cost(chosen, instance) + total_cost(baseline, instance)
+    satisfaction = cost_satisfaction(profile, chosen, instance)
+    report = category_report(profile, instance, chosen)
+    return {
+        "instance_id": instance.instance_id,
+        "rule": rule_name,
+        "similarity": 2 * total_cost(chosen & baseline, instance) / both if both else Fraction(1),
+        "winners": len(chosen),
+        "median_cost": statistics.median(instance.cost_of(pid) for pid in chosen)
+        if chosen
+        else None,
+        "proportionality": report[3] if report else None,
+        "avg_satisfaction": sum(satisfaction, Fraction(0)) / len(satisfaction),
+        "gini_cost": gini(satisfaction),
+        "gini_effort": gini(effort(profile, chosen, instance)),
+        "happiness": happiness(profile, chosen),
+    }
+
+
+def instance_stats(instance: Instance, profile: Profile) -> dict:
+    """``analysis.instance_stats`` by definition, as a dict."""
+    limit = instance.budget_limit
+    m = len(instance.projects)
+    asked = sum((p.cost for p in instance.projects), Fraction(0))
+    ballot_cost = sum((total_cost(b.approved, instance) for b in profile.ballots), Fraction(0))
+    return {
+        "instance_id": instance.instance_id,
+        "voters": profile.voter_count,
+        "projects": m,
+        "budget": limit,
+        "mean_project_cost_share": asked / m / limit,
+        "scarcity": asked / limit,
+        "mean_ballot_cost_share": ballot_cost / profile.voter_count / limit,
+    }
+
+
+def effect_report(instance: Instance, profile: Profile, greed, mes_chosen):
+    """The effect score, category bars ``(label, voter share, greedy
+    share, equal-shares share)`` as floats and the sorted satisfaction
+    curves of two outcomes, or None when either category report is."""
+    greed, mes_chosen = frozenset(greed), frozenset(mes_chosen)
+    greed_report = category_report(profile, instance, greed)
+    mes_report = category_report(profile, instance, mes_chosen)
+    if greed_report is None or mes_report is None:
+        return None
+    greed_satisfaction = cost_satisfaction(profile, greed, instance)
+    mes_satisfaction = cost_satisfaction(profile, mes_chosen, instance)
+    return {
+        "effect": 0.5 * (
+            (mes_report[3] - greed_report[3])
+            + (float(gini(greed_satisfaction)) - float(gini(mes_satisfaction)))
+        ),
+        "bars": [
+            (label, float(voter_share), float(g), float(m))
+            for (label, voter_share, g), (_, _, m) in zip(greed_report[0], mes_report[0])
+        ],
+        "greed_curve": tuple(sorted(float(v) for v in greed_satisfaction)),
+        "mes_curve": tuple(sorted(float(v) for v in mes_satisfaction)),
+    }

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from pbrules import analysis
+from pbrules import analysis, rules
 from pbrules.analysis import (
     AGGREGATE_METRICS,
     QUADRANT_LABELS,
@@ -20,9 +20,9 @@ from pbrules.analysis import (
     quadrant_partition,
     stats_csv,
 )
-from pbrules.metrics import METRIC_COLUMNS
+from pbrules.metrics import METRIC_COLUMNS, metric_row
 from pbrules.model import ApprovalBallot, Instance, Profile, Project
-from pbrules.rules import RuleSpec, Variant
+from pbrules.rules import RuleSpec, TieBreak, Variant
 
 
 def build(projects, budget, ballots, categories=None):
@@ -198,6 +198,45 @@ class TestCompareRules:
         dataset = categorized_dataset(44, 2)
         with pytest.raises(ValueError):
             compare_rules(dataset, [])
+
+    def test_repeated_rules_are_rejected(self):
+        dataset = categorized_dataset(44, 2)
+        specs = [
+            RuleSpec(Variant.GREED_COST),
+            RuleSpec(Variant.MES),
+            RuleSpec(Variant.MES, tiebreak=TieBreak(("-cost",))),
+        ]
+        with pytest.raises(ValueError, match="more than once: mes"):
+            compare_rules(dataset, specs)
+
+    @pytest.mark.parametrize("plus_criteria, runs", [(("cost",), 1), (("-cost",), 2)])
+    def test_mes_and_mes_plus_share_one_run(self, monkeypatch, plus_criteria, runs):
+        # one equal-shares run per instance when the tie-breaks agree
+        dataset = categorized_dataset(45, 5)
+        specs = [
+            RuleSpec(Variant.GREED_COST),
+            RuleSpec(Variant.MES),
+            RuleSpec(Variant.MES_PLUS, tiebreak=TieBreak(plus_criteria)),
+        ]
+        calls = []
+        original = rules.mes
+
+        def counted_mes(instance, *args, **kwargs):
+            calls.append(instance.instance_id)
+            return original(instance, *args, **kwargs)
+
+        monkeypatch.setattr(rules, "mes", counted_mes)
+        report = compare_rules(dataset, specs)
+        assert calls == [instance.instance_id for instance, _ in dataset for _ in range(runs)]
+        expected = []
+        for instance, profile in dataset:
+            baseline = rules.greed_cost(instance, profile)
+            for spec in specs:
+                allocation = rules.run_rule(spec, instance, profile).allocation
+                expected.append(
+                    metric_row(instance, profile, spec.variant.value, allocation, baseline)
+                )
+        assert list(report.raw) == expected
 
 
 class TestQuadrants:

@@ -10,10 +10,14 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
+import oracle
+from pbrules.analysis import STAT_COLUMNS, _render
 from pbrules.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_parser, cli_main
 from pbrules.metrics import METRIC_COLUMNS
-from pbrules.model import ApprovalBallot, Instance, Profile, Project
-from pbrules.pabulib import write_pabulib
+from pbrules.model import ApprovalBallot, Instance, Profile, Project, format_money
+from pbrules.pabulib import IngestFilter, ingest_directory, write_pabulib
+from pbrules.rules import RuleSpec, greed_cost, run_rule
 
 CATS = ("roads", "parks", "schools")
 
@@ -352,6 +356,16 @@ class TestCompare:
         assert cli_main(["compare", "--dir", str(corpus), "--jobs", jobs]) == EXIT_USAGE
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
+    def test_repeated_rules_are_usage_error(self, corpus, tmp_path, capsys):
+        argv = ["compare", "--rules", "greedcost,mes,MES", "--raw-out", str(tmp_path / "raw.csv")]
+        assert cli_main(argv + ["--dir", str(corpus)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "--rules lists mes more than once" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "raw.csv").exists()
+        # checked before the corpus is read
+        assert cli_main(argv + ["--dir", str(tmp_path / "missing")]) == EXIT_USAGE
+
 
 class TestExtremes:
     def test_json_report(self, corpus, capsys):
@@ -458,3 +472,90 @@ class TestConfig:
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         assert cli_main(["stats", "--config", str(tmp_path / "none.cfg")]) == EXIT_USAGE
+
+
+class TestCorpusRun:
+    """Every corpus command on a small random corpus, against the
+    definitional metrics of oracle.py."""
+
+    RULES = ("greedcost", "mes", "mes+", "mes*+")
+
+    @pytest.fixture(scope="class")
+    def dataset(self, tmp_path_factory):
+        pairs = helpers.random_dataset(
+            63, 4, max_voters=30, max_projects=8, decimal_money=True, with_categories=True
+        )
+        pairs += helpers.random_dataset(64, 1, max_voters=30, max_projects=8, decimal_money=True)
+        assert [bool(instance.category_labels) for instance, _ in pairs] == [True] * 4 + [False]
+        root = tmp_path_factory.mktemp("corpus")
+        for instance, profile in pairs:
+            text = write_pabulib(instance, profile)
+            (root / f"{instance.instance_id}.pb").write_text(text, encoding="utf-8")
+        accepted = ingest_directory(root, IngestFilter(min_voters=1, min_projects=1)).accepted
+        assert [(i.instance_id, p.voter_count) for i, p in accepted] == [
+            (i.instance_id, p.voter_count) for i, p in pairs
+        ]
+        return root, accepted
+
+    def run(self, capsys, argv):
+        assert cli_main(argv) == EXIT_OK
+        return capsys.readouterr().out
+
+    def test_stats_match_definition(self, dataset, capsys):
+        root, accepted = dataset
+        rows = list(csv.reader(io.StringIO(self.run(capsys, ["stats", "--dir", str(root)]))))
+        expected = []
+        for instance, profile in accepted:
+            values = oracle.instance_stats(instance, profile)
+            expected.append(
+                [str(values.pop(column)) for column in ("instance_id", "voters", "projects")]
+                + [format_money(values.pop("budget"))]
+                + [_render(value) for value in values.values()]
+            )
+        assert rows == [list(STAT_COLUMNS)] + expected
+
+    def test_compare_matches_definition_at_any_job_count(self, dataset, tmp_path, capsys):
+        root, accepted = dataset
+        outputs = []
+        for jobs in ("1", "2"):
+            raw = tmp_path / f"raw{jobs}.csv"
+            argv = ["compare", "--dir", str(root), "--rules", ",".join(self.RULES)]
+            out = self.run(capsys, argv + ["--jobs", jobs, "--raw-out", str(raw)])
+            outputs.append((out, raw.read_bytes()))
+        assert outputs[0] == outputs[1]
+
+        expected = [list(METRIC_COLUMNS)]
+        for instance, profile in accepted:
+            baseline = greed_cost(instance, profile).selected
+            for name in self.RULES:
+                chosen = run_rule(RuleSpec.from_name(name), instance, profile).allocation
+                row = oracle.metric_row(instance, profile, name, chosen.selected, baseline)
+                expected.append(
+                    [
+                        format_money(row[c]) if c == "median_cost" and row[c] is not None
+                        else _render(row[c])
+                        for c in METRIC_COLUMNS
+                    ]
+                )
+        raw_rows = list(csv.reader(io.StringIO(outputs[0][1].decode("utf-8"))))
+        assert raw_rows == expected
+
+    def test_extremes_match_definition_at_any_job_count(self, dataset, capsys):
+        root, accepted = dataset
+        serial = self.run(capsys, ["extremes", "--dir", str(root)])
+        assert self.run(capsys, ["extremes", "--dir", str(root), "--jobs", "2"]) == serial
+        report = json.loads(serial)
+        effects = {}
+        for instance, profile in accepted:
+            expected = oracle.effect_report(
+                instance,
+                profile,
+                greed_cost(instance, profile).selected,
+                run_rule(RuleSpec.from_name("mes*+"), instance, profile).allocation.selected,
+            )
+            if expected is not None:
+                effects[instance.instance_id] = expected["effect"]
+        assert report["uncategorized"] == [accepted[-1][0].instance_id]
+        assert sorted(effects.items(), key=lambda item: (item[1], item[0])) == [
+            tuple(entry) for entry in report["ranking"]
+        ]

@@ -1,8 +1,9 @@
-"""Engine results against the definitional oracles in oracle.py.
+"""Engine and metric results against the definitional oracles in oracle.py.
 
 The engines are lazy (stale bounds, equal-budget reset, permanent
-drops); the oracles recompute everything from the definitions at every
-step.  Observable behaviour must match exactly, Fraction for Fraction.
+drops) and the metrics integer-valued; the oracles recompute everything
+from the definitions at every step, in ``Fraction``s.  Observable
+behaviour must match exactly, Fraction for Fraction.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 import helpers
+import oracle
 from oracle import (
     affordability_fixed_point,
     ledger_json_dict,
@@ -23,6 +25,18 @@ from oracle import (
     trace_text,
 )
 from pbrules import _mes_pure
+from pbrules.analysis import _effect_worker, instance_stats
+from pbrules.metrics import (
+    category_proportionality,
+    compile_election,
+    cost_satisfaction,
+    effect_score,
+    effort,
+    gini,
+    happiness,
+    metric_row,
+    voter_category_share,
+)
 from pbrules.model import (
     Allocation,
     ApprovalBallot,
@@ -42,6 +56,7 @@ from pbrules.rules import (
     complete_star,
     complete_with_secondary,
     emit_trace,
+    greed_cost,
     mes,
     mes_affordability,
     run_rule,
@@ -423,3 +438,134 @@ class TestRenderingOracle:
                 assert_renderings_match(run_rule(spec, instance, profile).ledger, instance)
                 cases += profile.voter_count > 12
         assert cases >= 40
+
+
+ORPHAN = "p0"
+
+
+def metric_case(rng, single_voter, approval_rate, with_categories, orphan):
+    """A random instance with costs of mixed denominators.  At approval
+    rate 0 every ballot is empty but for the one forced approver of each
+    project; ``orphan`` adds a project nobody approves."""
+    instance, profile = helpers.random_instance(
+        rng,
+        max_voters=1 if single_voter else 14,
+        max_projects=7,
+        with_categories=with_categories,
+        approval_rate=approval_rate,
+    )
+    if orphan:
+        extra = Project(
+            id=ORPHAN,
+            cost=Fraction(rng.randint(1, 40), rng.choice(helpers.ANY_DENOMS)),
+            categories=frozenset(rng.sample(helpers.CATEGORY_POOL, rng.randint(0, 1))),
+        )
+        instance = dataclasses.replace(instance, projects=instance.projects + (extra,))
+    return instance, profile
+
+
+def metric_allocation(rng, kind, instance, profile) -> frozenset[str]:
+    ids = [p.id for p in instance.projects]
+    if kind == "empty":
+        return frozenset()
+    if kind == "all":
+        return frozenset(ids)
+    if kind == "orphan":  # funds nobody's project when there is one
+        return frozenset({ORPHAN} & set(ids))
+    if kind == "subset":
+        return frozenset(rng.sample(ids, rng.randint(1, len(ids))))
+    spec = RuleSpec(Variant(kind))
+    return run_rule(spec, instance, profile).allocation.selected
+
+
+METRIC_CASES = dict(
+    seed=st.integers(0, 2**32 - 1),
+    single_voter=st.booleans(),
+    approval_rate=st.sampled_from((0.0, 0.15, 0.4, 0.8)),
+    with_categories=st.booleans(),
+    orphan=st.booleans(),
+)
+ALLOCATION_KINDS = ("empty", "all", "orphan", "subset", "greedcost", "mes", "mes+")
+
+
+class TestMetricsOracle:
+    @settings(max_examples=300)
+    @given(
+        **METRIC_CASES,
+        kind=st.sampled_from(ALLOCATION_KINDS),
+        baseline_kind=st.sampled_from(ALLOCATION_KINDS),
+    )
+    def test_metric_rows_match_definition(
+        self, seed, single_voter, approval_rate, with_categories, orphan, kind, baseline_kind
+    ):
+        rng = random.Random(seed)
+        instance, profile = metric_case(rng, single_voter, approval_rate, with_categories, orphan)
+        chosen = metric_allocation(rng, kind, instance, profile)
+        baseline = metric_allocation(rng, baseline_kind, instance, profile)
+        expected = oracle.metric_row(instance, profile, kind, chosen, baseline)
+        row = metric_row(instance, profile, kind, chosen, baseline)
+        assert row == expected
+        election = compile_election(instance, profile)
+        assert metric_row(instance, profile, kind, chosen, baseline, election) == expected
+        for column in ("similarity", "avg_satisfaction", "gini_cost", "gini_effort", "happiness"):
+            assert type(row[column]) is Fraction
+
+        satisfaction = cost_satisfaction(profile, chosen, instance)
+        assert satisfaction == oracle.cost_satisfaction(profile, chosen, instance)
+        assert all(type(v) is Fraction for v in satisfaction)
+        efforts = effort(profile, chosen, instance)
+        assert efforts == oracle.effort(profile, chosen, instance)
+        assert gini(satisfaction) == oracle.gini(satisfaction)
+        assert gini(efforts) == oracle.gini(efforts)
+        assert happiness(profile, chosen) == oracle.happiness(profile, chosen)
+
+        report = category_proportionality(profile, instance, chosen, election)
+        expected_report = oracle.category_report(profile, instance, chosen)
+        if expected_report is None:
+            assert report is None
+        else:
+            entries, excluded, rms, proportionality = expected_report
+            assert [(e.label, e.voter_share, e.rule_share) for e in report.entries] == entries
+            assert (report.excluded_voters, report.disproportionality) == (excluded, rms)
+            assert report.proportionality == proportionality
+        for label in instance.category_labels + ("unused",):
+            assert voter_category_share(profile, instance, label) == (
+                oracle.voter_category_share(profile, instance, label)
+            )
+        assert dataclasses.asdict(instance_stats(instance, profile)) == (
+            oracle.instance_stats(instance, profile)
+        )
+
+    @settings(max_examples=200)
+    @given(**METRIC_CASES, star=st.booleans())
+    def test_effect_reports_match_definition(
+        self, seed, single_voter, approval_rate, with_categories, orphan, star
+    ):
+        rng = random.Random(seed)
+        instance, profile = metric_case(rng, single_voter, approval_rate, with_categories, orphan)
+        spec = RuleSpec(Variant.MES_STAR_PLUS if star else Variant.MES_PLUS, max_iterations=40)
+        tiebreak = TieBreak()
+        report = _effect_worker(((instance, profile), spec, tiebreak))
+        expected = oracle.effect_report(
+            instance,
+            profile,
+            greed_cost(instance, profile, tiebreak).selected,
+            run_rule(spec, instance, profile).allocation.selected,
+        )
+        if expected is None:
+            assert report is None
+        else:
+            assert report.effect == expected["effect"]
+            bars = [
+                (bar.label, bar.voter_share, bar.greed_share, bar.mes_share)
+                for bar in report.category_bars
+            ]
+            assert bars == expected["bars"]
+            assert report.greed_curve == expected["greed_curve"]
+            assert report.mes_curve == expected["mes_curve"]
+
+        first = metric_allocation(rng, "subset", instance, profile)
+        second = metric_allocation(rng, rng.choice(ALLOCATION_KINDS), instance, profile)
+        expected = oracle.effect_report(instance, profile, first, second)
+        score = effect_score(instance, profile, first, second)
+        assert score == (None if expected is None else expected["effect"])
