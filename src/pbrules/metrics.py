@@ -47,7 +47,7 @@ class CompiledElection:
     ids: tuple[str, ...]
     cost_den: int
     costs: tuple[int, ...]
-    ballots: tuple[tuple[int, ...], ...]
+    ballots: tuple[list[int], ...]
     approvers: tuple[int, ...]
     labels: tuple[str, ...]
     members: dict[str, tuple[int, ...]]
@@ -93,7 +93,8 @@ def compile_election(instance: Instance, profile: Profile) -> CompiledElection:
     ids = tuple(p.id for p in instance.projects)
     index = {pid: j for j, pid in enumerate(ids)}
     cost_den = math.lcm(*(p.cost.denominator for p in instance.projects))
-    ballots = tuple(tuple(map(index.__getitem__, b.approved)) for b in profile.ballots)
+    # lists, not tuples: the interpreter keeps freed small tuples for reuse
+    ballots = tuple(list(map(index.__getitem__, b.approved)) for b in profile.ballots)
     counts = Counter(chain.from_iterable(ballots))
     labels = instance.category_labels
     return CompiledElection(

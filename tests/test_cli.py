@@ -15,7 +15,14 @@ import oracle
 from pbrules.analysis import STAT_COLUMNS, _render
 from pbrules.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_parser, cli_main
 from pbrules.metrics import METRIC_COLUMNS
-from pbrules.model import ApprovalBallot, Instance, Profile, Project, format_money
+from pbrules.model import (
+    ApprovalBallot,
+    Instance,
+    Profile,
+    Project,
+    format_money,
+    is_complete,
+)
 from pbrules.pabulib import IngestFilter, ingest_directory, write_pabulib
 from pbrules.rules import RuleSpec, greed_cost, run_rule
 
@@ -529,6 +536,8 @@ class TestCorpusRun:
             baseline = greed_cost(instance, profile).selected
             for name in self.RULES:
                 chosen = run_rule(RuleSpec.from_name(name), instance, profile).allocation
+                assert chosen.total_cost <= instance.budget_limit
+                assert name in ("greedcost", "mes") or is_complete(chosen, instance)
                 row = oracle.metric_row(instance, profile, name, chosen.selected, baseline)
                 expected.append(
                     [
