@@ -499,8 +499,9 @@ class TestCorpusRun:
             text = write_pabulib(instance, profile)
             (root / f"{instance.instance_id}.pb").write_text(text, encoding="utf-8")
         accepted = ingest_directory(root, IngestFilter(min_voters=1, min_projects=1)).accepted
-        assert [(i.instance_id, p.voter_count) for i, p in accepted] == [
-            (i.instance_id, p.voter_count) for i, p in pairs
+        # the round trip keeps everything but the META keys the writer adds
+        assert [(i.instance_id, i.projects, i.budget_limit, p) for i, p in accepted] == [
+            (i.instance_id, i.projects, i.budget_limit, p) for i, p in pairs
         ]
         return root, accepted
 
