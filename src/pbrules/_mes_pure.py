@@ -38,6 +38,22 @@ factor's key, so ties are always resolved on exact values.  The
 observable behaviour is identical to recomputing every factor at every
 step, which ``tests/oracle.py`` checks against the definitional fixed
 point.
+
+The budget-increase search (``run_star``) skips rounds exactly.  Once a
+run at share s0 is done, fix its decisions: the purchase order and, at
+each purchase, which approvers pay a whole wallet below the cap.  Under
+those decisions every wallet and every cap is affine in the share, so a
+replay of the run bounds how far the share can grow before a deciding
+comparison can reach equality.  The certificate invariant: every share
+in [s0, s*) selects what s0 selects, with s* = s0 only when a deciding
+comparison is tied at s0.  The search then computes the first round
+whose share is at least s*, never one it has already passed.  When s*
+comes from a peel event, where an approver who paid a whole wallet
+below a cap reaches it, how the run pays changes but rarely what it
+buys: the replay of the last selection at the new share, checked
+against the definition of equal shares, then stands in for running the
+round, and only a failed check runs it.  Certificates and checks are
+computed in exact integers; no float decides a skip.
 """
 
 from __future__ import annotations
@@ -74,6 +90,17 @@ def payment_cap(wallets, order: Sequence, cost):
         remaining -= wallet
         left -= 1
     return None
+
+
+def _share_units(num: int, den: int, cost_den: int) -> tuple[int, int]:
+    """The per-voter share ``num / den`` as ``(wallet, units)``: ``wallet``
+    counts units of ``1/units``, the lcm of ``cost_den`` and the share's
+    reduced denominator."""
+    g = gcd(num, den)
+    num //= g
+    den //= g
+    units = lcm(cost_den, den)
+    return num * (units // den), units
 
 
 def _fractions(values: Sequence[int], units: int) -> list[Fraction]:
@@ -123,10 +150,8 @@ class MesEngine:
         self._alive = [False] * self.m
         self._exact = [False] * self.m
 
-    def _reset(self, share: Fraction) -> None:
-        share = Fraction(share)
-        units = lcm(self._cost_den, share.denominator)
-        wallet = share.numerator * (units // share.denominator)
+    def _reset(self, wallet: int, units: int) -> None:
+        """Start a run with every wallet holding ``wallet / units``."""
         scale = units // self._cost_den
         self._units = units
         self._budgets = [wallet] * self.n
@@ -254,13 +279,159 @@ class MesEngine:
                 payments.append(pays)
         return selected, factors, payments
 
+    def _certificate(
+        self,
+        selected: list[int],
+        wallet: int,
+        units: int,
+        limit_num: int,
+        limit_den: int,
+        by_count: list[int],
+    ) -> tuple[int, int, bool] | None:
+        """Check what equal shares buys at a share s0 and bound how far
+        the share can grow before that can change.
+
+        Replays buying ``selected`` in order with every wallet starting
+        at ``wallet / units`` (the share s0), and returns None unless
+        that is what equal shares does at s0.  Each wallet is kept as an
+        affine form of the share s: its value at s0 in units of
+        ``1/units`` (refined like the engine's) and its slope in units of
+        ``1/slope_units``.  With the purchases and who pays below the cap
+        fixed, the cap of each purchase is affine too, and the run buys
+        the same projects in the same order until one of these reaches
+        equality:
+
+        - a voter who paid a whole wallet below a cap reaches the cap, a
+          peel event (voters who paid the cap only get further above it:
+          wallets never fall and caps never rise as s grows);
+        - an unbought project q at some purchase of b: with
+          g_q(s) = sum over q's approvers of min(wallet, f_b(s) * c_q)
+          - c_q, q loses to b while g_q < 0, or while g_q = 0 and q is
+          later in the tie order.  g_q is concave, so the root of its
+          right tangent at s0 is an early, hence safe, event;
+        - after the last purchase, an unbought project's approvers
+          reach its cost.
+
+        Returns ``(num, den, peel)``: the first event is at s0 + num /
+        den, or beyond s0 + limit_num / limit_den when that is returned,
+        and ``peel`` tells whether it is a peel event.  Every share in
+        [s0, s0 + num / den) buys what s0 buys; an equality at s0 itself
+        gives 0.  ``by_count`` lists the projects by approver count,
+        descending.  Every value is an exact integer, so no rounding
+        decides a skip.
+        """
+        approvers = self.approvers
+        tie_rank = self.tie_rank
+        val = [wallet] * self.n
+        costs = [c * (units // self._cost_den) for c in self._cost_units]
+        purchases = []
+        slope_units = 1
+        for b in selected:
+            order = sorted(approvers[b], key=val.__getitem__)
+            found = payment_cap(val, order, costs[b])
+            if found is None:
+                return None
+            remaining, left = found
+            g = gcd(remaining, left)
+            if g != left:
+                units *= left // g
+                val = [v * (left // g) for v in val]
+                costs = [c * (left // g) for c in costs]
+            cap = remaining // g
+            # the first ``cut`` voters are below the cap and pay their
+            # whole wallet, the others pay the cap
+            cut = len(order) - left
+            # the wallets, costs and unit at this purchase
+            purchases.append((b, cap, order, cut, list(val), costs, units))
+            if cut:
+                slope_units *= left
+            for i in order[:cut]:
+                val[i] = 0
+            for i in order[cut:]:
+                val[i] -= cap
+        best_num, best_den, peel = limit_num, limit_den, False
+        # Before each purchase every slope is a whole multiple of the
+        # payer counts of the later purchases with peeled voters, so the
+        # cap slopes below divide exactly.
+        slope = [slope_units] * self.n
+        bought = bytearray(self.m)
+        for b, cap, order, cut, held, prices, unit in purchases:
+            cap_slope = -sum(map(slope.__getitem__, order[:cut])) // (len(order) - cut)
+            for i in order[:cut]:
+                rate = slope[i] - cap_slope
+                if rate > 0:
+                    num = (cap - held[i]) * slope_units
+                    den = unit * rate
+                    if num * best_den < best_num * den:
+                        best_num, best_den, peel = num, den, True
+            bought[b] = 1
+            cost_b = prices[b]
+            for q in by_count:
+                voters = approvers[q]
+                if len(voters) * cap < cost_b:
+                    # here and for every q after it, even all of q's
+                    # approvers paying at b's factor fall short of its cost
+                    break
+                if bought[q]:
+                    continue
+                cost_q = prices[q]
+                total = sum(map(held.__getitem__, voters))
+                if total < cost_q:
+                    # q cannot tie b before its approvers reach its cost
+                    rate = sum(map(slope.__getitem__, voters))
+                    if not rate or (cost_q - total) * slope_units * best_den >= best_num * unit * rate:
+                        continue
+                # x = cap * cost_q / cost_b is what an approver pays at b's
+                # factor; total and rate below are scaled by cost_b
+                x = cap * cost_q
+                x_slope = cap_slope * cost_q
+                threshold, inexact = divmod(x, cost_b)
+                if inexact:
+                    below = [i for i in voters if held[i] <= threshold]
+                    tied = ()
+                else:
+                    below = [i for i in voters if held[i] < threshold]
+                    tied = [i for i in voters if held[i] == threshold]
+                richer = len(voters) - len(below)
+                total = cost_b * (sum(map(held.__getitem__, below)) - cost_q) + richer * x
+                if total > 0 or not total and (not richer or tie_rank[q] < tie_rank[b]):
+                    # q's factor is below b's, or equal and q is first in
+                    # the tie order
+                    return None
+                rate = cost_b * sum(map(slope.__getitem__, below))
+                rate += (richer - len(tied)) * x_slope
+                for i in tied:
+                    rate += min(slope[i] * cost_b, x_slope)
+                if rate > 0:
+                    num = -total * slope_units
+                    den = unit * rate
+                    if num * best_den < best_num * den:
+                        best_num, best_den, peel = num, den, False
+            for i in order[:cut]:
+                slope[i] = 0
+            for i in order[cut:]:
+                slope[i] -= cap_slope
+        # after the last purchase every unbought project is unaffordable
+        # until its approvers reach its cost; a wallet with slope 0 is 0
+        for q in set(range(self.m)).difference(selected):
+            rate = sum(map(slope.__getitem__, approvers[q]))
+            if rate > 0:
+                num = (costs[q] - sum(map(val.__getitem__, approvers[q]))) * slope_units
+                if num <= 0:
+                    return None
+                den = units * rate
+                if num * best_den < best_num * den:
+                    best_num, best_den, peel = num, den, False
+        return best_num, best_den, peel
+
     def run(self, share: Fraction, want_ledger: bool = False):
         """Select at per-voter budget ``share``.
 
         Returns (selected, factors, payments, final_budgets); the last
         three are None unless ``want_ledger``.
         """
-        self._reset(share)
+        share = Fraction(share)
+        self._reset(*_share_units(share.numerator, share.denominator, self._cost_den))
         selected, factors, payments = self._select(record=want_ledger)
         if not want_ledger:
             return selected, None, None, None
@@ -275,23 +446,57 @@ class MesEngine:
         previous round's selection; round 0 can never overshoot because
         payments are bounded by the shares, which sum to the budget.
 
-        Returns (selected, chosen_round, rounds_examined, status) with
-        status one of "complete", "next_infeasible", "exhausted".
+        Rounds are skipped exactly: each round r that is run, at share
+        s, also yields a certificate s* >= s (see :meth:`_certificate`)
+        such that every share in [s, s*) selects the same projects, and
+        the search goes on at the first round after r whose share is at
+        least s*.  A skipped round selects what round r selected, so it
+        is neither complete nor overshooting: ``chosen_round``,
+        ``rounds_examined``, ``status`` and the selection are those of
+        running every round.  After a peel event the next round first
+        checks the last selection at its share and runs the engine only
+        when that check fails; either way the round counts as run.
+
+        Returns (selected, chosen_round, rounds_examined, status,
+        rounds_run) with status one of "complete", "next_infeasible",
+        "exhausted"; ``rounds_run`` counts the rounds actually run.
         """
         budget = Fraction(budget)
         epsilon = Fraction(epsilon)
         # costs and budget as integers in units of 1/(cost_den * budget den)
         costs = [c * budget.denominator for c in self._cost_units]
-        limit = budget.numerator * self._cost_den
+        budget_units = budget.numerator * self._cost_den
+        by_cost = sorted(range(self.m), key=costs.__getitem__)
+        by_count = sorted(range(self.m), key=lambda p: -len(self.approvers[p]))
+        # round r shares (base + r * step) / den among the voters
+        den = budget.denominator * epsilon.denominator * self.n
+        base = budget.numerator * epsilon.denominator
+        step = epsilon.numerator * budget.denominator
         previous: list[int] = []
-        for r in range(max_rounds):
-            self._reset(Fraction(budget + r * epsilon, self.n))
-            selected, _, _ = self._select(record=False)
-            leftover = limit - sum(costs[p] for p in selected)
-            if leftover < 0:
-                return previous, max(r - 1, 0), r + 1, STATUS_NEXT_INFEASIBLE
-            chosen = set(selected)
-            if all(costs[p] > leftover for p in range(self.m) if p not in chosen):
-                return selected, r, r + 1, STATUS_COMPLETE
-            previous = selected
-        return previous, max_rounds - 1, max_rounds, STATUS_EXHAUSTED
+        peel = False
+        r = rounds_run = 0
+        while r < max_rounds:
+            rounds_run += 1
+            wallet, units = _share_units(base + r * step, den, self._cost_den)
+            # one past the last round is as far as a certificate needs to look
+            limit = (max_rounds - r) * step
+            found = None
+            if peel:
+                # a peel event changes how the last selection is paid
+                # for, rarely what it buys: check it before running
+                found = self._certificate(previous, wallet, units, limit, den, by_count)
+            if found is None:
+                self._reset(wallet, units)
+                selected, _, _ = self._select(record=False)
+                leftover = budget_units - sum(costs[p] for p in selected)
+                if leftover < 0:
+                    return previous, max(r - 1, 0), r + 1, STATUS_NEXT_INFEASIBLE, rounds_run
+                cheapest = next((p for p in by_cost if p not in selected), None)
+                if cheapest is None or costs[cheapest] > leftover:
+                    return selected, r, r + 1, STATUS_COMPLETE, rounds_run
+                previous = selected
+                found = self._certificate(selected, wallet, units, limit, den, by_count)
+            # go on at the first round at or past the certificate
+            num, cert_den, peel = found
+            r += max(1, -(-num * den // (cert_den * step)))
+        return previous, max_rounds - 1, max_rounds, STATUS_EXHAUSTED, rounds_run

@@ -188,13 +188,17 @@ class StarResult:
     is complete, "next_infeasible" when the following round overshot the
     original limit (the search then stops by definition, possibly leaving
     the result incomplete), or "exhausted" when ``max_iterations`` rounds
-    were examined without either event.
+    were examined without either event.  ``rounds_run`` counts the
+    rounds whose selection was actually computed: the equal-shares
+    search skips rounds it proves select the same projects as the round
+    before, the generic search runs every round it examines.
     """
 
     allocation: Allocation
     status: str
     chosen_round: int
     rounds_examined: int
+    rounds_run: int
     epsilon: Money
     budget_used: Money
     ledger: MesLedger | None = None
@@ -204,6 +208,7 @@ class StarResult:
             "status": self.status,
             "chosen_round": self.chosen_round,
             "rounds_examined": self.rounds_examined,
+            "rounds_run": self.rounds_run,
             "epsilon": format_money(self.epsilon),
             "budget_used": format_money(self.budget_used),
         }
@@ -392,7 +397,7 @@ def _mes_star(
 ) -> StarResult:
     engine = _make_engine(instance, profile, tiebreak)
     budget = instance.budget_limit
-    selected, chosen_round, examined, status = engine.run_star(
+    selected, chosen_round, examined, status, rounds_run = engine.run_star(
         budget, epsilon, max_iterations
     )
     budget_used = budget + chosen_round * epsilon
@@ -409,6 +414,7 @@ def _mes_star(
         status=status,
         chosen_round=chosen_round,
         rounds_examined=examined,
+        rounds_run=rounds_run,
         epsilon=epsilon,
         budget_used=budget_used,
         ledger=ledger,
@@ -431,8 +437,12 @@ def complete_star(
     previous round's outcome (which may be incomplete); running out of
     rounds returns the last feasible outcome with status "exhausted".
     ``rule`` is either the name/variant of a built-in rule or any callable
-    (Instance, Profile) -> Allocation; the equal-shares rule takes a fast
-    path that reuses one engine across rounds.
+    (Instance, Profile) -> Allocation, run at every round.  The
+    equal-shares rule takes a fast path: one engine runs the rounds and
+    skips those it proves select what the round before selected (see
+    ``MesEngine.run_star``), then replays the chosen round for the ledger.
+    Both paths report the same status, chosen round and rounds examined;
+    ``rounds_run`` tells them apart.
     """
     tiebreak = tiebreak or TieBreak()
     epsilon = default_epsilon(profile) if epsilon is None else money(epsilon)
@@ -469,6 +479,7 @@ def complete_star(
                 status=STATUS_NEXT_INFEASIBLE,
                 chosen_round=chosen,
                 rounds_examined=round_index + 1,
+                rounds_run=round_index + 1,
                 epsilon=epsilon,
                 budget_used=budget + chosen * epsilon,
             )
@@ -479,6 +490,7 @@ def complete_star(
                 status=STATUS_COMPLETE,
                 chosen_round=round_index,
                 rounds_examined=round_index + 1,
+                rounds_run=round_index + 1,
                 epsilon=epsilon,
                 budget_used=budget + round_index * epsilon,
             )
@@ -489,6 +501,7 @@ def complete_star(
         status=STATUS_EXHAUSTED,
         chosen_round=chosen,
         rounds_examined=max_iterations,
+        rounds_run=max_iterations,
         epsilon=epsilon,
         budget_used=budget + chosen * epsilon,
     )

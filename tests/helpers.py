@@ -74,3 +74,33 @@ def random_dataset(seed: int, count: int, **kwargs):
         kwargs["tag"] = f"{seed}-{k + 1}"
         pairs.append(random_instance(rng, **kwargs))
     return pairs
+
+
+def bloc_election(instance_id: str, overshoot: bool):
+    """A two-bloc election whose star completion ends in a known state.
+
+    Nine tenths of 200 voters approve two projects costing 50% and 45%
+    of the budget; the other tenth approves one project costing 4% (6%
+    with ``overshoot``), and one of them also a 2% project no wallet can
+    reach.  Equal shares buys the 45% and the small bloc project at once
+    and the 50% project once the share has grown by 1/18: at one cent
+    per voter per round that is round 56, where the selection totals 99%
+    of the budget (complete) or 101% (the round overshoots, so the search
+    ends ``next_infeasible``).  The same construction as the benchmark's
+    two-bloc elections.
+    """
+    voters = 200
+    budget = voters * 10
+    small = 6 if overshoot else 4
+    projects = (
+        Project("1", Fraction(budget * 50, 100), "Central park", frozenset({"greenery"})),
+        Project("2", Fraction(budget * 45, 100), "Market square", frozenset({"public-space"})),
+        Project("3", Fraction(budget * small, 100), "Youth club", frozenset({"welfare"})),
+        Project("4", Fraction(budget * 2, 100), "Chess tables", frozenset({"sport"})),
+    )
+    majority = voters * 9 // 10
+    ballots = [ApprovalBallot(str(v + 1), frozenset({"1", "2"})) for v in range(majority)]
+    ballots += [ApprovalBallot(str(v + 1), frozenset({"3"})) for v in range(majority, voters - 1)]
+    ballots.append(ApprovalBallot(str(voters), frozenset({"3", "4"})))
+    meta = {"description": f"Synthetic two-bloc election {instance_id}", "instance_id": instance_id}
+    return Instance(tuple(projects), Fraction(budget), meta), Profile(tuple(ballots))

@@ -24,7 +24,14 @@ from pbrules.model import (
     is_complete,
 )
 from pbrules.pabulib import IngestFilter, ingest_directory, write_pabulib
-from pbrules.rules import RuleSpec, greed_cost, run_rule
+from pbrules.rules import (
+    RuleSpec,
+    complete_star,
+    complete_with_secondary,
+    greed_cost,
+    mes,
+    run_rule,
+)
 
 CATS = ("roads", "parks", "schools")
 
@@ -74,6 +81,15 @@ def one_file(tmp_path):
     path = tmp_path / "one_1.pb"
     path.write_text(write_pabulib(instance, profile), encoding="utf-8")
     return path
+
+
+def oracle_raw_row(instance, profile, name, chosen, baseline) -> list[str]:
+    """The ``--raw-out`` row ``compare`` must write, from oracle.py."""
+    row = oracle.metric_row(instance, profile, name, chosen, baseline)
+    return [
+        format_money(row[c]) if c == "median_cost" and row[c] is not None else _render(row[c])
+        for c in METRIC_COLUMNS
+    ]
 
 
 class TestBasics:
@@ -539,13 +555,8 @@ class TestCorpusRun:
                 chosen = run_rule(RuleSpec.from_name(name), instance, profile).allocation
                 assert chosen.total_cost <= instance.budget_limit
                 assert name in ("greedcost", "mes") or is_complete(chosen, instance)
-                row = oracle.metric_row(instance, profile, name, chosen.selected, baseline)
                 expected.append(
-                    [
-                        format_money(row[c]) if c == "median_cost" and row[c] is not None
-                        else _render(row[c])
-                        for c in METRIC_COLUMNS
-                    ]
+                    oracle_raw_row(instance, profile, name, chosen.selected, baseline)
                 )
         raw_rows = list(csv.reader(io.StringIO(outputs[0][1].decode("utf-8"))))
         assert raw_rows == expected
@@ -569,3 +580,124 @@ class TestCorpusRun:
         assert sorted(effects.items(), key=lambda item: (item[1], item[0])) == [
             tuple(entry) for entry in report["ranking"]
         ]
+
+
+def degenerate_election(case: str):
+    """One small election per degenerate input of the star completion."""
+    roads, parks = frozenset({"roads"}), frozenset({"parks"})
+    if case == "rivals":
+        # round 0 buys nothing; the first purchase is 100 rounds on, and
+        # it overshoots
+        costs, limit = {"x": (6, roads), "y": (6, parks)}, 10
+        ballots = {"v1": {"x"}, "v2": {"y"}}
+    elif case == "single-voter":
+        # nobody approves c either
+        costs, limit = {"a": (4, roads), "b": (3, parks), "c": (2, roads)}, 6
+        ballots = {"v1": {"a", "b"}}
+    elif case == "unapproved":
+        # nobody approves z, so no round completes the selection
+        costs, limit = {"a": (2, roads), "b": (3, parks), "z": (1, parks)}, 6
+        ballots = {"v1": {"a"}, "v2": {"a", "b"}, "v3": {"b"}}
+    else:  # "below-every-cost": the empty selection is complete
+        costs, limit = {"a": (5, roads), "b": (7, parks)}, 3
+        ballots = {"v1": {"a"}, "v2": {"a", "b"}}
+    instance = Instance(
+        projects=tuple(
+            Project(id=pid, cost=Fraction(cost), categories=labels)
+            for pid, (cost, labels) in costs.items()
+        ),
+        budget_limit=Fraction(limit),
+        meta={"instance_id": "7"},
+    )
+    profile = Profile(tuple(ApprovalBallot(vid, frozenset(ids)) for vid, ids in ballots.items()))
+    return instance, profile
+
+
+class TestDegenerateStar:
+    """Degenerate inputs to ``mes*+`` end in a reported state, with the
+    star fields of the generic round-by-round search."""
+
+    CASES = ("rivals", "single-voter", "unapproved", "below-every-cost")
+
+    @pytest.fixture(params=CASES)
+    def case(self, request, tmp_path):
+        instance, profile = degenerate_election(request.param)
+        root = tmp_path / request.param
+        root.mkdir()
+        (root / "7.pb").write_text(write_pabulib(instance, profile), encoding="utf-8")
+        return request.param, root, instance, profile
+
+    @staticmethod
+    def generic(instance, profile, max_iterations):
+        return complete_star(
+            lambda inst, prof: mes(inst, prof)[0],
+            instance,
+            profile,
+            max_iterations=max_iterations,
+        )
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 40])
+    def test_run(self, case, max_iterations, capsys):
+        name, root, instance, profile = case
+        argv = ["run", "--file", str(root / "7.pb"), "--rule", "mes*+"]
+        assert cli_main(argv + ["--max-iterations", str(max_iterations)]) == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        star = payload["star"]
+        expected = self.generic(instance, profile, max_iterations)
+        assert star["rounds_run"] <= star["rounds_examined"]
+        assert {**star, "rounds_run": expected.rounds_run} == expected.to_json_dict()
+        completed = complete_with_secondary(expected.allocation, instance, profile)
+        assert payload["selected"] == sorted(completed.selected)
+        assert payload["complete"] is True
+        if name == "below-every-cost":
+            assert star["status"] == "complete"
+            assert payload["selected"] == []
+        else:
+            # no round within the cap changes the selection, and round 0
+            # proves it: the search jumps past the cap
+            assert star["status"] == "exhausted"
+            assert star["chosen_round"] == max_iterations - 1
+            assert star["rounds_run"] == 1
+
+    def test_rivals_overshoot_after_a_hundred_rounds(self, capsys):
+        instance, profile = degenerate_election("rivals")
+        expected = self.generic(instance, profile, 10_000)
+        result = run_rule(RuleSpec.from_name("mes*+"), instance, profile)
+        assert result.star.status == expected.status == "next_infeasible"
+        assert result.star.chosen_round == expected.chosen_round == 99
+        assert result.star.rounds_examined == expected.rounds_examined == 101
+        assert result.star.rounds_run == 2
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 40])
+    def test_compare(self, case, max_iterations, tmp_path, capsys):
+        _, root, instance, profile = case
+        raw = tmp_path / "raw.csv"
+        argv = ["compare", "--dir", str(root), "--rules", "greedcost,mes*+", "--raw-out", str(raw)]
+        assert cli_main(argv + ["--max-iterations", str(max_iterations)]) == EXIT_OK
+        baseline = greed_cost(instance, profile).selected
+        star = self.generic(instance, profile, max_iterations)
+        completed = complete_with_secondary(star.allocation, instance, profile)
+        rows = list(csv.reader(io.StringIO(raw.read_text(encoding="utf-8"))))
+        assert rows == [
+            list(METRIC_COLUMNS),
+            oracle_raw_row(instance, profile, "greedcost", baseline, baseline),
+            oracle_raw_row(instance, profile, "mes*+", completed.selected, baseline),
+        ]
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 40])
+    def test_extremes(self, case, max_iterations, capsys):
+        _, root, instance, profile = case
+        argv = ["extremes", "--dir", str(root), "--max-iterations", str(max_iterations)]
+        code = cli_main(argv)
+        star = self.generic(instance, profile, max_iterations)
+        completed = complete_with_secondary(star.allocation, instance, profile)
+        expected = oracle.effect_report(
+            instance, profile, greed_cost(instance, profile).selected, completed.selected
+        )
+        out, err = capsys.readouterr()
+        if expected is None:
+            assert code == EXIT_DATA
+            assert "no categorized instances" in err
+        else:
+            assert code == EXIT_OK
+            assert json.loads(out)["ranking"] == [["7", expected["effect"]]]

@@ -12,7 +12,8 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 import oracle
@@ -285,6 +286,186 @@ class TestStarOracle:
             assert result.status == status
             assert result.budget_used == instance.budget_limit + chosen * eps
             assert result.allocation.total_cost == total_cost(selected, instance)
+
+
+def certify(instance, profile, selected=None):
+    """The star search's certificate for buying ``selected`` (project
+    indices; by default what the engine buys) at the instance's own
+    limit, looking at most a share of 10**6 ahead."""
+    engine = _mes_pure.MesEngine(
+        profile.voter_count, *_mes_arrays(instance, profile, TieBreak())
+    )
+    share = Fraction(instance.budget_limit, profile.voter_count)
+    wallet, units = _mes_pure._share_units(share.numerator, share.denominator, engine._cost_den)
+    if selected is None:
+        engine._reset(wallet, units)
+        selected, _, _ = engine._select(record=False)
+    by_count = sorted(range(engine.m), key=lambda p: -len(engine.approvers[p]))
+    return engine._certificate(selected, wallet, units, 10**6, 1, by_count)
+
+
+def round_zero_certificate(instance, profile):
+    """s* - s0 of the certificate of round 0 of the equal-shares star
+    search, or None when no event lands within a share of 10**6."""
+    num, den, _ = certify(instance, profile)
+    return None if num == 10**6 * den else Fraction(num, den)
+
+
+def star_instance(rng, max_voters, max_projects=5):
+    """A random instance whose limit buys 20% to 80% of the total cost,
+    so the star search often goes past round 0."""
+    instance, profile = helpers.random_instance(
+        rng, max_voters=max_voters, max_projects=max_projects, approval_rate=0.25
+    )
+    total = sum(p.cost for p in instance.projects)
+    limit = total * rng.randint(2, 8) / 10
+    return dataclasses.replace(instance, budget_limit=limit), profile
+
+
+def assert_skipping_star_matches(instance, profile, epsilon, oracle_rounds, generic_rounds):
+    """The skipping search against star_bruteforce (with the chosen
+    round's ledger against mes_bruteforce) and against the generic
+    round-by-round path."""
+    fast = complete_star(mes, instance, profile, epsilon=epsilon, max_iterations=oracle_rounds)
+    selected, chosen, examined, status = star_bruteforce(
+        instance, profile, epsilon, oracle_rounds
+    )
+    assert fast.allocation.selected == set(selected)
+    assert (fast.chosen_round, fast.rounds_examined, fast.status) == (chosen, examined, status)
+    assert fast.budget_used == instance.budget_limit + chosen * epsilon
+    assert fast.rounds_run <= fast.rounds_examined
+    trial = dataclasses.replace(instance, budget_limit=fast.budget_used)
+    ledger = fast.ledger
+    assert ledger.run_budget == fast.budget_used
+    assert (
+        list(ledger.selection_order),
+        ledger.affordabilities,
+        ledger.payments,
+        ledger.budgets,
+    ) == tuple(mes_bruteforce(trial, profile))
+
+    fast = complete_star(mes, instance, profile, epsilon=epsilon, max_iterations=generic_rounds)
+    slow = complete_star(
+        lambda inst, prof: mes(inst, prof)[0],
+        instance,
+        profile,
+        epsilon=epsilon,
+        max_iterations=generic_rounds,
+    )
+    for name in ("allocation", "status", "chosen_round", "rounds_examined", "budget_used"):
+        assert getattr(fast, name) == getattr(slow, name), name
+    assert fast.rounds_run <= fast.rounds_examined
+    assert slow.rounds_run == slow.rounds_examined
+    return fast
+
+
+class TestSkippingStarOracle:
+    """The equal-shares star search skips the rounds its certificates
+    cover; its outcome must be that of running every round."""
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), cents=st.integers(1, 100))
+    # a voter paying a whole wallet below a cap reaches the cap before
+    # any comparison changes sign
+    @example(seed=191, cents=10)
+    @example(seed=498, cents=3)
+    def test_small_epsilons(self, seed, cents):
+        # 1/100 to 1 per voter per round: most rounds are skipped
+        instance, profile = star_instance(random.Random(seed), 10)
+        epsilon = Fraction(profile.voter_count * cents, 100)
+        assert_skipping_star_matches(instance, profile, epsilon, 30, 400)
+
+    @settings(max_examples=80)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        cost=st.fractions(Fraction(1, 2), 12, max_denominator=4),
+        copies=st.integers(2, 3),
+        cents=st.integers(1, 400),
+    )
+    def test_tie_heavy(self, seed, cost, copies, cents):
+        # equal costs and duplicated ballots: affordability ties between
+        # projects and equal wallets throughout
+        rng = random.Random(seed)
+        instance, profile = star_instance(rng, 5)
+        instance = dataclasses.replace(
+            instance,
+            projects=tuple(dataclasses.replace(p, cost=cost) for p in instance.projects),
+            budget_limit=cost * rng.randint(1, 2 * len(instance.projects)) / 2,
+        )
+        profile = Profile(
+            tuple(
+                ApprovalBallot(f"{b.voter_id}-{k}", b.approved)
+                for b in profile.ballots
+                for k in range(copies)
+            )
+        )
+        epsilon = Fraction(profile.voter_count * cents, 100)
+        assert_skipping_star_matches(instance, profile, epsilon, 30, 400)
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1), rounds=st.integers(1, 3))
+    # a project later in the tie order ties the winner on a grid round
+    # and beats it just after
+    @example(seed=1380, rounds=2)
+    # the winner's factor is exactly 1 / (approvers of a project earlier
+    # in the tie order), which ties it once all of them are rich enough
+    @example(seed=4043, rounds=1)
+    def test_event_on_a_grid_round(self, seed, rounds):
+        # epsilon puts round 0's first event exactly on round ``rounds``,
+        # which must be run, not skipped
+        instance, profile = star_instance(random.Random(seed), 10)
+        gap = round_zero_certificate(instance, profile)
+        if not gap:
+            gap = Fraction(1, 3)  # no event, or one tied at round 0
+        epsilon = profile.voter_count * gap / rounds
+        assert_skipping_star_matches(instance, profile, epsilon, 30, 60)
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1), cents=st.integers(1, 100))
+    # after a peel event the last selection is checked at the next round
+    # before it is run; here that check must find a new purchase order
+    @example(seed=11, cents=20)
+    def test_larger_elections(self, seed, cents):
+        instance, profile = star_instance(random.Random(seed), 40, 12)
+        epsilon = Fraction(profile.voter_count * cents, 100)
+        fast = complete_star(mes, instance, profile, epsilon=epsilon, max_iterations=400)
+        slow = complete_star(
+            lambda inst, prof: mes(inst, prof)[0],
+            instance,
+            profile,
+            epsilon=epsilon,
+            max_iterations=400,
+        )
+        for name in ("allocation", "status", "chosen_round", "rounds_examined", "budget_used"):
+            assert getattr(fast, name) == getattr(slow, name), name
+        assert fast.rounds_run <= fast.rounds_examined
+
+    @pytest.mark.parametrize("limit", [2, 3])
+    def test_certificate_checks_what_equal_shares_buys(self, limit):
+        # b costs 1 and only v1 approves it (factor 1); q costs 2 and v1
+        # and v2 approve it (factor 1/2), so equal shares buys q alone.  At
+        # a limit of 2 q's approvers pay all they have at b's factor: as
+        # far as wallets go q ties b, yet its factor is lower.
+        b, q = 0, 1
+        instance = Instance(
+            projects=(Project(id="b", cost=Fraction(1)), Project(id="q", cost=Fraction(2))),
+            budget_limit=Fraction(limit),
+            meta={},
+        )
+        profile = Profile(
+            (ApprovalBallot("v1", frozenset({"b", "q"})), ApprovalBallot("v2", frozenset({"q"})))
+        )
+        assert certify(instance, profile) == certify(instance, profile, [q])
+        assert certify(instance, profile, [q]) is not None
+        assert certify(instance, profile, [b]) is None  # q is cheaper
+        assert certify(instance, profile, [q, b]) is None  # b is unaffordable after q
+        assert certify(instance, profile, []) is None  # q is affordable
+
+    def test_events_land_on_grid_rounds(self):
+        # the certificates the previous test aims at are proper events
+        rng = random.Random(26)
+        gaps = [round_zero_certificate(*star_instance(rng, 10)) for _ in range(60)]
+        assert sum(1 for gap in gaps if gap) >= 30
 
 
 def random_feasible_base(rng, instance):

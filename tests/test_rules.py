@@ -270,6 +270,22 @@ class TestCompletions:
             assert fast.chosen_round == slow.chosen_round
             assert fast.rounds_examined == slow.rounds_examined
 
+    @pytest.mark.parametrize(
+        "overshoot, status", [(False, STATUS_COMPLETE), (True, STATUS_NEXT_INFEASIBLE)]
+    )
+    def test_star_skips_the_two_bloc_rounds(self, overshoot, status):
+        # the selection changes once, at round 56: the search runs round 0
+        # and round 56 and skips the 55 rounds between them
+        instance, profile = helpers.bloc_election("401", overshoot)
+        fast = complete_star(mes, instance, profile)
+        slow = complete_star(lambda inst, prof: mes(inst, prof)[0], instance, profile)
+        assert fast.rounds_examined == slow.rounds_examined == 57
+        assert fast.status == slow.status == status
+        assert fast.chosen_round == slow.chosen_round
+        assert fast.allocation == slow.allocation
+        assert fast.rounds_run <= 3
+        assert slow.rounds_run == slow.rounds_examined
+
     def test_star_of_complete_rule_stops_at_round_zero(self):
         instance, profile = XY
         result = complete_star(Variant.GREED_COST, instance, profile, epsilon=Fraction(1))
