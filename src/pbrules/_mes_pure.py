@@ -333,10 +333,11 @@ class MesEngine:
                 return None
             remaining, left = found
             g = gcd(remaining, left)
-            if g != left:
-                units *= left // g
-                val = [v * (left // g) for v in val]
-                costs = [c * (left // g) for c in costs]
+            refine = left // g
+            if refine != 1:
+                units *= refine
+                val = [v * refine for v in val]
+                costs = [c * refine for c in costs]
             cap = remaining // g
             # the first ``cut`` voters are below the cap and pay their
             # whole wallet, the others pay the cap

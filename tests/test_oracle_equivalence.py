@@ -324,8 +324,25 @@ def star_instance(rng, max_voters, max_projects=5):
 
 def assert_skipping_star_matches(instance, profile, epsilon, oracle_rounds, generic_rounds):
     """The skipping search against star_bruteforce (with the chosen
-    round's ledger against mes_bruteforce) and against the generic
-    round-by-round path."""
+    round's ledger against mes_bruteforce), unless ``oracle_rounds`` is
+    None, and against the generic round-by-round path."""
+    if oracle_rounds is not None:
+        assert_star_matches_bruteforce(instance, profile, epsilon, oracle_rounds)
+    fast = complete_star(mes, instance, profile, epsilon=epsilon, max_iterations=generic_rounds)
+    slow = complete_star(
+        lambda inst, prof: mes(inst, prof)[0],
+        instance,
+        profile,
+        epsilon=epsilon,
+        max_iterations=generic_rounds,
+    )
+    for name in ("allocation", "status", "chosen_round", "rounds_examined", "budget_used"):
+        assert getattr(fast, name) == getattr(slow, name), name
+    assert fast.rounds_run <= fast.rounds_examined
+    assert slow.rounds_run == slow.rounds_examined
+
+
+def assert_star_matches_bruteforce(instance, profile, epsilon, oracle_rounds):
     fast = complete_star(mes, instance, profile, epsilon=epsilon, max_iterations=oracle_rounds)
     selected, chosen, examined, status = star_bruteforce(
         instance, profile, epsilon, oracle_rounds
@@ -343,20 +360,6 @@ def assert_skipping_star_matches(instance, profile, epsilon, oracle_rounds, gene
         ledger.payments,
         ledger.budgets,
     ) == tuple(mes_bruteforce(trial, profile))
-
-    fast = complete_star(mes, instance, profile, epsilon=epsilon, max_iterations=generic_rounds)
-    slow = complete_star(
-        lambda inst, prof: mes(inst, prof)[0],
-        instance,
-        profile,
-        epsilon=epsilon,
-        max_iterations=generic_rounds,
-    )
-    for name in ("allocation", "status", "chosen_round", "rounds_examined", "budget_used"):
-        assert getattr(fast, name) == getattr(slow, name), name
-    assert fast.rounds_run <= fast.rounds_examined
-    assert slow.rounds_run == slow.rounds_examined
-    return fast
 
 
 class TestSkippingStarOracle:
@@ -426,19 +429,10 @@ class TestSkippingStarOracle:
     # before it is run; here that check must find a new purchase order
     @example(seed=11, cents=20)
     def test_larger_elections(self, seed, cents):
+        # too large for the brute-force oracle: the generic path only
         instance, profile = star_instance(random.Random(seed), 40, 12)
         epsilon = Fraction(profile.voter_count * cents, 100)
-        fast = complete_star(mes, instance, profile, epsilon=epsilon, max_iterations=400)
-        slow = complete_star(
-            lambda inst, prof: mes(inst, prof)[0],
-            instance,
-            profile,
-            epsilon=epsilon,
-            max_iterations=400,
-        )
-        for name in ("allocation", "status", "chosen_round", "rounds_examined", "budget_used"):
-            assert getattr(fast, name) == getattr(slow, name), name
-        assert fast.rounds_run <= fast.rounds_examined
+        assert_skipping_star_matches(instance, profile, epsilon, None, 400)
 
     @pytest.mark.parametrize("limit", [2, 3])
     def test_certificate_checks_what_equal_shares_buys(self, limit):
@@ -462,7 +456,7 @@ class TestSkippingStarOracle:
         assert certify(instance, profile, []) is None  # q is affordable
 
     def test_events_land_on_grid_rounds(self):
-        # the certificates the previous test aims at are proper events
+        # the events test_event_on_a_grid_round aims at are mostly real
         rng = random.Random(26)
         gaps = [round_zero_certificate(*star_instance(rng, 10)) for _ in range(60)]
         assert sum(1 for gap in gaps if gap) >= 30
