@@ -287,7 +287,8 @@ class MesEngine:
         limit_num: int,
         limit_den: int,
         by_count: list[int],
-    ) -> tuple[int, int, bool] | None:
+        hint: int = 1,
+    ) -> tuple[int, int, bool, int] | None:
         """Check what equal shares buys at a share s0 and bound how far
         the share can grow before that can change.
 
@@ -312,20 +313,27 @@ class MesEngine:
         - after the last purchase, an unbought project's approvers
           reach its cost.
 
-        Returns ``(num, den, peel)``: the first event is at s0 + num /
-        den, or beyond s0 + limit_num / limit_den when that is returned,
-        and ``peel`` tells whether it is a peel event.  Every share in
-        [s0, s0 + num / den) buys what s0 buys; an equality at s0 itself
-        gives 0.  ``by_count`` lists the projects by approver count,
-        descending.  Every value is an exact integer, so no rounding
-        decides a skip.
+        Returns ``(num, den, peel, payers)``: the first event is at s0 +
+        num / den, or beyond s0 + limit_num / limit_den when that is
+        returned, ``peel`` tells whether it is a peel event, and
+        ``payers`` is the product of the purchases' payer counts.  Every
+        share in [s0, s0 + num / den) buys what s0 buys; an equality at
+        s0 itself gives 0.  ``by_count`` lists the projects by approver
+        count, descending.  Every value is an exact integer, so no
+        rounding decides a skip.
+
+        The replay starts in units ``hint`` times smaller.  When ``hint``
+        is the ``payers`` of a replay with the same payer counts, every
+        cap is a whole number of units, and no purchase has to refine the
+        unit (an O(n) rescale); any other hint only costs refinements.
         """
         approvers = self.approvers
         tie_rank = self.tie_rank
-        val = [wallet] * self.n
+        units *= hint
+        val = [wallet * hint] * self.n
         costs = [c * (units // self._cost_den) for c in self._cost_units]
         purchases = []
-        slope_units = 1
+        payers = slope_units = 1
         for b in selected:
             order = sorted(approvers[b], key=val.__getitem__)
             found = payment_cap(val, order, costs[b])
@@ -342,6 +350,7 @@ class MesEngine:
             # the first ``cut`` voters are below the cap and pay their
             # whole wallet, the others pay the cap
             cut = len(order) - left
+            payers *= left
             # the wallets, costs and unit at this purchase
             purchases.append((b, cap, order, cut, list(val), costs, units))
             if cut:
@@ -423,7 +432,7 @@ class MesEngine:
                 den = units * rate
                 if num * best_den < best_num * den:
                     best_num, best_den, peel = num, den, False
-        return best_num, best_den, peel
+        return best_num, best_den, peel, payers
 
     def run(self, share: Fraction, want_ledger: bool = False):
         """Select at per-voter budget ``share``.
@@ -475,6 +484,7 @@ class MesEngine:
         step = epsilon.numerator * budget.denominator
         previous: list[int] = []
         peel = False
+        hint = 1
         r = rounds_run = 0
         while r < max_rounds:
             rounds_run += 1
@@ -485,7 +495,7 @@ class MesEngine:
             if peel:
                 # a peel event changes how the last selection is paid
                 # for, rarely what it buys: check it before running
-                found = self._certificate(previous, wallet, units, limit, den, by_count)
+                found = self._certificate(previous, wallet, units, limit, den, by_count, hint)
             if found is None:
                 self._reset(wallet, units)
                 selected, _, _ = self._select(record=False)
@@ -496,8 +506,8 @@ class MesEngine:
                 if cheapest is None or costs[cheapest] > leftover:
                     return selected, r, r + 1, STATUS_COMPLETE, rounds_run
                 previous = selected
-                found = self._certificate(selected, wallet, units, limit, den, by_count)
+                found = self._certificate(selected, wallet, units, limit, den, by_count, hint)
             # go on at the first round at or past the certificate
-            num, cert_den, peel = found
+            num, cert_den, peel, hint = found
             r += max(1, -(-num * den // (cert_den * step)))
         return previous, max_rounds - 1, max_rounds, STATUS_EXHAUSTED, rounds_run

@@ -307,7 +307,7 @@ def certify(instance, profile, selected=None):
 def round_zero_certificate(instance, profile):
     """s* - s0 of the certificate of round 0 of the equal-shares star
     search, or None when no event lands within a share of 10**6."""
-    num, den, _ = certify(instance, profile)
+    num, den, _, _ = certify(instance, profile)
     return None if num == 10**6 * den else Fraction(num, den)
 
 
