@@ -15,10 +15,10 @@ cross-multiplication.  Candidates are scanned in order of ``num / den``;
 Python's int division is correctly rounded, hence weakly monotone, so a
 strictly larger float key proves a strictly larger factor.
 
-The engine works on integer-indexed arrays prepared by the driver in
-``rules``: project costs, per-project approver lists, per-voter approval
-lists (for dirty tracking) and a tie rank giving the total order used to
-break equal affordability.
+The engine works on the integer-indexed arrays of a ``CompiledElection``
+(see ``pbrules.model``): project costs, per-project approver lists,
+per-voter approval lists (for dirty tracking) and a tie rank giving the
+total order used to break equal affordability.
 
 Laziness invariants the selection loop relies on:
 
@@ -133,12 +133,13 @@ class MesEngine:
         self._cost_units = [
             c.numerator * (self._cost_den // c.denominator) for c in fractions
         ]
-        self.approvers = [list(a) for a in approver_lists]
-        self.tie_rank = list(tie_rank)
-        self.ballots = [list(b) for b in ballot_lists]
+        # the caller's lists, read and never mutated
+        self.approvers = approver_lists
+        self.tie_rank = tie_rank
+        self.ballots = ballot_lists
         # per-project approver order, kept nearly sorted by budget between
         # water-filling passes so re-sorts are cheap
-        self._order = [list(a) for a in self.approvers]
+        self._order = [list(a) for a in approver_lists]
         # per-run money in units of 1/_units
         self._units = 1
         self._budgets: list[int] = []

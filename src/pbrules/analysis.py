@@ -94,7 +94,7 @@ def instance_stats(instance: Instance, profile: Profile) -> InstanceStats:
     asked = Fraction(sum(election.costs), election.cost_den)
     # every ballot's cost summed: each project's cost once per approver
     ballot_cost = Fraction(
-        sum(map(operator.mul, election.costs, election.approvers)), election.cost_den
+        sum(map(operator.mul, election.costs, map(len, election.approvers))), election.cost_den
     )
     return InstanceStats(
         instance_id=instance.instance_id,
@@ -212,13 +212,13 @@ def _instance_comparison(args) -> list[dict]:
         (s for s in specs if s.variant is Variant.GREED_COST),
         RuleSpec(Variant.GREED_COST),
     )
-    baseline = greed_cost(instance, profile, baseline_spec.tiebreak)
+    baseline = greed_cost(instance, profile, baseline_spec.tiebreak, election)
     mes_runs: dict[TieBreak, Allocation] = {}
 
     def mes_run(tiebreak: TieBreak) -> Allocation:
         if tiebreak not in mes_runs:
             spec = RuleSpec(Variant.MES, tiebreak=tiebreak)
-            mes_runs[tiebreak] = run_rule(spec, instance, profile).allocation
+            mes_runs[tiebreak] = run_rule(spec, instance, profile, election).allocation
         return mes_runs[tiebreak]
 
     rows = []
@@ -229,10 +229,10 @@ def _instance_comparison(args) -> list[dict]:
             allocation = mes_run(spec.tiebreak)
         elif spec.variant is Variant.MES_PLUS:
             allocation = complete_with_secondary(
-                mes_run(spec.tiebreak), instance, profile, spec.tiebreak
+                mes_run(spec.tiebreak), instance, profile, spec.tiebreak, election
             )
         else:
-            allocation = run_rule(spec, instance, profile).allocation
+            allocation = run_rule(spec, instance, profile, election).allocation
         rows.append(
             metric_row(instance, profile, spec.variant.value, allocation, baseline, election)
         )
@@ -484,9 +484,9 @@ def _effect_worker(args) -> InstanceEffectReport | None:
     """The effect report of one instance, or None when its effect score
     is undefined (see :func:`pbrules.metrics.effect_score`)."""
     (instance, profile), mes_spec, tiebreak = args
-    greed_allocation = greed_cost(instance, profile, tiebreak)
-    mes_allocation = run_rule(mes_spec, instance, profile).allocation
     election = compile_election(instance, profile)
+    greed_allocation = greed_cost(instance, profile, tiebreak, election)
+    mes_allocation = run_rule(mes_spec, instance, profile, election).allocation
     greed_report = category_proportionality(profile, instance, greed_allocation, election)
     mes_report = category_proportionality(profile, instance, mes_allocation, election)
     if greed_report is None or mes_report is None:

@@ -1,9 +1,11 @@
 """Outcome metrics: overlap, satisfaction, inequality, category shares.
 
-Per-voter metrics are computed in integers over a
-:class:`CompiledElection`, built once per instance: costs are ints over
-their common denominator, so a voter's funded cost is an int, and the
-Gini coefficient, being scale-invariant, needs no per-voter fraction.
+Per-voter metrics and category shares are computed in integers over
+the :class:`~pbrules.model.CompiledElection` of the instance, the one
+the rules read too (``compile_election`` and ``CompiledElection`` are
+re-exported here): costs are ints over their common denominator, so a
+voter's funded cost is an int, and the Gini coefficient, being
+scale-invariant, needs no per-voter fraction.
 Results stay exact: each reported number is one
 :class:`fractions.Fraction`, built at the end.  Only the proportionality
 index, an exponential of a root mean square, is a float.  Functions
@@ -15,102 +17,21 @@ from __future__ import annotations
 
 import math
 import statistics
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
 from operator import mul
 from typing import AbstractSet, Sequence
 
-from .model import Allocation, Instance, Money, Profile, total_cost
-
-
-def _selected(allocation: Allocation | AbstractSet[str]) -> frozenset[str]:
-    if isinstance(allocation, Allocation):
-        return allocation.selected
-    return frozenset(allocation)
-
-
-@dataclass(frozen=True, eq=False)
-class CompiledElection:
-    """An instance and its profile in integers, shared by every metric.
-
-    Project ``j`` is ``ids[j]`` (instance order) and costs
-    ``costs[j] / cost_den``, ``cost_den`` being the lcm of the cost
-    denominators.  ``ballots[i]`` lists voter ``i``'s approved project
-    indices, ``approvers[j]`` counts project ``j``'s approvers, and
-    ``members[label]`` lists the projects of each category label of the
-    instance, in ``labels`` order.  Build it with :func:`compile_election`.
-    """
-
-    ids: tuple[str, ...]
-    cost_den: int
-    costs: tuple[int, ...]
-    ballots: tuple[list[int], ...]
-    approvers: tuple[int, ...]
-    labels: tuple[str, ...]
-    members: dict[str, tuple[int, ...]]
-
-    @cached_property
-    def demand(self) -> tuple[dict[str, Fraction], int]:
-        """Every label's demand share (:func:`voter_category_share`) and
-        the number of ballots with zero total cost, computed on first use."""
-        return _demand_shares(self, self.labels)
-
-    def funded(self, allocation: Allocation | AbstractSet[str]) -> list[int]:
-        """Per project, its int cost when ``allocation`` funds it, else 0."""
-        chosen = _selected(allocation)
-        return [cost if pid in chosen else 0 for pid, cost in zip(self.ids, self.costs)]
-
-    def per_voter(self, weights: Sequence[int]) -> list[int]:
-        """Per voter, the sum of the project ``weights`` over their
-        ballot; ballot order."""
-        weight = weights.__getitem__
-        return [sum(map(weight, ballot)) for ballot in self.ballots]
-
-    def voter_funding(self, allocation: Allocation | AbstractSet[str]) -> list[int]:
-        """Per voter, the funded cost of their approved projects as an int
-        over ``cost_den``; ballot order."""
-        return self.per_voter(self.funded(allocation))
-
-    def effort_weights(self, funded: Sequence[int]) -> tuple[list[int], int]:
-        """Each funded project's cost split equally over its approvers, as
-        ints over ``cost_den * scale``, and that ``scale``: the lcm of the
-        funded projects' approver counts.  Projects nobody approves, and
-        unfunded ones, weigh 0."""
-        scale = math.lcm(*(k for cost, k in zip(funded, self.approvers) if cost and k))
-        weights = [
-            cost * (scale // k) if cost and k else 0
-            for cost, k in zip(funded, self.approvers)
-        ]
-        return weights, scale
-
-
-def compile_election(instance: Instance, profile: Profile) -> CompiledElection:
-    """The :class:`CompiledElection` of ``instance`` and ``profile``;
-    KeyError when a ballot approves a project the instance lacks."""
-    ids = tuple(p.id for p in instance.projects)
-    index = {pid: j for j, pid in enumerate(ids)}
-    cost_den = math.lcm(*(p.cost.denominator for p in instance.projects))
-    # lists, not tuples: the interpreter keeps freed small tuples for reuse
-    ballots = tuple(list(map(index.__getitem__, b.approved)) for b in profile.ballots)
-    counts = Counter(chain.from_iterable(ballots))
-    labels = instance.category_labels
-    return CompiledElection(
-        ids=ids,
-        cost_den=cost_den,
-        costs=tuple(
-            p.cost.numerator * (cost_den // p.cost.denominator) for p in instance.projects
-        ),
-        ballots=ballots,
-        approvers=tuple(counts[j] for j in range(len(ids))),
-        labels=labels,
-        members={
-            label: tuple(j for j, p in enumerate(instance.projects) if label in p.categories)
-            for label in labels
-        },
-    )
+from .model import (
+    Allocation,
+    CompiledElection,
+    Instance,
+    Money,
+    Profile,
+    _selected,
+    compile_election,
+    total_cost,
+)
 
 
 def similarity(
@@ -192,65 +113,8 @@ def voter_category_share(profile: Profile, instance: Instance, label: str) -> Fr
     """Demand share of a category: the average, over voters whose ballot
     has positive total cost, of the cost fraction of their ballot that
     lies in the category."""
-    shares, _ = _demand_shares(compile_election(instance, profile), (label,))
-    return shares[label]
-
-
-def _demand_shares(
-    election: CompiledElection, labels: Sequence[str]
-) -> tuple[dict[str, Fraction], int]:
-    """:func:`voter_category_share` of every label in one pass over the
-    ballots, and the number of ballots with zero total cost.
-
-    Each ballot's cost is summed once in ints; the per-label sums are
-    grouped by ballot cost, and each share becomes a Fraction only at the
-    end.
-    """
-    costs = election.costs
-    in_labels: list[list[int]] = [[] for _ in costs]
-    for i, label in enumerate(labels):
-        for j in election.members.get(label, ()):
-            in_labels[j].append(i)
-    # ballot cost -> per-label summed cost inside the label
-    by_cost: dict[int, list[int]] = {}
-    excluded = 0
-    for ballot in election.ballots:
-        ballot_cost = sum(map(costs.__getitem__, ballot))
-        if ballot_cost == 0:
-            excluded += 1
-            continue
-        sums = by_cost.setdefault(ballot_cost, [0] * len(labels))
-        for j in ballot:
-            for i in in_labels[j]:
-                sums[i] += costs[j]
-    counted = len(election.ballots) - excluded
-    if not counted:
-        return {label: Fraction(0) for label in labels}, excluded
-    common, numerators = _sum_fractions(list(by_cost.items()))
-    shares = {
-        label: Fraction(numerator, common * counted)
-        for label, numerator in zip(labels, numerators)
-    }
-    return shares, excluded
-
-
-def _sum_fractions(terms: list[tuple[int, list[int]]]) -> tuple[int, list[int]]:
-    """Sum of the vectors ``nums / den`` over ``terms`` of ``(den, nums)``,
-    as one common denominator and a vector of numerators.
-
-    Pairs are merged in a balanced tree over the lcm of their
-    denominators, so the big integers only grow near the root.
-    """
-    while len(terms) > 1:
-        merged = []
-        for (d1, n1), (d2, n2) in zip(terms[::2], terms[1::2]):
-            g = math.gcd(d1, d2)
-            w1, w2 = d2 // g, d1 // g
-            merged.append((d1 * w1, [a * w1 + b * w2 for a, b in zip(n1, n2)]))
-        if len(terms) % 2:
-            merged.append(terms[-1])
-        terms = merged
-    return terms[0]
+    shares, _ = compile_election(instance, profile).demand
+    return shares.get(label, Fraction(0))
 
 
 def rule_category_share(
@@ -304,12 +168,13 @@ def category_proportionality(
         return None
     election = election or compile_election(instance, profile)
     voter_shares, excluded = election.demand
+    funded = election.funded(chosen)
+    supply = sum(funded)
     entries = []
     gap_squares = 0.0
     for label in labels:
         voter_share = voter_shares[label]
-        rule_share = rule_category_share(chosen, instance, label)
-        assert rule_share is not None
+        rule_share = Fraction(sum(map(funded.__getitem__, election.members[label])), supply)
         entries.append(CategoryScores(label, voter_share, rule_share))
         gap_squares += float(voter_share - rule_share) ** 2
     rms = math.sqrt(gap_squares / len(labels))

@@ -6,16 +6,18 @@ floats implicitly.  Use :func:`money` or :func:`parse_money` at boundaries
 so validation happens in one place.
 
 All model objects are immutable after construction and safe to share
-across threads or processes.
+across threads or processes.  Every layer reads :func:`compile_election`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
 
 Money = Fraction
 
@@ -276,6 +278,192 @@ def is_complete(allocation: Allocation, instance: Instance) -> bool:
         project.cost > leftover
         for project in instance.projects
         if project.id not in allocation.selected
+    )
+
+
+_TIE_TOKENS = ("cost", "-cost", "id")
+
+
+@dataclass(frozen=True)
+class TieBreak:
+    """Deterministic tie ordering over projects.
+
+    ``criteria`` is applied left to right; tokens: "cost" (cheaper
+    first), "-cost" (dearer first), "id" (lexicographic).  An "id" token
+    is appended automatically when absent so the order is always total.
+    """
+
+    criteria: tuple[str, ...] = ("cost", "id")
+
+    def __post_init__(self) -> None:
+        criteria = tuple(self.criteria)
+        for token in criteria:
+            if token not in _TIE_TOKENS:
+                raise ValueError(f"unknown tie-break token {token!r} (use {_TIE_TOKENS})")
+        if "id" not in criteria:
+            criteria = criteria + ("id",)
+        object.__setattr__(self, "criteria", criteria)
+
+    def rank(self, instance: Instance) -> dict[str, int]:
+        """Project id -> position in the tie order (0 wins ties)."""
+        ids = [p.id for p in instance.projects]
+        return dict(zip(ids, self.positions(ids, [p.cost for p in instance.projects])))
+
+    def positions(self, ids: Sequence[str], costs: Sequence) -> list[int]:
+        """Each project's tie order position, by index; any positive cost scale."""
+        columns = [
+            costs if token == "cost" else [-c for c in costs] if token == "-cost" else ids
+            for token in self.criteria
+        ]
+        order = sorted(range(len(ids)), key=lambda j: [column[j] for column in columns])
+        return sorted(range(len(ids)), key=order.__getitem__)  # inverse of ``order``
+
+
+def _selected(allocation: Allocation | AbstractSet[str]) -> frozenset[str]:
+    if isinstance(allocation, Allocation):
+        return allocation.selected
+    return frozenset(allocation)
+
+
+@dataclass(frozen=True, eq=False)
+class CompiledElection:
+    """An instance and its profile in integers, shared by every layer.
+
+    Project ``j`` is ``ids[j]`` (instance order) and costs
+    ``costs[j] / cost_den``, ``cost_den`` being the lcm of the cost
+    denominators.  ``ballots[i]`` lists voter ``i``'s approved project
+    indices, ``approvers[j]`` lists project ``j``'s approvers in
+    ascending voter order, and ``members[label]`` lists the projects of
+    each category label of the instance, in ``labels`` order.  It holds
+    no budget limit, and nothing reading it may mutate it.  Build it
+    with :func:`compile_election`.
+    """
+
+    ids: tuple[str, ...]
+    cost_den: int
+    costs: tuple[int, ...]
+    ballots: tuple[list[int], ...]
+    approvers: tuple[list[int], ...]
+    labels: tuple[str, ...]
+    members: dict[str, tuple[int, ...]]
+
+    def tie_rank(self, tiebreak: TieBreak) -> list[int]:
+        """Each project's position in ``tiebreak``'s order, by index."""
+        return tiebreak.positions(self.ids, self.costs)
+
+    def funded(self, allocation: Allocation | AbstractSet[str]) -> list[int]:
+        """Per project, its int cost when ``allocation`` funds it, else 0."""
+        chosen = _selected(allocation)
+        return [cost if pid in chosen else 0 for pid, cost in zip(self.ids, self.costs)]
+
+    def per_voter(self, weights: Sequence[int]) -> list[int]:
+        """Per voter, the sum of the project ``weights`` over their
+        ballot; ballot order."""
+        weight = weights.__getitem__
+        return [sum(map(weight, ballot)) for ballot in self.ballots]
+
+    def voter_funding(self, allocation: Allocation | AbstractSet[str]) -> list[int]:
+        """Per voter, the funded cost of their approved projects as an int
+        over ``cost_den``; ballot order."""
+        return self.per_voter(self.funded(allocation))
+
+    def effort_weights(self, funded: Sequence[int]) -> tuple[list[int], int]:
+        """Each funded project's cost split equally over its approvers, as
+        ints over ``cost_den * scale``, and that ``scale``: the lcm of the
+        funded projects' approver counts.  Projects nobody approves, and
+        unfunded ones, weigh 0."""
+        scale = math.lcm(*(len(a) for cost, a in zip(funded, self.approvers) if cost and a))
+        weights = [
+            cost * (scale // len(a)) if cost and a else 0
+            for cost, a in zip(funded, self.approvers)
+        ]
+        return weights, scale
+
+    @cached_property
+    def demand(self) -> tuple[dict[str, Fraction], int]:
+        """Every label's demand share
+        (:func:`pbrules.metrics.voter_category_share`) and the number of
+        ballots with zero total cost, computed on first use.
+
+        Each ballot's cost is summed once in ints; the per-label sums are
+        grouped by ballot cost, and each share becomes a Fraction only at
+        the end.
+        """
+        costs = self.costs
+        in_labels: list[list[int]] = [[] for _ in costs]
+        for i, label in enumerate(self.labels):
+            for j in self.members[label]:
+                in_labels[j].append(i)
+        # ballot cost -> per-label summed cost inside the label
+        by_cost: dict[int, list[int]] = {}
+        excluded = 0
+        for ballot in self.ballots:
+            ballot_cost = sum(map(costs.__getitem__, ballot))
+            if ballot_cost == 0:
+                excluded += 1
+                continue
+            sums = by_cost.setdefault(ballot_cost, [0] * len(self.labels))
+            for j in ballot:
+                for i in in_labels[j]:
+                    sums[i] += costs[j]
+        counted = len(self.ballots) - excluded
+        if not counted:
+            return {label: Fraction(0) for label in self.labels}, excluded
+        common, numerators = _sum_fractions(list(by_cost.items()))
+        shares = {
+            label: Fraction(numerator, common * counted)
+            for label, numerator in zip(self.labels, numerators)
+        }
+        return shares, excluded
+
+
+def _sum_fractions(terms: list[tuple[int, list[int]]]) -> tuple[int, list[int]]:
+    """Sum of the vectors ``nums / den`` over ``terms`` of ``(den, nums)``,
+    as one common denominator and a vector of numerators.
+
+    Pairs are merged in a balanced tree over the lcm of their
+    denominators, so the big integers only grow near the root.
+    """
+    while len(terms) > 1:
+        merged = []
+        for (d1, n1), (d2, n2) in zip(terms[::2], terms[1::2]):
+            g = math.gcd(d1, d2)
+            w1, w2 = d2 // g, d1 // g
+            merged.append((d1 * w1, [a * w1 + b * w2 for a, b in zip(n1, n2)]))
+        if len(terms) % 2:
+            merged.append(terms[-1])
+        terms = merged
+    return terms[0]
+
+
+def compile_election(instance: Instance, profile: Profile) -> CompiledElection:
+    """The :class:`CompiledElection` of ``instance`` and ``profile``;
+    KeyError (see :meth:`Profile.validate_against`) when a ballot
+    approves a project the instance lacks."""
+    ids = tuple(p.id for p in instance.projects)
+    index = {pid: j for j, pid in enumerate(ids)}
+    cost_den = math.lcm(*(p.cost.denominator for p in instance.projects))
+    profile.validate_against(instance)
+    # exact-size lists: freed small tuples are kept for reuse, lists from maps over-allocate
+    ballots = tuple(list(tuple(map(index.__getitem__, b.approved))) for b in profile.ballots)
+    approvers: tuple[list[int], ...] = tuple([] for _ in ids)
+    for voter, ballot in enumerate(ballots):
+        for j in ballot:
+            approvers[j].append(voter)
+    labels = instance.category_labels
+    return CompiledElection(
+        ids=ids,
+        cost_den=cost_den,
+        costs=tuple(
+            p.cost.numerator * (cost_den // p.cost.denominator) for p in instance.projects
+        ),
+        ballots=ballots,
+        approvers=approvers,
+        labels=labels,
+        members={
+            label: tuple(j for j, p in enumerate(instance.projects) if label in p.categories)
+            for label in labels
+        },
     )
 
 

@@ -5,12 +5,14 @@ All rules are deterministic: ties are resolved by an explicit
 :class:`TieBreak` (default: lower cost first, then lexicographically
 smaller project id) so reruns agree bit for bit.
 
-The equal-shares selection itself runs on the exact engine of
-``_mes_pure``; this module owns the model-to-array translation, the
-completion logic and the ledger bookkeeping.  Greedy cost welfare and
-the greedy top-up of the ``mes+`` and ``mes*+`` completions share one
-greedy walk: the top-up resumes it from the equal-shares selection with
-the money left over.
+Each public rule takes the :class:`~pbrules.model.CompiledElection` of
+its instance and profile as an optional last argument and compiles it
+when not given, with the same result.  The equal-shares selection runs
+on the exact engine of ``_mes_pure``, built on the compiled arrays; this
+module owns the completion logic and the ledger bookkeeping.  Greedy
+cost welfare and the greedy top-up of the ``mes+`` and ``mes*+``
+completions share one greedy walk: the top-up resumes it from the
+equal-shares selection with the money left over.
 """
 
 from __future__ import annotations
@@ -35,9 +37,12 @@ from ._mes_pure import (
 )
 from .model import (
     Allocation,
+    CompiledElection,
     Instance,
     Money,
     Profile,
+    TieBreak,
+    compile_election,
     format_money,
     id_sort_key,
     is_complete,
@@ -47,47 +52,6 @@ from .model import (
 # perfbench patches _backend.MesEngine and reads SELECTION_BACKEND: keep both
 _backend = _mes_pure
 SELECTION_BACKEND = "pure"
-
-_TIE_TOKENS = ("cost", "-cost", "id")
-
-
-@dataclass(frozen=True)
-class TieBreak:
-    """Deterministic tie ordering over projects.
-
-    ``criteria`` is applied left to right; tokens: "cost" (cheaper
-    first), "-cost" (dearer first), "id" (lexicographic).  An "id" token
-    is appended automatically when absent so the order is always total.
-    """
-
-    criteria: tuple[str, ...] = ("cost", "id")
-
-    def __post_init__(self) -> None:
-        criteria = tuple(self.criteria)
-        for token in criteria:
-            if token not in _TIE_TOKENS:
-                raise ValueError(f"unknown tie-break token {token!r} (use {_TIE_TOKENS})")
-        if "id" not in criteria:
-            criteria = criteria + ("id",)
-        object.__setattr__(self, "criteria", criteria)
-
-    def rank(self, instance: Instance) -> dict[str, int]:
-        """Project id -> position in the tie order (0 wins ties)."""
-
-        def key(project):
-            parts: list = []
-            for token in self.criteria:
-                if token == "cost":
-                    parts.append(project.cost)
-                elif token == "-cost":
-                    parts.append(-project.cost)
-                else:
-                    parts.append(project.id)
-            return tuple(parts)
-
-        ordered = sorted(instance.projects, key=key)
-        return {project.id: position for position, project in enumerate(ordered)}
-
 
 class Variant(enum.Enum):
     GREED_COST = "greedcost"
@@ -240,20 +204,18 @@ class RuleResult:
 def _greedy_walk(
     instance: Instance,
     profile: Profile,
-    tiebreak: TieBreak,
+    tiebreak: TieBreak | None,
+    election: CompiledElection | None,
     funded: frozenset[str],
     remaining: Money,
 ) -> Allocation:
     """Walk the projects by (-approval score, tie rank), skip those in
     ``funded`` and fund each other one that fits in ``remaining``."""
-    score: dict[str, int] = {p.id: 0 for p in instance.projects}
-    for ballot in profile.ballots:
-        for pid in ballot.approved:
-            score[pid] += 1
-    rank = tiebreak.rank(instance)
-    order = sorted(instance.projects, key=lambda p: (-score[p.id], rank[p.id]))
+    election = election or compile_election(instance, profile)
+    rank = election.tie_rank(tiebreak or TieBreak())
     selected = list(funded)
-    for project in order:
+    for j in sorted(range(len(rank)), key=lambda j: (-len(election.approvers[j]), rank[j])):
+        project = instance.projects[j]
         if project.id not in funded and project.cost <= remaining:
             selected.append(project.id)
             remaining -= project.cost
@@ -261,14 +223,14 @@ def _greedy_walk(
 
 
 def greed_cost(
-    instance: Instance, profile: Profile, tiebreak: TieBreak | None = None
+    instance: Instance,
+    profile: Profile,
+    tiebreak: TieBreak | None = None,
+    election: CompiledElection | None = None,
 ) -> Allocation:
     """Greedy cost welfare: walk projects by approval score (descending)
     and fund each one that still fits.  Complete by construction."""
-    profile.validate_against(instance)
-    return _greedy_walk(
-        instance, profile, tiebreak or TieBreak(), frozenset(), instance.budget_limit
-    )
+    return _greedy_walk(instance, profile, tiebreak, election, frozenset(), instance.budget_limit)
 
 
 def mes_affordability(
@@ -299,54 +261,38 @@ def mes_affordability(
     return cap / cost, contributions
 
 
-def _mes_arrays(instance: Instance, profile: Profile, tiebreak: TieBreak):
-    pid_index = {p.id: i for i, p in enumerate(instance.projects)}
+def _make_engine(instance: Instance, election: CompiledElection, tiebreak: TieBreak):
     costs = [p.cost for p in instance.projects]
-    approver_lists: list[list[int]] = [[] for _ in instance.projects]
-    ballot_lists: list[list[int]] = []
-    for voter, ballot in enumerate(profile.ballots):
-        indices = sorted(pid_index[pid] for pid in ballot.approved)
-        ballot_lists.append(indices)
-        for j in indices:
-            approver_lists[j].append(voter)
-    rank_map = tiebreak.rank(instance)
-    tie_rank = [rank_map[p.id] for p in instance.projects]
-    return costs, approver_lists, tie_rank, ballot_lists
-
-
-def _make_engine(instance: Instance, profile: Profile, tiebreak: TieBreak):
-    costs, approver_lists, tie_rank, ballot_lists = _mes_arrays(instance, profile, tiebreak)
+    tie_rank = election.tie_rank(tiebreak)
     return _backend.MesEngine(
-        profile.voter_count, costs, approver_lists, tie_rank, ballot_lists
+        len(election.ballots), costs, election.approvers, tie_rank, election.ballots
     )
 
 
-def _ledger_from_run(
-    instance: Instance,
-    profile: Profile,
-    run_budget: Money,
-    selected: list[int],
-    factors,
-    payments,
-    final_budgets,
-) -> MesLedger:
-    pids = [p.id for p in instance.projects]
-    vids = [b.voter_id for b in profile.ballots]
-    return MesLedger(
+def _ledger_run(engine, election: CompiledElection, profile: Profile, run_budget: Money):
+    """Run ``engine`` at an equal split of ``run_budget``; its selection and ledger."""
+    share = Fraction(run_budget, profile.voter_count)
+    selected, factors, payments, final_budgets = engine.run(share, want_ledger=True)
+    pids = election.ids
+    ballots = profile.ballots
+    return selected, MesLedger(
         run_budget=run_budget,
-        initial_share=Fraction(run_budget, profile.voter_count),
+        initial_share=share,
         selection_order=tuple(pids[p] for p in selected),
         affordabilities={pids[p]: f for p, f in zip(selected, factors)},
         payments={
-            pids[p]: {vids[v]: amount for v, amount in pays}
+            pids[p]: {ballots[v].voter_id: amount for v, amount in pays}
             for p, pays in zip(selected, payments)
         },
-        budgets={vids[i]: b for i, b in enumerate(final_budgets)},
+        budgets={b.voter_id: w for b, w in zip(ballots, final_budgets)},
     )
 
 
 def mes(
-    instance: Instance, profile: Profile, tiebreak: TieBreak | None = None
+    instance: Instance,
+    profile: Profile,
+    tiebreak: TieBreak | None = None,
+    election: CompiledElection | None = None,
 ) -> tuple[Allocation, MesLedger]:
     """Method of Equal Shares at the instance's own budget limit.
 
@@ -355,16 +301,10 @@ def mes(
     of cost), cheapest first, deducting real payments from wallets.  Not
     complete in general; see the completions below.
     """
-    tiebreak = tiebreak or TieBreak()
-    profile.validate_against(instance)
-    engine = _make_engine(instance, profile, tiebreak)
-    share = Fraction(instance.budget_limit, profile.voter_count)
-    selected, factors, payments, final_budgets = engine.run(share, want_ledger=True)
-    ledger = _ledger_from_run(
-        instance, profile, instance.budget_limit, selected, factors, payments, final_budgets
-    )
-    allocation = Allocation.of(ledger.selection_order, instance)
-    return allocation, ledger
+    election = election or compile_election(instance, profile)
+    engine = _make_engine(instance, election, tiebreak or TieBreak())
+    _, ledger = _ledger_run(engine, election, profile, instance.budget_limit)
+    return Allocation.of(ledger.selection_order, instance), ledger
 
 
 def complete_with_secondary(
@@ -372,6 +312,7 @@ def complete_with_secondary(
     instance: Instance,
     profile: Profile,
     tiebreak: TieBreak | None = None,
+    election: CompiledElection | None = None,
 ) -> Allocation:
     """Top up ``base`` with the greedy rule on the leftover budget.
 
@@ -385,7 +326,7 @@ def complete_with_secondary(
     if is_complete(base, instance):
         return base
     leftover = instance.budget_limit - base.total_cost
-    return _greedy_walk(instance, profile, tiebreak or TieBreak(), base.selected, leftover)
+    return _greedy_walk(instance, profile, tiebreak, election, base.selected, leftover)
 
 
 def _mes_star(
@@ -394,23 +335,19 @@ def _mes_star(
     epsilon: Money,
     max_iterations: int,
     tiebreak: TieBreak,
+    election: CompiledElection,
 ) -> StarResult:
-    engine = _make_engine(instance, profile, tiebreak)
+    engine = _make_engine(instance, election, tiebreak)
     budget = instance.budget_limit
     selected, chosen_round, examined, status, rounds_run = engine.run_star(
         budget, epsilon, max_iterations
     )
     budget_used = budget + chosen_round * epsilon
-    share = Fraction(budget_used, profile.voter_count)
-    replay, factors, payments, final_budgets = engine.run(share, want_ledger=True)
+    replay, ledger = _ledger_run(engine, election, profile, budget_used)
     if replay != selected:
         raise AssertionError("star replay diverged from the search run")
-    ledger = _ledger_from_run(
-        instance, profile, budget_used, replay, factors, payments, final_budgets
-    )
-    allocation = Allocation.of(ledger.selection_order, instance)
     return StarResult(
-        allocation=allocation,
+        allocation=Allocation.of(ledger.selection_order, instance),
         status=status,
         chosen_round=chosen_round,
         rounds_examined=examined,
@@ -428,6 +365,7 @@ def complete_star(
     epsilon: Money | None = None,
     max_iterations: int = 10_000,
     tiebreak: TieBreak | None = None,
+    election: CompiledElection | None = None,
 ) -> StarResult:
     """Complete a rule by rerunning it at limit, limit + eps, limit + 2*eps,
     ... and returning the first round whose outcome is complete and still
@@ -450,12 +388,12 @@ def complete_star(
         raise ValueError("epsilon must be positive")
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    profile.validate_against(instance)
+    election = election or compile_election(instance, profile)
 
     if rule is mes or rule == "mes" or rule is Variant.MES:
-        return _mes_star(instance, profile, epsilon, max_iterations, tiebreak)
+        return _mes_star(instance, profile, epsilon, max_iterations, tiebreak, election)
     if rule == "greedcost" or rule is Variant.GREED_COST:
-        rule_fn = lambda inst, prof: greed_cost(inst, prof, tiebreak)
+        rule_fn = lambda inst, prof: greed_cost(inst, prof, tiebreak, election)
     elif callable(rule):
         rule_fn = rule
     else:
@@ -507,20 +445,27 @@ def complete_star(
     )
 
 
-def run_rule(spec: RuleSpec, instance: Instance, profile: Profile) -> RuleResult:
+def run_rule(
+    spec: RuleSpec,
+    instance: Instance,
+    profile: Profile,
+    election: CompiledElection | None = None,
+) -> RuleResult:
     """Dispatch a :class:`RuleSpec` and return the final allocation with
-    the run's evidence (ledger, star metadata) attached."""
+    the run's evidence (ledger, star metadata) attached.  Without
+    ``election``, it compiles one for the run and its top-up."""
     tiebreak = spec.tiebreak
     name = spec.variant.value
+    election = election or compile_election(instance, profile)
     if spec.variant is Variant.GREED_COST:
-        return RuleResult(name, greed_cost(instance, profile, tiebreak))
+        return RuleResult(name, greed_cost(instance, profile, tiebreak, election))
     if spec.variant is Variant.MES:
-        allocation, ledger = mes(instance, profile, tiebreak)
+        allocation, ledger = mes(instance, profile, tiebreak, election)
         return RuleResult(name, allocation, ledger=ledger)
 
     if spec.variant is Variant.MES_PLUS:
-        allocation, ledger = mes(instance, profile, tiebreak)
-        completed = complete_with_secondary(allocation, instance, profile, tiebreak)
+        allocation, ledger = mes(instance, profile, tiebreak, election)
+        completed = complete_with_secondary(allocation, instance, profile, tiebreak, election)
         return RuleResult(name, completed, ledger=ledger)
     if spec.variant is Variant.MES_STAR_PLUS:
         star = complete_star(
@@ -530,8 +475,9 @@ def run_rule(spec: RuleSpec, instance: Instance, profile: Profile) -> RuleResult
             epsilon=spec.epsilon,
             max_iterations=spec.max_iterations,
             tiebreak=tiebreak,
+            election=election,
         )
-        completed = complete_with_secondary(star.allocation, instance, profile, tiebreak)
+        completed = complete_with_secondary(star.allocation, instance, profile, tiebreak, election)
         return RuleResult(name, completed, ledger=star.ledger, star=star)
     raise ValueError(f"unhandled variant {spec.variant!r}")
 

@@ -53,7 +53,6 @@ from pbrules.rules import (
     RuleSpec,
     TieBreak,
     Variant,
-    _mes_arrays,
     complete_star,
     complete_with_secondary,
     emit_trace,
@@ -150,14 +149,22 @@ def odd_money_instance(rng, n, thirds):
     return instance, Profile(ballots=tuple(ballots))
 
 
+def pure_engine(instance, profile):
+    """The pure engine on the compiled arrays of ``instance`` and
+    ``profile``, with the default tie order."""
+    election = compile_election(instance, profile)
+    return _mes_pure.MesEngine(
+        profile.voter_count,
+        [p.cost for p in instance.projects],
+        election.approvers,
+        election.tie_rank(TieBreak()),
+        election.ballots,
+    )
+
+
 def pure_engine_ledger(instance, profile):
     """The pure engine's ledger run, keyed by ids like the oracle's."""
-    costs, approver_lists, tie_rank, ballot_lists = _mes_arrays(
-        instance, profile, TieBreak()
-    )
-    engine = _mes_pure.MesEngine(
-        profile.voter_count, costs, approver_lists, tie_rank, ballot_lists
-    )
+    engine = pure_engine(instance, profile)
     share = Fraction(instance.budget_limit, profile.voter_count)
     selected, factors, payments, wallets = engine.run(share, want_ledger=True)
     pids = [p.id for p in instance.projects]
@@ -292,9 +299,7 @@ def certify(instance, profile, selected=None):
     """The star search's certificate for buying ``selected`` (project
     indices; by default what the engine buys) at the instance's own
     limit, looking at most a share of 10**6 ahead."""
-    engine = _mes_pure.MesEngine(
-        profile.voter_count, *_mes_arrays(instance, profile, TieBreak())
-    )
+    engine = pure_engine(instance, profile)
     share = Fraction(instance.budget_limit, profile.voter_count)
     wallet, units = _mes_pure._share_units(share.numerator, share.denominator, engine._cost_den)
     if selected is None:
@@ -712,20 +717,23 @@ class TestMetricsOracle:
         )
 
     @settings(max_examples=200)
-    @given(**METRIC_CASES, star=st.booleans())
+    @given(**METRIC_CASES, star=st.booleans(), precompiled=st.booleans())
     def test_effect_reports_match_definition(
-        self, seed, single_voter, approval_rate, with_categories, orphan, star
+        self, seed, single_voter, approval_rate, with_categories, orphan, star, precompiled
     ):
         rng = random.Random(seed)
         instance, profile = metric_case(rng, single_voter, approval_rate, with_categories, orphan)
         spec = RuleSpec(Variant.MES_STAR_PLUS if star else Variant.MES_PLUS, max_iterations=40)
         tiebreak = TieBreak()
         report = _effect_worker(((instance, profile), spec, tiebreak))
+        election = compile_election(instance, profile) if precompiled else None
+        result = run_rule(spec, instance, profile, election)
+        assert result == run_rule(spec, instance, profile)
         expected = oracle.effect_report(
             instance,
             profile,
-            greed_cost(instance, profile, tiebreak).selected,
-            run_rule(spec, instance, profile).allocation.selected,
+            greed_cost(instance, profile, tiebreak, election).selected,
+            result.allocation.selected,
         )
         if expected is None:
             assert report is None

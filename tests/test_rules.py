@@ -1,5 +1,6 @@
 """Selection rules: hand-worked cases, tie-breaking, completions, traces."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -11,9 +12,11 @@ from pbrules import rules
 from pbrules.model import (
     Allocation,
     ApprovalBallot,
+    CompiledElection,
     Instance,
     Profile,
     Project,
+    compile_election,
     is_complete,
     total_cost,
 )
@@ -381,6 +384,40 @@ class TestRunRule:
         assert payload["star"]["status"] == "complete"
         assert payload["star"]["budget_used"] == "14"
         json.dumps(payload)
+
+    def test_unknown_project_is_reported_as_validation_does(self):
+        instance, profile = XY
+        stray = ApprovalBallot("v3", frozenset({"x", "zz", "yy"}))
+        ballots = profile.ballots
+        bad = Profile((ballots[0], stray, ballots[1]))
+        with pytest.raises(KeyError) as expected:
+            bad.validate_against(instance)
+        assert "'yy'" in str(expected.value)
+        calls = [
+            lambda: compile_election(instance, bad),
+            lambda: greed_cost(instance, bad),
+            lambda: mes(instance, bad),
+            lambda: complete_star(mes, instance, bad),
+        ]
+        calls += [
+            lambda name=name: run_rule(RuleSpec.from_name(name), instance, bad)
+            for name in RULE_NAMES
+        ]
+        for call in calls:
+            with pytest.raises(KeyError) as raised:
+                call()
+            assert raised.value.args == expected.value.args
+
+    def test_shared_election_is_not_mutated(self):
+        rng = random.Random(18)
+        for _ in range(20):
+            instance, profile = helpers.random_instance(rng, max_voters=30, max_projects=8)
+            election = compile_election(instance, profile)
+            for name in ("mes", "mes+", "mes*+"):
+                run_rule(RuleSpec.from_name(name, max_iterations=60), instance, profile, election)
+            fresh = compile_election(instance, profile)
+            for field in dataclasses.fields(CompiledElection):
+                assert getattr(election, field.name) == getattr(fresh, field.name), field.name
 
     def test_ledger_json_round_trip(self):
         instance, profile = XY
