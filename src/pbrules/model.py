@@ -443,9 +443,12 @@ def compile_election(instance: Instance, profile: Profile) -> CompiledElection:
     ids = tuple(p.id for p in instance.projects)
     index = {pid: j for j, pid in enumerate(ids)}
     cost_den = math.lcm(*(p.cost.denominator for p in instance.projects))
-    profile.validate_against(instance)
-    # exact-size lists: freed small tuples are kept for reuse, lists from maps over-allocate
-    ballots = tuple(list(tuple(map(index.__getitem__, b.approved))) for b in profile.ballots)
+    try:
+        # exact-size lists: freed small tuples are kept for reuse, lists from maps over-allocate
+        ballots = tuple(list(tuple(map(index.__getitem__, b.approved))) for b in profile.ballots)
+    except KeyError:
+        profile.validate_against(instance)  # raises the message of the first bad ballot
+        raise
     approvers: tuple[list[int], ...] = tuple([] for _ in ids)
     for voter, ballot in enumerate(ballots):
         for j in ballot:

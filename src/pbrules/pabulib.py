@@ -53,13 +53,14 @@ class PabulibParseError(ValueError):
 @dataclass
 class PabulibDocument:
     """The raw sectioned content of one file, before model validation.
-    Rows are ``(line_number, column -> value)`` pairs."""
+    Rows are ``(line_number, fields)`` pairs, the fields in column order
+    and padded with empty strings to the header's width."""
 
     meta: dict[str, str]
     project_columns: list[str]
-    project_rows: list[tuple[int, dict[str, str]]]
+    project_rows: list[tuple[int, list[str]]]
     vote_columns: list[str]
-    vote_rows: list[tuple[int, dict[str, str]]]
+    vote_rows: list[tuple[int, list[str]]]
 
 
 def _split_header(fields: Sequence[str], lineno: int) -> list[str]:
@@ -163,12 +164,11 @@ def parse_document(text: str) -> PabulibDocument:
                 lineno,
                 "row-width",
             )
-        fields = fields + [""] * (len(columns) - len(fields))
-        row = dict(zip(columns, fields))
+        fields += [""] * (len(columns) - len(fields))
         if section == "PROJECTS":
-            doc.project_rows.append((lineno, row))
+            doc.project_rows.append((lineno, fields))
         else:
-            doc.vote_rows.append((lineno, row))
+            doc.vote_rows.append((lineno, fields))
 
     if len(seen) != len(_SECTIONS):
         missing = _SECTIONS[len(seen)]
@@ -233,7 +233,8 @@ def document_to_model(
     projects: list[Project] = []
     known: set[str] = set()
     dropped: set[str] = set()
-    for lineno, row in doc.project_rows:
+    for lineno, fields in doc.project_rows:
+        row = dict(zip(doc.project_columns, fields))
         pid = row["project_id"].strip()
         if not pid:
             raise PabulibParseError("empty project_id", lineno, "bad-project")
@@ -273,15 +274,17 @@ def document_to_model(
 
     ballots: list[ApprovalBallot] = []
     voters: set[str] = set()
-    for lineno, row in doc.vote_rows:
-        vid = row["voter_id"].strip()
+    voter_column = doc.vote_columns.index("voter_id")
+    vote_column = doc.vote_columns.index("vote")
+    for lineno, fields in doc.vote_rows:
+        vid = fields[voter_column].strip()
         if not vid:
             raise PabulibParseError("empty voter_id", lineno, "bad-voter")
         if vid in voters:
             raise PabulibParseError(f"duplicate voter id {vid!r}", lineno, "duplicate-voter")
         voters.add(vid)
         approved: set[str] = set()
-        for token in row["vote"].split(","):
+        for token in fields[vote_column].split(","):
             pid = token.strip()
             if not pid:
                 continue

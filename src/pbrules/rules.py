@@ -329,35 +329,6 @@ def complete_with_secondary(
     return _greedy_walk(instance, profile, tiebreak, election, base.selected, leftover)
 
 
-def _mes_star(
-    instance: Instance,
-    profile: Profile,
-    epsilon: Money,
-    max_iterations: int,
-    tiebreak: TieBreak,
-    election: CompiledElection,
-) -> StarResult:
-    engine = _make_engine(instance, election, tiebreak)
-    budget = instance.budget_limit
-    selected, chosen_round, examined, status, rounds_run = engine.run_star(
-        budget, epsilon, max_iterations
-    )
-    budget_used = budget + chosen_round * epsilon
-    replay, ledger = _ledger_run(engine, election, profile, budget_used)
-    if replay != selected:
-        raise AssertionError("star replay diverged from the search run")
-    return StarResult(
-        allocation=Allocation.of(ledger.selection_order, instance),
-        status=status,
-        chosen_round=chosen_round,
-        rounds_examined=examined,
-        rounds_run=rounds_run,
-        epsilon=epsilon,
-        budget_used=budget_used,
-        ledger=ledger,
-    )
-
-
 def complete_star(
     rule,
     instance: Instance,
@@ -376,10 +347,11 @@ def complete_star(
     rounds returns the last feasible outcome with status "exhausted".
     ``rule`` is either the name/variant of a built-in rule or any callable
     (Instance, Profile) -> Allocation, run at every round.  The
-    equal-shares rule takes a fast path: one engine runs the rounds and
-    skips those it proves select what the round before selected (see
-    ``MesEngine.run_star``), then replays the chosen round for the ledger.
-    Both paths report the same status, chosen round and rounds examined;
+    equal-shares rule takes a fast path inside this function: one engine
+    runs the rounds and skips those it proves select what the round
+    before selected (see ``MesEngine.run_star``), then replays the chosen
+    round for the ledger.  Every other rule runs each round; both paths
+    report the same status, chosen round and rounds examined;
     ``rounds_run`` tells them apart.
     """
     tiebreak = tiebreak or TieBreak()
@@ -389,59 +361,51 @@ def complete_star(
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
     election = election or compile_election(instance, profile)
+    budget = instance.budget_limit
+    ledger = None
 
     if rule is mes or rule == "mes" or rule is Variant.MES:
-        return _mes_star(instance, profile, epsilon, max_iterations, tiebreak, election)
-    if rule == "greedcost" or rule is Variant.GREED_COST:
-        rule_fn = lambda inst, prof: greed_cost(inst, prof, tiebreak, election)
-    elif callable(rule):
-        rule_fn = rule
-    else:
-        raise ValueError(f"not a rule: {rule!r}")
-
-    budget = instance.budget_limit
-    previous: Allocation | None = None
-    chosen = 0
-    for round_index in range(max_iterations):
-        trial = dataclasses.replace(
-            instance, budget_limit=budget + round_index * epsilon
+        engine = _make_engine(instance, election, tiebreak)
+        selected, chosen, examined, status, rounds_run = engine.run_star(
+            budget, epsilon, max_iterations
         )
-        outcome = rule_fn(trial, profile)
-        if isinstance(outcome, tuple):
-            outcome = outcome[0]
-        if outcome.total_cost > budget:
-            chosen = max(round_index - 1, 0)
-            allocation = previous if previous is not None else Allocation(frozenset(), 0)
-            return StarResult(
-                allocation=allocation,
-                status=STATUS_NEXT_INFEASIBLE,
-                chosen_round=chosen,
-                rounds_examined=round_index + 1,
-                rounds_run=round_index + 1,
-                epsilon=epsilon,
-                budget_used=budget + chosen * epsilon,
-            )
-        anchored = Allocation.of(outcome.selected, instance)
-        if is_complete(anchored, instance):
-            return StarResult(
-                allocation=anchored,
-                status=STATUS_COMPLETE,
-                chosen_round=round_index,
-                rounds_examined=round_index + 1,
-                rounds_run=round_index + 1,
-                epsilon=epsilon,
-                budget_used=budget + round_index * epsilon,
-            )
-        previous = anchored
-    chosen = max_iterations - 1
+        replay, ledger = _ledger_run(engine, election, profile, budget + chosen * epsilon)
+        if replay != selected:
+            raise AssertionError("star replay diverged from the search run")
+        allocation = Allocation.of(ledger.selection_order, instance)
+    else:
+        if rule == "greedcost" or rule is Variant.GREED_COST:
+            rule_fn = lambda inst, prof: greed_cost(inst, prof, tiebreak, election)
+        elif callable(rule):
+            rule_fn = rule
+        else:
+            raise ValueError(f"not a rule: {rule!r}")
+        allocation = Allocation(frozenset(), 0)
+        status, chosen = STATUS_EXHAUSTED, max_iterations - 1
+        for round_index in range(max_iterations):
+            trial = dataclasses.replace(instance, budget_limit=budget + round_index * epsilon)
+            outcome = rule_fn(trial, profile)
+            if isinstance(outcome, tuple):
+                outcome = outcome[0]
+            if outcome.total_cost > budget:
+                status, chosen = STATUS_NEXT_INFEASIBLE, max(round_index - 1, 0)
+                break
+            allocation = Allocation.of(outcome.selected, instance)
+            if is_complete(allocation, instance):
+                status, chosen = STATUS_COMPLETE, round_index
+                break
+        # the round the search stopped at, the last one when none ended it
+        rounds_run = examined = round_index + 1
+
     return StarResult(
-        allocation=previous if previous is not None else Allocation(frozenset(), 0),
-        status=STATUS_EXHAUSTED,
+        allocation=allocation,
+        status=status,
         chosen_round=chosen,
-        rounds_examined=max_iterations,
-        rounds_run=max_iterations,
+        rounds_examined=examined,
+        rounds_run=rounds_run,
         epsilon=epsilon,
         budget_used=budget + chosen * epsilon,
+        ledger=ledger,
     )
 
 
@@ -459,14 +423,7 @@ def run_rule(
     election = election or compile_election(instance, profile)
     if spec.variant is Variant.GREED_COST:
         return RuleResult(name, greed_cost(instance, profile, tiebreak, election))
-    if spec.variant is Variant.MES:
-        allocation, ledger = mes(instance, profile, tiebreak, election)
-        return RuleResult(name, allocation, ledger=ledger)
-
-    if spec.variant is Variant.MES_PLUS:
-        allocation, ledger = mes(instance, profile, tiebreak, election)
-        completed = complete_with_secondary(allocation, instance, profile, tiebreak, election)
-        return RuleResult(name, completed, ledger=ledger)
+    star = None
     if spec.variant is Variant.MES_STAR_PLUS:
         star = complete_star(
             mes,
@@ -477,9 +434,12 @@ def run_rule(
             tiebreak=tiebreak,
             election=election,
         )
-        completed = complete_with_secondary(star.allocation, instance, profile, tiebreak, election)
-        return RuleResult(name, completed, ledger=star.ledger, star=star)
-    raise ValueError(f"unhandled variant {spec.variant!r}")
+        allocation, ledger = star.allocation, star.ledger
+    else:
+        allocation, ledger = mes(instance, profile, tiebreak, election)
+    if spec.variant is not Variant.MES:
+        allocation = complete_with_secondary(allocation, instance, profile, tiebreak, election)
+    return RuleResult(name, allocation, ledger=ledger, star=star)
 
 
 def _money_text():

@@ -1,14 +1,16 @@
 """Selection rules: hand-worked cases, tie-breaking, completions, traces."""
 
 import dataclasses
+import importlib
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import helpers
-from pbrules import rules
+from pbrules import _mes_pure, rules
 from pbrules.model import (
     Allocation,
     ApprovalBallot,
@@ -16,6 +18,7 @@ from pbrules.model import (
     Instance,
     Profile,
     Project,
+    build_district_example,
     compile_election,
     is_complete,
     total_cost,
@@ -311,6 +314,32 @@ class TestCompletions:
         assert len(built) == 1
         complete_star(mes, instance, profile, epsilon=Fraction(2))
         assert len(built) > 1
+
+    def test_star_replay_must_select_what_the_search_selected(self, monkeypatch):
+        run_star = _mes_pure.MesEngine.run_star
+
+        def dropping_the_last_purchase(engine, *args):
+            selected, *rest = run_star(engine, *args)
+            return (selected[:-1], *rest)
+
+        monkeypatch.setattr(_mes_pure.MesEngine, "run_star", dropping_the_last_purchase)
+        instance, profile = XY
+        with pytest.raises(AssertionError, match="star replay diverged from the search run"):
+            complete_star(mes, instance, profile, epsilon=Fraction(2))
+
+    def test_rules_run_unchanged_under_benchmark_tracing(self, monkeypatch):
+        # the tracer's engine stand-in proxies only MesEngine.run and
+        # run_star: a rule that calls any other engine method fails here
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        tracing = importlib.import_module("tracing")
+        instance, profile = build_district_example([40, 30, 20, 10], 1000)
+        specs = [RuleSpec.from_name(name) for name in RULE_NAMES]
+        untraced = [run_rule(spec, instance, profile) for spec in specs]
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            traced = [run_rule(spec, instance, profile) for spec in specs]
+        assert traced == untraced
+        assert {"rules.mes", "star.complete", "engine.run"} <= {span[0] for span in tracer.spans}
 
     def test_default_epsilon_is_a_cent_per_voter(self):
         _, profile = XY
