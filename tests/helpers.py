@@ -23,12 +23,13 @@ def random_instance(
     with_categories: bool = False,
     approval_rate: float = 0.4,
     tag: str = "rand",
+    min_voters: int = 1,
 ):
     """One random instance/profile pair.  Ballots may be empty; every
     project keeps at least one approver (the model requires it)."""
     denoms = DECIMAL_DENOMS if decimal_money else ANY_DENOMS
     m = rng.randint(1, max_projects)
-    n = rng.randint(1, max_voters)
+    n = rng.randint(min_voters, max_voters)
     projects = []
     for j in range(m):
         cost = Fraction(rng.randint(1, 40), rng.choice(denoms))
