@@ -11,6 +11,7 @@ arithmetic stays exact or double precision.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import operator
@@ -18,25 +19,20 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import stats
-from .metrics import (
-    METRIC_COLUMNS,
-    category_proportionality,
-    compile_election,
-    effect_value,
-    metric_row,
-)
-from .model import Allocation, Instance, Money, Profile, format_money
-from .rules import (
-    RuleSpec,
+from .metrics import METRIC_COLUMNS, category_proportionality, effect_value, metric_row
+from .model import (
+    Allocation,
+    Instance,
+    Money,
+    Profile,
     TieBreak,
-    Variant,
-    complete_with_secondary,
-    greed_cost,
-    run_rule,
+    compile_election,
+    format_money,
 )
+from .rules import RuleSpec, Variant, complete_with_secondary, greed_cost, run_rule
 
 Dataset = Sequence[tuple[Instance, Profile]]
 
@@ -63,6 +59,25 @@ def _render(value) -> str:
     return str(value)
 
 
+# columns rendered exactly with format_money, in CSV and JSON alike
+MONEY_COLUMNS = {"budget", "median_cost"}
+
+
+def _cell(column: str, value) -> str:
+    if column in MONEY_COLUMNS and value is not None:
+        return format_money(value)
+    return _render(value)
+
+
+def _csv(columns: Sequence[str], rows: Iterable[dict]) -> str:
+    """A header of ``columns``, then one line per dict row."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(column, row[column]) for column in columns] for row in rows)
+    return out.getvalue()
+
+
 @dataclass(frozen=True)
 class InstanceStats:
     """Size and scarcity summary of one instance."""
@@ -76,15 +91,7 @@ class InstanceStats:
     mean_ballot_cost_share: Fraction
 
 
-STAT_COLUMNS = (
-    "instance_id",
-    "voters",
-    "projects",
-    "budget",
-    "mean_project_cost_share",
-    "scarcity",
-    "mean_ballot_cost_share",
-)
+STAT_COLUMNS = tuple(f.name for f in dataclasses.fields(InstanceStats))
 
 
 def instance_stats(instance: Instance, profile: Profile) -> InstanceStats:
@@ -108,22 +115,7 @@ def instance_stats(instance: Instance, profile: Profile) -> InstanceStats:
 
 
 def stats_csv(rows: Sequence[InstanceStats]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(STAT_COLUMNS)
-    for row in rows:
-        writer.writerow(
-            [
-                row.instance_id,
-                row.voters,
-                row.projects,
-                format_money(row.budget),
-                _render(row.mean_project_cost_share),
-                _render(row.scarcity),
-                _render(row.mean_ballot_cost_share),
-            ]
-        )
-    return out.getvalue()
+    return _csv(STAT_COLUMNS, map(vars, rows))
 
 
 AGGREGATE_METRICS = METRIC_COLUMNS[2:]  # everything after instance_id, rule
@@ -145,6 +137,12 @@ class ComparisonRow:
     degenerate: bool = False
 
 
+# the degenerate flag stays on the row but is not reported
+COMPARISON_COLUMNS = tuple(
+    f.name for f in dataclasses.fields(ComparisonRow) if f.name != "degenerate"
+)
+
+
 @dataclass(frozen=True)
 class ComparisonReport:
     rules: tuple[str, ...]
@@ -158,39 +156,10 @@ class ComparisonReport:
         raise KeyError(f"no row for metric {metric!r}, rule {rule!r}")
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(
-            ["metric", "rule", "n_instances", "mean", "std_error", "p_vs_baseline", "significant"]
-        )
-        for r in self.rows:
-            writer.writerow(
-                [
-                    r.metric,
-                    r.rule,
-                    r.n_instances,
-                    _render(r.mean),
-                    _render(r.std_error),
-                    _render(r.p_vs_baseline),
-                    _render(r.significant),
-                ]
-            )
-        return out.getvalue()
+        return _csv(COMPARISON_COLUMNS, map(vars, self.rows))
 
     def raw_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(METRIC_COLUMNS)
-        for row in self.raw:
-            rendered = []
-            for column in METRIC_COLUMNS:
-                value = row[column]
-                if column == "median_cost" and value is not None:
-                    rendered.append(format_money(value))
-                else:
-                    rendered.append(_render(value))
-            writer.writerow(rendered)
-        return out.getvalue()
+        return _csv(METRIC_COLUMNS, self.raw)
 
 
 def _map_jobs(worker, work: list, jobs: int) -> list:
@@ -362,29 +331,10 @@ class BlockSummary:
     """One outcome block (common, greedy-only or equal-shares-only):
     the projects, their total cost, and cost per category label."""
 
-    projects: tuple[ProjectDetail, ...]
     count: int
     total_cost: Money
+    projects: tuple[ProjectDetail, ...]
     category_cost: dict[str, Money]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "total_cost": format_money(self.total_cost),
-            "projects": [
-                {
-                    "id": p.id,
-                    "name": p.name,
-                    "cost": format_money(p.cost),
-                    "categories": list(p.categories),
-                }
-                for p in self.projects
-            ],
-            "category_cost": {
-                label: format_money(cost)
-                for label, cost in sorted(self.category_cost.items())
-            },
-        }
 
 
 @dataclass(frozen=True)
@@ -410,37 +360,18 @@ class InstanceEffectReport:
     greed_curve: tuple[float, ...]
     mes_curve: tuple[float, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "effect": self.effect,
-            "common": self.common.to_json_dict(),
-            "greed_only": self.greed_only.to_json_dict(),
-            "mes_only": self.mes_only.to_json_dict(),
-            "category_bars": [
-                {
-                    "label": bar.label,
-                    "voter_share": bar.voter_share,
-                    "greed_share": bar.greed_share,
-                    "mes_share": bar.mes_share,
-                }
-                for bar in self.category_bars
-            ],
-            "greed_curve": list(self.greed_curve),
-            "mes_curve": list(self.mes_curve),
-        }
-
 
 @dataclass(frozen=True)
 class ExtremesReport:
     """Instances ranked by effect score, with full reports for the
-    smallest, median and largest effect."""
+    smallest, median and largest effect.  Its JSON follows the field
+    order, with every money value rendered by :func:`format_money`."""
 
     ranking: tuple[tuple[str, float], ...]
+    uncategorized: tuple[str, ...]
     minimum: InstanceEffectReport
     median: InstanceEffectReport
     maximum: InstanceEffectReport
-    uncategorized: tuple[str, ...]
 
     def rank_of(self, instance_id: str) -> int:
         """1-based rank in the ascending effect ordering."""
@@ -449,17 +380,8 @@ class ExtremesReport:
                 return position
         raise KeyError(f"instance {instance_id!r} not in the ranking")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ranking": [[iid, effect] for iid, effect in self.ranking],
-            "uncategorized": list(self.uncategorized),
-            "minimum": self.minimum.to_json_dict(),
-            "median": self.median.to_json_dict(),
-            "maximum": self.maximum.to_json_dict(),
-        }
-
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+        return json.dumps(dataclasses.asdict(self), indent=indent, default=format_money)
 
 
 def _block(ids: set[str], instance: Instance) -> BlockSummary:
@@ -473,19 +395,19 @@ def _block(ids: set[str], instance: Instance) -> BlockSummary:
         for label in detail.categories:
             category_cost[label] = category_cost.get(label, Fraction(0)) + detail.cost
     return BlockSummary(
-        projects=details,
         count=len(details),
         total_cost=sum((d.cost for d in details), Fraction(0)),
-        category_cost=category_cost,
+        projects=details,
+        category_cost=dict(sorted(category_cost.items())),
     )
 
 
 def _effect_worker(args) -> InstanceEffectReport | None:
     """The effect report of one instance, or None when its effect score
     is undefined (see :func:`pbrules.metrics.effect_score`)."""
-    (instance, profile), mes_spec, tiebreak = args
+    (instance, profile), mes_spec = args
     election = compile_election(instance, profile)
-    greed_allocation = greed_cost(instance, profile, tiebreak, election)
+    greed_allocation = greed_cost(instance, profile, election=election)
     mes_allocation = run_rule(mes_spec, instance, profile, election).allocation
     greed_report = category_proportionality(profile, instance, greed_allocation, election)
     mes_report = category_proportionality(profile, instance, mes_allocation, election)
@@ -523,7 +445,6 @@ def _effect_worker(args) -> InstanceEffectReport | None:
 def extract_extremes(
     dataset: Dataset,
     mes_spec: RuleSpec | None = None,
-    tiebreak: TieBreak | None = None,
     jobs: int = 1,
 ) -> ExtremesReport:
     """Rank categorized instances by :func:`effect_score` (greedy vs the
@@ -532,8 +453,7 @@ def extract_extremes(
     if not dataset:
         raise ValueError("empty dataset")
     mes_spec = mes_spec or RuleSpec(Variant.MES_STAR_PLUS)
-    tiebreak = tiebreak or TieBreak()
-    work = [((instance, profile), mes_spec, tiebreak) for instance, profile in dataset]
+    work = [((instance, profile), mes_spec) for instance, profile in dataset]
     results = _map_jobs(_effect_worker, work, jobs)
 
     uncategorized = tuple(
@@ -549,8 +469,8 @@ def extract_extremes(
         raise ValueError("no categorized instances: effect scores undefined everywhere")
     return ExtremesReport(
         ranking=tuple((report.instance_id, report.effect) for report in scored),
+        uncategorized=uncategorized,
         minimum=scored[0],
         median=scored[(len(scored) - 1) // 2],
         maximum=scored[-1],
-        uncategorized=uncategorized,
     )

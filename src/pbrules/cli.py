@@ -16,10 +16,13 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .analysis import (
+    COMPARISON_COLUMNS,
+    MONEY_COLUMNS,
     compare_rules,
     extract_extremes,
     format_sig,
@@ -238,21 +241,19 @@ def _make_spec(name: str, args) -> RuleSpec:
         raise _UsageError(str(exc)) from None
 
 
+def _stat_json(column: str, value):
+    if column in MONEY_COLUMNS:
+        return format_money(value)
+    return float(value) if isinstance(value, Fraction) else value
+
+
 def _cmd_stats(args) -> int:
     dataset = _ingest(args)
     rows = [instance_stats(instance, profile) for instance, profile in dataset]
     if args.format == "json":
         payload = [
-            {
-                "instance_id": r.instance_id,
-                "voters": r.voters,
-                "projects": r.projects,
-                "budget": format_money(r.budget),
-                "mean_project_cost_share": float(r.mean_project_cost_share),
-                "scarcity": float(r.scarcity),
-                "mean_ballot_cost_share": float(r.mean_ballot_cost_share),
-            }
-            for r in rows
+            {column: _stat_json(column, value) for column, value in vars(row).items()}
+            for row in rows
         ]
         _write_out(json.dumps(payload, indent=2), args.out)
     else:
@@ -312,17 +313,11 @@ def _cmd_compare(args) -> int:
             "rules": list(report.rules),
             "rows": [
                 {
-                    "metric": r.metric,
-                    "rule": r.rule,
-                    "n_instances": r.n_instances,
-                    "mean": None if r.mean is None else float(format_sig(r.mean)),
-                    "std_error": None if r.std_error is None else float(format_sig(r.std_error)),
-                    "p_vs_baseline": None
-                    if r.p_vs_baseline is None
-                    else float(format_sig(r.p_vs_baseline)),
-                    "significant": r.significant,
+                    column: float(format_sig(value)) if isinstance(value, float) else value
+                    for column, value in vars(row).items()
+                    if column in COMPARISON_COLUMNS
                 }
-                for r in report.rows
+                for row in report.rows
             ],
         }
         _write_out(json.dumps(payload, indent=2), args.out)

@@ -299,9 +299,11 @@ def document_to_model(
             approved.add(pid)
         ballots.append(ApprovalBallot(vid, frozenset(approved)))
 
-    meta.setdefault("instance_id", _derive_instance_id(meta, source))
-    if not meta["instance_id"]:
-        del meta["instance_id"]
+    instance_id = _derive_instance_id(meta, source)
+    if instance_id:
+        meta["instance_id"] = instance_id
+    else:
+        meta.pop("instance_id", None)
     try:
         instance = Instance(projects=tuple(projects), budget_limit=budget, meta=meta)
     except ValueError as exc:
@@ -320,6 +322,18 @@ def parse_pabulib(
     return document_to_model(parse_document(text), source=source, drop_costless=drop_costless)
 
 
+def _field(text: str, what: str, comma: bool = True, padded: bool = False) -> str:
+    """``text`` unchanged, or ValueError naming ``what`` when the parser
+    would not read it back as written."""
+    if ";" in text or "\n" in text or "\r" in text:
+        raise ValueError(f"{what} {text!r} contains ';' or a line break")
+    if not comma and "," in text:
+        raise ValueError(f"{what} {text!r} contains ','")
+    if not padded and text != text.strip():
+        raise ValueError(f"{what} {text!r} has leading or trailing whitespace")
+    return text
+
+
 def write_pabulib(
     instance: Instance,
     profile: Profile,
@@ -329,9 +343,17 @@ def write_pabulib(
 
     The META counts and budget are regenerated from the objects; when
     ``allocation`` is given a trailing ``selected`` column marks winners
-    with 1 and losers with 0.  Costs must have a finite decimal form.
-    Output parses back to equal objects, so this is the round-trip
-    inverse of :func:`parse_pabulib`.
+    with 1 and losers with 0.  Output parses back to equal objects, so
+    this is the round-trip inverse of :func:`parse_pabulib`.
+
+    Values the parser would not read back raise ValueError naming the
+    project, voter or META key:
+
+    - a cost or budget with no finite decimal form;
+    - any value containing ';' or a line break;
+    - a project id or category label containing ',';
+    - a project, voter or instance id, project name, category label,
+      META key or column name with leading or trailing whitespace.
     """
     budget_text = decimal_string(instance.budget_limit)
     if budget_text is None:
@@ -344,7 +366,8 @@ def write_pabulib(
 
     lines = ["META", "key;value"]
     for key, value in meta.items():
-        lines.append(f"{key};{value}")
+        value = _field(value, f"META {key!r} value", padded=key != "instance_id")
+        lines.append(f"{_field(key, 'META key')};{value}")
 
     extra_columns: list[str] = []
     for project in instance.projects:
@@ -360,7 +383,7 @@ def write_pabulib(
         columns.append("name")
     if any(p.categories for p in instance.projects):
         columns.append("category")
-    columns.extend(extra_columns)
+    columns.extend(_field(col, "project column") for col in extra_columns)
     if allocation is not None:
         columns.append("selected")
 
@@ -370,13 +393,15 @@ def write_pabulib(
         cost_text = decimal_string(project.cost)
         if cost_text is None:
             raise ValueError(f"project {project.id!r}: cost has no finite decimal form")
-        row = [project.id, cost_text]
+        what = f"project {project.id!r}"
+        row = [_field(project.id, "project id", comma=False), cost_text]
         if "name" in columns:
-            row.append(project.name or "")
+            row.append(_field(project.name or "", f"{what} name"))
         if "category" in columns:
-            row.append(",".join(sorted(project.categories)))
+            labels = sorted(project.categories)
+            row.append(",".join(_field(label, f"{what} category", comma=False) for label in labels))
         for col in extra_columns:
-            row.append(project.extra.get(col, ""))
+            row.append(_field(project.extra.get(col, ""), f"{what} {col!r} value", padded=True))
         if allocation is not None:
             row.append("1" if project.id in allocation.selected else "0")
         lines.append(";".join(row))
@@ -385,7 +410,7 @@ def write_pabulib(
     lines.append("voter_id;vote")
     for ballot in profile.ballots:
         vote = ",".join(sorted(ballot.approved, key=id_sort_key))
-        lines.append(f"{ballot.voter_id};{vote}")
+        lines.append(f"{_field(ballot.voter_id, 'voter id')};{vote}")
     return "\n".join(lines) + "\n"
 
 

@@ -725,7 +725,7 @@ class TestMetricsOracle:
         instance, profile = metric_case(rng, single_voter, approval_rate, with_categories, orphan)
         spec = RuleSpec(Variant.MES_STAR_PLUS if star else Variant.MES_PLUS, max_iterations=40)
         tiebreak = TieBreak()
-        report = _effect_worker(((instance, profile), spec, tiebreak))
+        report = _effect_worker(((instance, profile), spec))
         election = compile_election(instance, profile) if precompiled else None
         result = run_rule(spec, instance, profile, election)
         assert result == run_rule(spec, instance, profile)

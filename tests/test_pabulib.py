@@ -49,11 +49,17 @@ class TestParsing:
         assert instance.projects[0].categories == frozenset()
         assert profile.ballots[1].approved == {"b"}
 
-    def test_numeric_tail_of_source_wins(self):
-        instance, _ = parse_pabulib(
-            read_fixture("minimal.pb"), source="netherlands_amsterdam_644.pb"
-        )
-        assert instance.instance_id == "644"
+    @pytest.mark.parametrize(
+        "meta_line, expected",
+        [(None, "644"), ("instance_id;  ", "644"), ("instance_id; 7 ", "7")],
+        ids=["no-id", "blank-id", "padded-id"],
+    )
+    def test_numeric_tail_of_source_wins(self, meta_line, expected):
+        text = read_fixture("minimal.pb")
+        if meta_line:
+            text = text.replace("key;value\n", f"key;value\n{meta_line}\n")
+        instance, _ = parse_pabulib(text, source="netherlands_amsterdam_644.pb")
+        assert instance.instance_id == expected
 
     def test_bom_and_crlf_tolerated(self):
         text = "﻿" + read_fixture("minimal.pb").replace("\n", "\r\n")
@@ -221,6 +227,45 @@ class TestWriting:
         profile = Profile((ApprovalBallot("v", frozenset({"p"})),))
         with pytest.raises(ValueError):
             write_pabulib(instance, profile)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"name": "Park; north"}, "project 'a' name 'Park; north' contains ';'"),
+            ({"name": "Park\nnorth"}, "project 'a' name 'Park\\nnorth' contains ';' or a line"),
+            ({"label": "parks\r"}, "project 'a' category 'parks\\r' contains ';' or a line break"),
+            ({"voter": "v;1"}, "voter id 'v;1' contains ';'"),
+            ({"project": "a,1"}, "project id 'a,1' contains ','"),
+            ({"label": "parks,roads"}, "project 'a' category 'parks,roads' contains ','"),
+            ({"name": " Park "}, "project 'a' name ' Park ' has leading or trailing whitespace"),
+            ({"project": "a "}, "project id 'a ' has leading or trailing whitespace"),
+            ({"label": " parks"}, "project 'a' category ' parks' has leading"),
+            ({"voter": " 1"}, "voter id ' 1' has leading"),
+            ({"meta": {"unit ": "Amsterdam"}}, "META key 'unit ' has leading"),
+            ({"meta": {"unit": "A;B"}}, "META 'unit' value 'A;B' contains ';'"),
+            ({"meta": {"instance_id": " 7 "}}, "META 'instance_id' value ' 7 ' has leading"),
+        ],
+    )
+    def test_rejects_values_it_cannot_read_back(self, change, message):
+        pid = change.get("project", "a")
+        label = change.get("label", "parks")
+        instance = Instance(
+            projects=(
+                Project(pid, Fraction(60), change.get("name", "Park"), {label}),
+                Project("b", Fraction(50), "Square", {"roads"}),
+            ),
+            budget_limit=Fraction(100),
+            meta=change.get("meta", {"instance_id": "7"}),
+        )
+        profile = Profile(
+            (
+                ApprovalBallot(change.get("voter", "1"), frozenset({pid, "b"})),
+                ApprovalBallot("2", frozenset({"b"})),
+            )
+        )
+        with pytest.raises(ValueError) as info:
+            write_pabulib(instance, profile)
+        assert str(info.value).startswith(message)
 
     @given(st.integers(0, 2**32 - 1))
     def test_round_trip_random(self, seed):
