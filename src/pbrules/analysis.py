@@ -41,8 +41,7 @@ SIGNIFICANCE_LEVEL = 0.05
 
 def format_sig(value: float, digits: int = 4) -> str:
     """Four significant digits by default; plain decimal where possible."""
-    text = f"%.{digits}g" % float(value)
-    return text
+    return f"%.{digits}g" % float(value)
 
 
 def _render(value) -> str:
@@ -50,11 +49,7 @@ def _render(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, Fraction):
-        return format_sig(float(value))
-    if isinstance(value, float):
+    if isinstance(value, (Fraction, float)):
         return format_sig(value)
     return str(value)
 
