@@ -3,9 +3,9 @@ small fixed corpus, pinned against the files in ``tests/data/golden``.
 
 The corpus is five seeded elections of 20-40 voters built by
 :mod:`helpers`; the fifth has no categories, the second and fourth name
-their projects.  To rewrite the golden files
-after a deliberate output change, run ``python tests/test_golden.py``
-with ``src`` on ``PYTHONPATH``.
+their projects.  To rewrite the golden files after a deliberate output
+change, run ``python tests/test_golden.py`` with ``src`` on
+``PYTHONPATH``.
 """
 
 import random
@@ -35,7 +35,7 @@ COMMANDS = {
     "stats.json": "stats --dir {dir} --format json --out {out}",
     "compare.csv": f"compare --dir {{dir}} --rules {RULES} --out {{out}}",
     "compare.json": f"compare --dir {{dir}} --rules {RULES} --format json --out {{out}}",
-    "compare_raw.csv": f"compare --dir {{dir}} --rules {RULES} --out /dev/null --raw-out {{out}}",
+    "compare_raw.csv": f"compare --dir {{dir}} --rules {RULES} --out {{out}}.csv --raw-out {{out}}",
     "extremes.json": "extremes --dir {dir} --out {out}",
 }
 
@@ -66,7 +66,7 @@ def write_corpus(root: Path) -> None:
 
 
 def render(name: str, corpus: Path, out: Path) -> bytes:
-    argv = COMMANDS[name].format(dir=corpus, out=out).split()
+    argv = [arg.format(dir=corpus, out=out) for arg in COMMANDS[name].split()]
     assert cli_main(argv) == EXIT_OK
     return out.read_bytes()
 

@@ -49,17 +49,16 @@ class TestParsing:
         assert instance.projects[0].categories == frozenset()
         assert profile.ballots[1].approved == {"b"}
 
-    @pytest.mark.parametrize(
-        "meta_line, expected",
-        [(None, "644"), ("instance_id;  ", "644"), ("instance_id; 7 ", "7")],
-        ids=["no-id", "blank-id", "padded-id"],
-    )
-    def test_numeric_tail_of_source_wins(self, meta_line, expected):
-        text = read_fixture("minimal.pb")
-        if meta_line:
-            text = text.replace("key;value\n", f"key;value\n{meta_line}\n")
-        instance, _ = parse_pabulib(text, source="netherlands_amsterdam_644.pb")
-        assert instance.instance_id == expected
+    def test_numeric_tail_of_source_wins(self):
+        # a blank META instance_id falls back to the source; a padded one
+        # is stripped, so it still sorts as a number
+        cases = [(None, "644"), ("instance_id;  ", "644"), ("instance_id; 7 ", "7")]
+        for meta_line, expected in cases:
+            text = read_fixture("minimal.pb")
+            if meta_line:
+                text = text.replace("key;value\n", f"key;value\n{meta_line}\n")
+            instance, _ = parse_pabulib(text, source="netherlands_amsterdam_644.pb")
+            assert instance.instance_id == expected, meta_line
 
     def test_bom_and_crlf_tolerated(self):
         text = "﻿" + read_fixture("minimal.pb").replace("\n", "\r\n")
