@@ -1,13 +1,18 @@
-"""Byte-for-byte outputs of ``stats``, ``compare`` and ``extremes`` on a
-small fixed corpus, pinned against the files in ``tests/data/golden``.
+"""Byte-for-byte outputs of ``stats``, ``compare``, ``extremes`` and
+``run`` on a small fixed corpus, pinned against the files in
+``tests/data/golden``.
 
 The corpus is five seeded elections of 20-40 voters built by
 :mod:`helpers`; the fifth has no categories, the second and fourth name
-their projects.  To rewrite the golden files after a deliberate output
+their projects.  ``run`` pins the result JSON, the ``--ledger-out`` JSON
+and the ``--trace`` text of ``mes`` and ``mes*+`` on the first election,
+whose purchases split their cost unevenly among the payers.  To rewrite the golden files after a deliberate output
 change, run ``python tests/test_golden.py`` with ``src`` on
 ``PYTHONPATH``.
 """
 
+import contextlib
+import io
 import random
 import tempfile
 from dataclasses import replace
@@ -29,7 +34,8 @@ RULES = "greedcost,mes,mes+,mes*+"
 MONEY_SCALE = Fraction("123.45")
 
 # output file name -> the command line that writes it; {dir} is the
-# corpus, {out} the output file
+# corpus, {out} the output file.  A command that writes no {out} file is
+# pinned by what it prints.
 COMMANDS = {
     "stats.csv": "stats --dir {dir} --out {out}",
     "stats.json": "stats --dir {dir} --format json --out {out}",
@@ -38,6 +44,11 @@ COMMANDS = {
     "compare_raw.csv": f"compare --dir {{dir}} --rules {RULES} --out {{out}}.csv --raw-out {{out}}",
     "extremes.json": "extremes --dir {dir} --out {out}",
 }
+for rule, tag in (("mes", "mes"), ("mes*+", "mes_star_plus")):
+    run = f"run --file {{dir}}/golden_1.pb --rule {rule}"
+    COMMANDS[f"run_{tag}.json"] = f"{run} --out {{out}}"
+    COMMANDS[f"run_{tag}_ledger.json"] = f"{run} --out {{out}}.json --ledger-out {{out}}"
+    COMMANDS[f"run_{tag}_trace.txt"] = f"{run} --out {{out}}.json --trace"
 
 
 def write_corpus(root: Path) -> None:
@@ -67,8 +78,10 @@ def write_corpus(root: Path) -> None:
 
 def render(name: str, corpus: Path, out: Path) -> bytes:
     argv = [arg.format(dir=corpus, out=out) for arg in COMMANDS[name].split()]
-    assert cli_main(argv) == EXIT_OK
-    return out.read_bytes()
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert cli_main(argv) == EXIT_OK
+    return out.read_bytes() if out.exists() else printed.getvalue().encode("utf-8")
 
 
 @pytest.fixture(scope="module")
