@@ -95,7 +95,7 @@ def format_money(value: Money) -> str:
 def id_sort_key(identifier: str) -> tuple[int, int, str]:
     """Sort key for project, voter and instance ids: all-digit ids first,
     numerically, then the rest lexicographically."""
-    return (0, int(identifier), "") if identifier.isdigit() else (1, 0, identifier)
+    return (0, int(identifier), "") if identifier.isdecimal() else (1, 0, identifier)
 
 
 @dataclass(frozen=True)

@@ -6,17 +6,19 @@ first row after each section header names the columns.  Approval ballots
 live in the ``vote`` column as comma-separated project ids; category
 labels in the ``category`` column, comma-separated.
 
-Parsing is strict and every structural error carries the offending line
-number.  Unknown columns are preserved, not rejected: extra project
-columns round-trip through :attr:`Project.extra`.
+Parsing is strict and reads the file in one pass: each line is checked
+as it is read, the first error in file order is raised, and an error
+found in a line carries its number.  Unknown columns are preserved, not
+rejected: extra project columns round-trip through :attr:`Project.extra`.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import (
     Allocation,
@@ -32,6 +34,15 @@ from .model import (
 _SECTIONS = ("META", "PROJECTS", "VOTES")
 
 _REQUIRED_META = ("budget", "num_projects", "num_votes", "vote_type")
+
+# the columns a section header must name, each with the code of its absence
+_REQUIRED_COLUMNS = {
+    "PROJECTS": (("project_id", "missing-column"), ("cost", "missing-cost")),
+    "VOTES": (("voter_id", "missing-column"), ("vote", "missing-column")),
+}
+
+# project columns read into Project fields; the rest go to Project.extra
+_PROJECT_COLUMNS = ("project_id", "cost", "name", "category")
 
 
 class PabulibParseError(ValueError):
@@ -50,55 +61,105 @@ class PabulibParseError(ValueError):
         return f"line {self.line}: {self.message}"
 
 
-@dataclass
-class PabulibDocument:
-    """The raw sectioned content of one file, before model validation.
-    Rows are ``(line_number, fields)`` pairs, the fields in column order
-    and padded with empty strings to the header's width."""
-
-    meta: dict[str, str]
-    project_columns: list[str]
-    project_rows: list[tuple[int, list[str]]]
-    vote_columns: list[str]
-    vote_rows: list[tuple[int, list[str]]]
-
-
-def _split_header(fields: Sequence[str], lineno: int) -> list[str]:
+def _header(fields: Sequence[str], section: str, lineno: int) -> list[str]:
+    """The column names of a PROJECTS or VOTES header line."""
     columns = [f.strip() for f in fields]
-    seen: set[str] = set()
-    for name in columns:
+    for k, name in enumerate(columns):
         if not name:
             raise PabulibParseError("empty column name", lineno, "missing-header")
-        if name in seen:
+        if name in columns[:k]:
             raise PabulibParseError(f"duplicate column {name!r}", lineno, "missing-header")
-        seen.add(name)
+    for name, code in _REQUIRED_COLUMNS[section]:
+        if name not in columns:
+            raise PabulibParseError(f"{section} header lacks the {name} column", lineno, code)
     return columns
 
 
-def parse_document(text: str) -> PabulibDocument:
-    """Tokenize ``text`` into sections, headers and rows.
+def _check_meta(meta: dict[str, str]) -> Fraction:
+    """The budget, once the META keys and values are known to be usable."""
+    for key in _REQUIRED_META:
+        if key not in meta:
+            raise PabulibParseError(f"missing META key {key!r}", None, "missing-meta")
+    vote_type = meta["vote_type"].strip()
+    if vote_type != "approval":
+        raise PabulibParseError(
+            f"unsupported vote_type {vote_type!r} (only approval ballots)",
+            None,
+            "unsupported-vote-type",
+        )
+    try:
+        budget = parse_money(meta["budget"])
+    except ValueError as exc:
+        raise PabulibParseError(f"bad budget: {exc}", None, "bad-money") from None
+    for key in ("num_projects", "num_votes"):
+        declared = meta[key].strip()
+        if not declared.isdecimal():
+            raise PabulibParseError(f"META {key} is not a count: {declared!r}", None, "bad-count")
+    return budget
 
-    Checks structure only (section order, header shape, row widths,
-    duplicate META keys); value-level validation happens in
-    :func:`document_to_model`.
+
+def _check_count(meta: dict[str, str], key: str, rows: int) -> None:
+    declared = meta[key].strip()
+    if int(declared) != rows:
+        raise PabulibParseError(
+            f"META declares {key}={declared} but the file has {rows} rows",
+            None,
+            "count-mismatch",
+        )
+
+
+def _derive_instance_id(meta: dict[str, str], source: str | None) -> str:
+    explicit = meta.get("instance_id", "").strip()
+    if explicit:
+        return explicit
+    if source:
+        stem = Path(source).stem
+        tail = ""
+        for ch in reversed(stem):
+            if ch.isdecimal():
+                tail = ch + tail
+            elif tail:
+                break
+        return tail or stem
+    return ""
+
+
+def parse_pabulib(
+    text: str, source: str | None = None, drop_costless: bool = False
+) -> tuple[Instance, Profile]:
+    """Parse one PaBuLib file into an (Instance, Profile) pair.
+
+    ``source`` is the file name, used only to derive an instance id when
+    the META section does not carry one.  ``drop_costless`` silently
+    removes projects with an empty cost cell (and their ballot
+    references) instead of failing; the declared num_projects count is
+    still checked against the raw row count.
+
+    The file is read in one pass and the first error in file order is
+    raised.  Each line is checked as it is read; the META values are
+    checked when the PROJECTS line is reached, num_projects and the
+    presence of a project with a cost when the VOTES line is reached,
+    and num_votes, the sections and the presence of a vote at the end.
     """
     meta: dict[str, str] = {}
-    doc = PabulibDocument(meta, [], [], [], [])
+    upcoming = list(_SECTIONS)
     section: str | None = None
-    seen: list[str] = []
     awaiting_header = False
-    columns: list[str] = []
+    project_rows = 0
+    projects: list[Project] = []
+    known: set[str] = set()
+    ignored = {""}  # ballot tokens that name no project: blanks, dropped ids
+    ballots: list[ApprovalBallot] = []
+    voters: set[str] = set()
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(text.lstrip("\ufeff").split("\n"), start=1):
         line = raw.rstrip("\r")
-        if lineno == 1:
-            line = line.lstrip("﻿")
-        if not line.strip():
-            continue
         stripped = line.strip()
+        if not stripped:
+            continue
 
         if stripped in _SECTIONS:
-            expected = _SECTIONS[len(seen)] if len(seen) < len(_SECTIONS) else None
+            expected = upcoming[0] if upcoming else None
             if stripped != expected:
                 raise PabulibParseError(
                     f"unexpected section {stripped!r}"
@@ -106,8 +167,13 @@ def parse_document(text: str) -> PabulibDocument:
                     lineno,
                     "unexpected-section",
                 )
-            seen.append(stripped)
-            section = stripped
+            if stripped == "PROJECTS":
+                budget = _check_meta(meta)
+            elif stripped == "VOTES":
+                _check_count(meta, "num_projects", project_rows)
+                if not projects:
+                    raise PabulibParseError("no projects with costs", None, "no-projects")
+            section = upcoming.pop(0)
             awaiting_header = True
             continue
 
@@ -123,39 +189,21 @@ def parse_document(text: str) -> PabulibDocument:
                     raise PabulibParseError(
                         "META header must be 'key;value'", lineno, "missing-header"
                     )
+            elif section == "PROJECTS":
+                columns = _header(fields, section, lineno)
+                extra_columns = [col for col in columns if col not in _PROJECT_COLUMNS]
             else:
-                columns = _split_header(fields, lineno)
-                if section == "PROJECTS":
-                    doc.project_columns = columns
-                    if "project_id" not in columns:
-                        raise PabulibParseError(
-                            "PROJECTS header lacks the project_id column",
-                            lineno,
-                            "missing-column",
-                        )
-                    if "cost" not in columns:
-                        raise PabulibParseError(
-                            "PROJECTS header lacks the cost column", lineno, "missing-cost"
-                        )
-                else:
-                    doc.vote_columns = columns
-                    for required in ("voter_id", "vote"):
-                        if required not in columns:
-                            raise PabulibParseError(
-                                f"VOTES header lacks the {required} column",
-                                lineno,
-                                "missing-column",
-                            )
+                columns = _header(fields, section, lineno)
+                voter_column, vote_column = columns.index("voter_id"), columns.index("vote")
             continue
 
         if section == "META":
             key = fields[0].strip()
-            value = ";".join(fields[1:])
             if not key:
                 raise PabulibParseError("empty META key", lineno, "meta")
             if key in meta:
                 raise PabulibParseError(f"duplicate META key {key!r}", lineno, "duplicate-key")
-            meta[key] = value
+            meta[key] = line.partition(";")[2]
             continue
 
         if len(fields) > len(columns):
@@ -165,139 +213,62 @@ def parse_document(text: str) -> PabulibDocument:
                 "row-width",
             )
         fields += [""] * (len(columns) - len(fields))
+
         if section == "PROJECTS":
-            doc.project_rows.append((lineno, fields))
-        else:
-            doc.vote_rows.append((lineno, fields))
+            project_rows += 1
+            row = dict(zip(columns, fields))
+            pid = row["project_id"].strip()
+            if not pid:
+                raise PabulibParseError("empty project_id", lineno, "bad-project")
+            if pid in known or pid in ignored:
+                raise PabulibParseError(
+                    f"duplicate project id {pid!r}", lineno, "duplicate-project"
+                )
+            cost_text = row["cost"].strip()
+            if not cost_text:
+                if drop_costless:
+                    ignored.add(pid)
+                    continue
+                raise PabulibParseError(f"project {pid!r} has no cost", lineno, "missing-cost")
+            try:
+                cost = parse_money(cost_text)
+            except ValueError as exc:
+                raise PabulibParseError(f"project {pid!r}: {exc}", lineno, "bad-money") from None
+            name = row.get("name", "").strip() or None
+            categories = frozenset(map(str.strip, row.get("category", "").split(","))) - {""}
+            extra = {col: row[col] for col in extra_columns}
+            try:
+                projects.append(
+                    Project(id=pid, cost=cost, name=name, categories=categories, extra=extra)
+                )
+            except ValueError as exc:
+                raise PabulibParseError(str(exc), lineno, "bad-money") from None
+            known.add(pid)
+            continue
 
-    if len(seen) != len(_SECTIONS):
-        missing = _SECTIONS[len(seen)]
-        raise PabulibParseError(f"missing section {missing}", None, "missing-section")
-    return doc
-
-
-def _derive_instance_id(meta: dict[str, str], source: str | None) -> str:
-    explicit = meta.get("instance_id", "").strip()
-    if explicit:
-        return explicit
-    if source:
-        stem = Path(source).stem
-        tail = ""
-        for ch in reversed(stem):
-            if ch.isdigit():
-                tail = ch + tail
-            elif tail:
-                break
-        return tail or stem
-    return ""
-
-
-def document_to_model(
-    doc: PabulibDocument,
-    source: str | None = None,
-    drop_costless: bool = False,
-) -> tuple[Instance, Profile]:
-    """Validate a raw document into model objects.
-
-    ``drop_costless`` silently removes projects with an empty cost cell
-    (and their ballot references) instead of failing; the declared
-    num_projects count is still checked against the raw row count.
-    """
-    meta = dict(doc.meta)
-    for key in _REQUIRED_META:
-        if key not in meta:
-            raise PabulibParseError(f"missing META key {key!r}", None, "missing-meta")
-    vote_type = meta["vote_type"].strip()
-    if vote_type != "approval":
-        raise PabulibParseError(
-            f"unsupported vote_type {vote_type!r} (only approval ballots)",
-            None,
-            "unsupported-vote-type",
-        )
-    try:
-        budget = parse_money(meta["budget"])
-    except ValueError as exc:
-        raise PabulibParseError(f"bad budget: {exc}", None, "bad-money") from None
-
-    for key, rows in (("num_projects", doc.project_rows), ("num_votes", doc.vote_rows)):
-        declared = meta[key].strip()
-        if not declared.isdigit():
-            raise PabulibParseError(f"META {key} is not a count: {declared!r}", None, "bad-count")
-        if int(declared) != len(rows):
-            raise PabulibParseError(
-                f"META declares {key}={declared} but the file has {len(rows)} rows",
-                None,
-                "count-mismatch",
-            )
-
-    projects: list[Project] = []
-    known: set[str] = set()
-    dropped: set[str] = set()
-    for lineno, fields in doc.project_rows:
-        row = dict(zip(doc.project_columns, fields))
-        pid = row["project_id"].strip()
-        if not pid:
-            raise PabulibParseError("empty project_id", lineno, "bad-project")
-        if pid in known or pid in dropped:
-            raise PabulibParseError(f"duplicate project id {pid!r}", lineno, "duplicate-project")
-        cost_text = row["cost"].strip()
-        if not cost_text:
-            if drop_costless:
-                dropped.add(pid)
-                continue
-            raise PabulibParseError(f"project {pid!r} has no cost", lineno, "missing-cost")
-        try:
-            cost = parse_money(cost_text)
-        except ValueError as exc:
-            raise PabulibParseError(f"project {pid!r}: {exc}", lineno, "bad-money") from None
-        name = row.get("name", "").strip() or None
-        categories = frozenset(
-            part.strip() for part in row.get("category", "").split(",") if part.strip()
-        )
-        extra = {
-            col: row[col]
-            for col in doc.project_columns
-            if col not in ("project_id", "cost", "name", "category")
-        }
-        try:
-            projects.append(
-                Project(id=pid, cost=cost, name=name, categories=categories, extra=extra)
-            )
-        except ValueError as exc:
-            raise PabulibParseError(str(exc), lineno, "bad-money") from None
-        known.add(pid)
-
-    if not projects:
-        raise PabulibParseError("no projects with costs", None, "no-projects")
-    if not doc.vote_rows:
-        raise PabulibParseError("file has no votes", None, "missing-votes")
-
-    ballots: list[ApprovalBallot] = []
-    voters: set[str] = set()
-    voter_column = doc.vote_columns.index("voter_id")
-    vote_column = doc.vote_columns.index("vote")
-    for lineno, fields in doc.vote_rows:
         vid = fields[voter_column].strip()
         if not vid:
             raise PabulibParseError("empty voter_id", lineno, "bad-voter")
         if vid in voters:
             raise PabulibParseError(f"duplicate voter id {vid!r}", lineno, "duplicate-voter")
         voters.add(vid)
-        approved: set[str] = set()
-        for token in fields[vote_column].split(","):
-            pid = token.strip()
-            if not pid:
-                continue
-            if pid in dropped:
-                continue
-            if pid not in known:
+        tokens = fields[vote_column].split(",")
+        approved = frozenset(map(str.strip, tokens))
+        if not approved <= known:
+            approved -= ignored
+            if not approved <= known:
+                unknown = approved - known
+                pid = next(token for token in map(str.strip, tokens) if token in unknown)
                 raise PabulibParseError(
-                    f"ballot {vid!r} references unknown project {pid!r}",
-                    lineno,
-                    "unknown-project",
+                    f"ballot {vid!r} references unknown project {pid!r}", lineno, "unknown-project"
                 )
-            approved.add(pid)
-        ballots.append(ApprovalBallot(vid, frozenset(approved)))
+        ballots.append(ApprovalBallot(vid, approved))
+
+    if upcoming:
+        raise PabulibParseError(f"missing section {upcoming[0]}", None, "missing-section")
+    _check_count(meta, "num_votes", len(ballots))
+    if not ballots:
+        raise PabulibParseError("file has no votes", None, "missing-votes")
 
     instance_id = _derive_instance_id(meta, source)
     if instance_id:
@@ -311,17 +282,6 @@ def document_to_model(
     return instance, Profile(tuple(ballots))
 
 
-def parse_pabulib(
-    text: str, source: str | None = None, drop_costless: bool = False
-) -> tuple[Instance, Profile]:
-    """Parse one PaBuLib file into an (Instance, Profile) pair.
-
-    ``source`` is the file name, used only to derive an instance id when
-    the META section does not carry one.
-    """
-    return document_to_model(parse_document(text), source=source, drop_costless=drop_costless)
-
-
 def _field(text: str, what: str, comma: bool = True, padded: bool = False) -> str:
     """``text`` unchanged, or ValueError naming ``what`` when the parser
     would not read it back as written."""
@@ -329,6 +289,8 @@ def _field(text: str, what: str, comma: bool = True, padded: bool = False) -> st
         raise ValueError(f"{what} {text!r} contains ';' or a line break")
     if not comma and "," in text:
         raise ValueError(f"{what} {text!r} contains ','")
+    if not padded and not text:
+        raise ValueError(f"{what} is empty")
     if not padded and text != text.strip():
         raise ValueError(f"{what} {text!r} has leading or trailing whitespace")
     return text
@@ -352,8 +314,9 @@ def write_pabulib(
     - a cost or budget with no finite decimal form;
     - any value containing ';' or a line break;
     - a project id or category label containing ',';
-    - a project, voter or instance id, project name, category label,
-      META key or column name with leading or trailing whitespace.
+    - an empty or padded project, voter or instance id, project name,
+      category label, META key or column name (one with leading or
+      trailing whitespace).
     """
     budget_text = decimal_string(instance.budget_limit)
     if budget_text is None:
@@ -369,17 +332,12 @@ def write_pabulib(
         value = _field(value, f"META {key!r} value", padded=key != "instance_id")
         lines.append(f"{_field(key, 'META key')};{value}")
 
-    extra_columns: list[str] = []
-    for project in instance.projects:
-        for col in project.extra:
-            if col not in extra_columns:
-                extra_columns.append(col)
-    extra_columns.sort()
+    extra_columns = sorted({col for project in instance.projects for col in project.extra})
     if allocation is not None and "selected" in extra_columns:
         extra_columns.remove("selected")
 
     columns = ["project_id", "cost"]
-    if any(p.name for p in instance.projects):
+    if any(p.name is not None for p in instance.projects):
         columns.append("name")
     if any(p.categories for p in instance.projects):
         columns.append("category")
@@ -396,7 +354,7 @@ def write_pabulib(
         what = f"project {project.id!r}"
         row = [_field(project.id, "project id", comma=False), cost_text]
         if "name" in columns:
-            row.append(_field(project.name or "", f"{what} name"))
+            row.append("" if project.name is None else _field(project.name, f"{what} name"))
         if "category" in columns:
             labels = sorted(project.categories)
             row.append(",".join(_field(label, f"{what} category", comma=False) for label in labels))

@@ -16,6 +16,7 @@ from pbrules.model import (
     build_district_example,
     decimal_string,
     format_money,
+    id_sort_key,
     is_complete,
     money,
     parse_money,
@@ -112,6 +113,15 @@ class TestMoney:
         text = decimal_string(value)
         assert text is not None
         assert parse_money(text) == value
+
+
+class TestIdSortKey:
+    def test_decimal_ids_first_numerically(self):
+        assert sorted(["b", "10", "2", "a"], key=id_sort_key) == ["2", "10", "a", "b"]
+
+    def test_other_unicode_digits_sort_as_text(self):
+        # "²".isdigit() is True but int("²") raises
+        assert id_sort_key("²") == (1, 0, "²")
 
 
 class TestValidation:

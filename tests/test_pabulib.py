@@ -146,6 +146,11 @@ class TestErrors:
         bad = MINIMAL.replace("num_votes;2", "num_votes;two")
         _expect_error(bad, "bad-count", None)
 
+    def test_unicode_digit_count(self):
+        # "²".isdigit() is True but int("²") raises
+        bad = MINIMAL.replace("num_votes;2", "num_votes;²")
+        _expect_error(bad, "bad-count", None)
+
     def test_duplicate_project(self):
         bad = MINIMAL.replace("b;50", "a;50")
         _expect_error(bad, "duplicate-project", 10)
@@ -174,6 +179,25 @@ class TestErrors:
         bad = MINIMAL.replace("num_votes;2", "num_votes;0").split("voter_id;vote")[0]
         bad += "voter_id;vote\n"
         _expect_error(bad, "missing-votes", None)
+
+    @pytest.mark.parametrize(
+        "changes, code, line",
+        [
+            # a project row is checked before a later vote row
+            ([("b;50", "b;"), ("2;b", "2;b;x")], "missing-cost", 10),
+            # the META values are checked when PROJECTS is reached
+            ([("budget;100", "budget;lots"), ("a;60", "a;60;x")], "bad-money", None),
+            # num_projects is checked when VOTES is reached
+            ([("num_projects;2", "num_projects;3"), ("2;b", "2;zzz")], "count-mismatch", None),
+            # num_votes is checked at the end, after every vote row
+            ([("num_votes;2", "num_votes;3"), ("2;b", "2;zzz")], "unknown-project", 14),
+        ],
+    )
+    def test_first_error_in_file_order(self, changes, code, line):
+        bad = MINIMAL
+        for old, new in changes:
+            bad = bad.replace(old, new)
+        _expect_error(bad, code, line)
 
 
 class TestDropCostless:
@@ -243,6 +267,8 @@ class TestWriting:
             ({"meta": {"unit ": "Amsterdam"}}, "META key 'unit ' has leading"),
             ({"meta": {"unit": "A;B"}}, "META 'unit' value 'A;B' contains ';'"),
             ({"meta": {"instance_id": " 7 "}}, "META 'instance_id' value ' 7 ' has leading"),
+            ({"name": ""}, "project 'a' name is empty"),
+            ({"label": ""}, "project 'a' category is empty"),
         ],
     )
     def test_rejects_values_it_cannot_read_back(self, change, message):
@@ -348,6 +374,13 @@ class TestIngest:
         )
         assert len(result.accepted) == 1
         assert result.accepted[0][0].project_ids == {"a"}
+
+    def test_unicode_digit_file_name(self, tmp_path):
+        # "²".isdigit() is True but int("²") raises; the id is the stem
+        (tmp_path / "city².pb").write_text(MINIMAL, encoding="utf-8")
+        (tmp_path / "city_3.pb").write_text(MINIMAL, encoding="utf-8")
+        result = ingest_directory(tmp_path, IngestFilter(min_voters=1, min_projects=1))
+        assert [inst.instance_id for inst, _ in result.accepted] == ["3", "city²"]
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
