@@ -18,7 +18,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
 
 from .model import (
     Allocation,
@@ -61,7 +60,7 @@ class PabulibParseError(ValueError):
         return f"line {self.line}: {self.message}"
 
 
-def _header(fields: Sequence[str], section: str, lineno: int) -> list[str]:
+def _header(fields: list[str], section: str, lineno: int) -> list[str]:
     """The column names of a PROJECTS or VOTES header line."""
     columns = [f.strip() for f in fields]
     for k, name in enumerate(columns):

@@ -116,9 +116,6 @@ class TestMoney:
 
 
 class TestIdSortKey:
-    def test_decimal_ids_first_numerically(self):
-        assert sorted(["b", "10", "2", "a"], key=id_sort_key) == ["2", "10", "a", "b"]
-
     def test_other_unicode_digits_sort_as_text(self):
         # "²".isdigit() is True but int("²") raises
         assert id_sort_key("²") == (1, 0, "²")
