@@ -252,7 +252,7 @@ def parse_pabulib(
             raise PabulibParseError(f"duplicate voter id {vid!r}", lineno, "duplicate-voter")
         voters.add(vid)
         tokens = fields[vote_column].split(",")
-        approved = frozenset(map(str.strip, tokens))
+        approved = set(map(str.strip, tokens))
         if not approved <= known:
             approved -= ignored
             if not approved <= known:
@@ -261,7 +261,9 @@ def parse_pabulib(
                 raise PabulibParseError(
                     f"ballot {vid!r} references unknown project {pid!r}", lineno, "unknown-project"
                 )
-        ballots.append(ApprovalBallot(vid, approved))
+        # a frozenset copied from a set gets a smaller table than one
+        # grown token by token, and the profile keeps every ballot
+        ballots.append(ApprovalBallot(vid, frozenset(approved)))
 
     if upcoming:
         raise PabulibParseError(f"missing section {upcoming[0]}", None, "missing-section")
