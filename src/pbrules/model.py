@@ -93,7 +93,7 @@ def format_money(value: Money) -> str:
 
 
 def id_sort_key(identifier: str) -> tuple[int, int, str]:
-    """Sort key for project, voter and instance ids: all-digit ids first,
+    """Sort key for project, voter and instance ids: ids of decimal digits first,
     numerically, then the rest lexicographically."""
     return (0, int(identifier), "") if identifier.isdecimal() else (1, 0, identifier)
 
