@@ -3,11 +3,22 @@
 The one selection engine behind every equal-shares rule in ``rules``.
 The arithmetic is exact; inside a run, money is a Python ``int``
 counting units of ``1/L``, where ``L`` is the lcm of the cost
-denominators and the share's denominator.  A purchase whose payment cap
-is not a whole number of units multiplies ``L``, every wallet and every
-cost by the cap's reduced denominator, so every payment stays an
-integer.  ``fractions.Fraction`` appears only at the edges: the
-arguments, and the factors, payments and wallets of a ledger run.
+denominators and the share's denominator.  ``fractions.Fraction``
+appears only at the edges: the arguments, and the factors, payments and
+wallets of a ledger run.
+
+A selection run keeps wallets per class, not per voter.  A payment
+depends only on the payer's wallet and the cap, and ties are broken over
+projects, never over voters, so voters with equal wallets stay
+interchangeable until a purchase splits them.  Every voter starts in one
+class holding the share.  Buying a project moves each of its paying
+approvers from their class to that class's child for the purchase,
+whose wallet is the class wallet less ``min(wallet, cap)``; every voter
+who pays out a whole wallet joins the one shared empty class.  A
+purchase whose payment cap is not a whole number of units multiplies
+``L``, the class wallets and the costs by the cap's reduced
+denominator, so every payment stays an integer; per-voter payments and
+wallets are expanded only when a ledger run returns them.
 
 Affordability factors are dimensionless ``(num, den)`` integer pairs, so
 a rescale leaves them valid, and every decision compares them by
@@ -22,10 +33,10 @@ total order used to break equal affordability.
 
 Laziness invariants the selection loop relies on:
 
-- voter budgets only decrease within one run, so a previously computed
+- wallets only decrease within one run, so a previously computed
   affordability factor is a valid lower bound until one of the project's
   approvers pays again (tracked with a per-project ``exact`` flag);
-- right after a reset all budgets equal the share, so a project with k
+- right after a reset every wallet equals the share, so a project with k
   approvers is affordable iff k * share covers its cost, and then its
   factor is exactly 1/k;
 - a project found unaffordable stays unaffordable for the rest of the
@@ -71,7 +82,9 @@ def payment_cap(wallets, order: Sequence, cost):
     """Payment cap at which the voters in ``order`` (sorted by wallet,
     ascending) buy a project of positive ``cost`` paying min(wallet,
     cap) each, as ``(remaining, left)`` with cap = remaining / left; None
-    when their wallets cannot cover the cost.
+    when their wallets cannot cover the cost.  Each entry of ``order``
+    indexes ``wallets`` and stands for one voter; the engine passes
+    wallet classes, one entry per voter, so an index may repeat.
 
     Voters whose whole wallet is below the equal share of what is still
     owed are peeled off and pay everything; the first who can cover that
@@ -103,19 +116,6 @@ def _share_units(num: int, den: int, cost_den: int) -> tuple[int, int]:
     return num * (units // den), units
 
 
-def _fractions(values: Sequence[int], units: int) -> list[Fraction]:
-    """``values`` counted in ``1/units`` as Fractions; equal values share
-    one object."""
-    seen: dict[int, Fraction] = {}
-    out = []
-    for value in values:
-        fraction = seen.get(value)
-        if fraction is None:
-            fraction = seen[value] = Fraction(value, units)
-        out.append(fraction)
-    return out
-
-
 class MesEngine:
     def __init__(
         self,
@@ -137,12 +137,17 @@ class MesEngine:
         self.approvers = approver_lists
         self.tie_rank = tie_rank
         self.ballots = ballot_lists
-        # per-project approver order, kept nearly sorted by budget between
-        # water-filling passes so re-sorts are cheap
-        self._order = [list(a) for a in approver_lists]
-        # per-run money in units of 1/_units
+        # the projects in tie order: sorting them by bound key alone, a
+        # stable sort, orders them by (bound key, tie rank)
+        self._by_rank = sorted(range(self.m), key=tie_rank.__getitem__)
+        # per-run money in units of 1/_units.  Voter i holds the wallet
+        # _wallets[_class[i]]; slot 0 is the empty class, shared by every
+        # voter who has paid out a whole wallet, and a purchase appends
+        # the child classes it creates.  A slot whose voters have all
+        # moved on stays behind, unused, until the next reset.
         self._units = 1
-        self._budgets: list[int] = []
+        self._class: list[int] = []
+        self._wallets: list[int] = []
         self._costs: list[int] = []
         # lazy bound per project: factor lb_num / lb_den, scan key as float
         self._lb_num = [0] * self.m
@@ -152,10 +157,12 @@ class MesEngine:
         self._exact = [False] * self.m
 
     def _reset(self, wallet: int, units: int) -> None:
-        """Start a run with every wallet holding ``wallet / units``."""
+        """Start a run with every voter in one class holding ``wallet /
+        units``, next to the empty class."""
         scale = units // self._cost_den
         self._units = units
-        self._budgets = [wallet] * self.n
+        self._class = [1] * self.n
+        self._wallets = [0, wallet]
         self._costs = costs = [c * scale for c in self._cost_units]
         for p in range(self.m):
             k = len(self.approvers[p])
@@ -170,28 +177,30 @@ class MesEngine:
                 self._exact[p] = False
 
     def _rescale(self, factor: int) -> None:
-        """Count money in units ``factor`` times smaller, in place."""
+        """Count money in units ``factor`` times smaller: the class
+        wallets and the costs, in place."""
         self._units *= factor
-        budgets = self._budgets
-        for i, b in enumerate(budgets):
-            budgets[i] = b * factor
+        wallets = self._wallets
+        wallets[:] = [w * factor for w in wallets]
         costs = self._costs
         costs[:] = [c * factor for c in costs]
 
     def _waterfill(self, p: int) -> bool:
-        """Exact affordability of project p at current budgets.
+        """Exact affordability of project p at the current wallets.
 
-        Sorts p's approvers by budget ascending and takes the payment cap
-        from :func:`payment_cap`; stores the factor (cap / cost) as p's
-        exact bound and returns True, or returns False when the approvers
+        Sorts the classes of p's approvers, one entry per approver, by
+        class wallet ascending and takes the payment cap from
+        :func:`payment_cap`; stores the factor (cap / cost) as p's exact
+        bound and returns True, or returns False when the approvers
         cannot cover the cost, in which case p is dropped for the rest of
         the run.
         """
-        budgets = self._budgets
-        order = self._order[p]
-        order.sort(key=budgets.__getitem__)
+        wallets = self._wallets
+        voter_class = self._class
+        order = [voter_class[v] for v in self.approvers[p]]
+        order.sort(key=wallets.__getitem__)
         cost = self._costs[p]
-        cap = payment_cap(budgets, order, cost)
+        cap = payment_cap(wallets, order, cost)
         if cap is None:
             self._alive[p] = False
             return False
@@ -204,12 +213,13 @@ class MesEngine:
         return True
 
     def _select(self, record: bool) -> tuple[list[int], list, list]:
-        """One full selection pass at the current budgets.
+        """One full selection pass at the current wallets.
 
         Returns (selected, factors, payments); factors and payments are
         filled only when ``record`` is set (payments omit zero amounts).
         """
-        budgets = self._budgets
+        voter_class = self._class
+        wallets = self._wallets
         costs = self._costs
         tie_rank = self.tie_rank
         alive = self._alive
@@ -217,14 +227,16 @@ class MesEngine:
         lb_num = self._lb_num
         lb_den = self._lb_den
         lb_key = self._lb_key
+        by_rank = self._by_rank
+        ballots = self.ballots
         selected: list[int] = []
         factors: list[Fraction] = []
         payments: list[list[tuple[int, Fraction]]] = []
         while True:
-            candidates = [p for p in range(self.m) if alive[p]]
+            candidates = [p for p in by_rank if alive[p]]
             if not candidates:
                 break
-            candidates.sort(key=lambda p: (lb_key[p], tie_rank[p]))
+            candidates.sort(key=lb_key.__getitem__)
             best = -1
             best_num = 0
             best_den = 1
@@ -258,22 +270,34 @@ class MesEngine:
             refine = best_den // g
             if refine != 1:
                 self._rescale(refine)
+            # child[c]: the class that c's payers move to, once made; the
+            # slots this purchase appends are never looked up in it
+            child = [-1] * len(wallets)
             pays: list[tuple[int, Fraction]] = []
             if record:
                 units = self._units
                 cap_fraction = Fraction(cap, units)
+                paid = [cap_fraction] * len(wallets)
             for voter in self.approvers[best]:
-                wallet = budgets[voter]
-                if not wallet:
+                c = voter_class[voter]
+                if not c:
                     continue
-                pay = wallet if wallet < cap else cap
-                budgets[voter] = wallet - pay
-                for q in self.ballots[voter]:
+                d = child[c]
+                if d < 0:
+                    wallet = wallets[c]
+                    if wallet > cap:
+                        d = len(wallets)
+                        wallets.append(wallet - cap)
+                    else:
+                        d = 0
+                        if record and wallet < cap:
+                            paid[c] = Fraction(wallet, units)
+                    child[c] = d
+                voter_class[voter] = d
+                for q in ballots[voter]:
                     exact[q] = False
                 if record:
-                    pays.append(
-                        (voter, cap_fraction if pay == cap else Fraction(pay, units))
-                    )
+                    pays.append((voter, paid[c]))
             selected.append(best)
             if record:
                 factors.append(Fraction(best_num, best_den))
@@ -446,7 +470,10 @@ class MesEngine:
         selected, factors, payments = self._select(record=want_ledger)
         if not want_ledger:
             return selected, None, None, None
-        return selected, factors, payments, _fractions(self._budgets, self._units)
+        # one Fraction per class still held by a voter
+        wallets = self._wallets
+        final = {c: Fraction(wallets[c], self._units) for c in set(self._class)}
+        return selected, factors, payments, list(map(final.__getitem__, self._class))
 
     def run_star(self, budget: Fraction, epsilon: Fraction, max_rounds: int):
         """Rerun selection at growing per-voter shares until the result is

@@ -177,6 +177,28 @@ def pure_engine_ledger(instance, profile):
     )
 
 
+def repeated(profile, copies):
+    """``profile`` with every ballot cast ``copies`` times, each copy of
+    voter ``v`` named ``v-j``; the copies of one ballot are adjacent."""
+    return Profile(
+        tuple(
+            ApprovalBallot(f"{b.voter_id}-{j}", b.approved)
+            for b in profile.ballots
+            for j in range(copies)
+        )
+    )
+
+
+def shared_wallet_instance(rng, n, copies, thirds):
+    """An odd-money instance with every ballot cast ``copies`` times and
+    a limit of 50% to 90% of the total cost, so that voters who share a
+    wallet spend most of it and some pay out all of it."""
+    instance, profile = odd_money_instance(rng, n, thirds)
+    total = sum(p.cost for p in instance.projects)
+    instance = dataclasses.replace(instance, budget_limit=total * rng.randint(5, 9) / 10)
+    return instance, repeated(profile, copies)
+
+
 class TestPureEngineOracle:
     @settings(max_examples=300)
     @given(
@@ -192,6 +214,39 @@ class TestPureEngineOracle:
         values = [*factors.values(), *wallets.values()]
         values += [a for pays in payments.values() for a in pays.values()]
         assert all(type(value) is Fraction for value in values)
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from((2, 3, 5, 7)),
+        copies=st.integers(2, 4),
+        thirds=st.booleans(),
+    )
+    def test_shared_wallets_match_bruteforce(self, seed, n, copies, thirds):
+        # every ballot cast 2 to 4 times: most voters share a wallet, and
+        # purchases split the wallet classes and drain some of them
+        instance, profile = shared_wallet_instance(random.Random(seed), n, copies, thirds)
+        engine, ledger = pure_engine_ledger(instance, profile)
+        assert ledger == mes_bruteforce(instance, profile)
+        _, _, payments, _ = ledger
+        assert all(amount for pays in payments.values() for amount in pays.values())
+        # the copies of a ballot pay alike, so they end in one class
+        classes = engine._class
+        assert all(classes[i] == classes[i - i % copies] for i in range(len(classes)))
+
+    def test_shared_wallets_drain_and_split(self):
+        # the cases of the test above do reach the empty class, and leave
+        # voters with one ballot in several classes
+        rng = random.Random(28)
+        drained = split = 0
+        for _ in range(100):
+            n = rng.choice((2, 3, 5, 7))
+            instance, profile = shared_wallet_instance(rng, n, 3, rng.random() < 0.5)
+            engine, (_, _, _, wallets) = pure_engine_ledger(instance, profile)
+            drained += 0 in wallets.values()
+            split += len(set(engine._class)) > 1
+        assert drained >= 10
+        assert split >= 60
 
     def test_recomputed_bound_ties_go_to_the_tie_order(self):
         # x drains v1, so a's bound 1/3 goes stale; recomputed it is 1/2,
@@ -227,6 +282,39 @@ class TestPureEngineOracle:
             )
             refined += engine._units != start
         assert refined >= 30
+
+
+class TestVoterInvariance:
+    """Equal shares reads a voter's wallet and ballot, never the voter:
+    cloning every voter or reordering the ballots changes no decision."""
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1), copies=st.sampled_from((2, 3)))
+    def test_cloned_voters_pay_a_share_of_the_original(self, seed, copies):
+        # k clones of every voter, same limit: each wallet, cap and
+        # factor is 1/k of the original's
+        instance, profile = helpers.random_instance(random.Random(seed), max_voters=20)
+        _, ledger = mes(instance, profile)
+        _, cloned = mes(instance, repeated(profile, copies))
+
+        def clone_of(amounts):
+            return {f"{v}-{j}": a / copies for v, a in amounts.items() for j in range(copies)}
+
+        assert cloned.selection_order == ledger.selection_order
+        assert cloned.affordabilities == {p: f / copies for p, f in ledger.affordabilities.items()}
+        assert cloned.payments == {p: clone_of(pays) for p, pays in ledger.payments.items()}
+        assert cloned.budgets == clone_of(ledger.budgets)
+
+    @settings(max_examples=100)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shuffled_ballots_pay_the_same(self, seed):
+        rng = random.Random(seed)
+        instance, profile = helpers.random_instance(rng, max_voters=20)
+        ballots = list(profile.ballots)
+        rng.shuffle(ballots)
+        _, ledger = mes(instance, profile)
+        _, shuffled = mes(instance, Profile(tuple(ballots)))
+        assert shuffled == ledger
 
 
 class TestSelectionOracle:
@@ -400,13 +488,7 @@ class TestSkippingStarOracle:
             projects=tuple(dataclasses.replace(p, cost=cost) for p in instance.projects),
             budget_limit=cost * rng.randint(1, 2 * len(instance.projects)) / 2,
         )
-        profile = Profile(
-            tuple(
-                ApprovalBallot(f"{b.voter_id}-{k}", b.approved)
-                for b in profile.ballots
-                for k in range(copies)
-            )
-        )
+        profile = repeated(profile, copies)
         epsilon = Fraction(profile.voter_count * cents, 100)
         assert_skipping_star_matches(instance, profile, epsilon, 30, 400)
 
