@@ -320,12 +320,11 @@ class MesEngine:
         Replays buying ``selected`` in order with every wallet starting
         at ``wallet / units`` (the share s0), and returns None unless
         that is what equal shares does at s0.  Each wallet is kept as an
-        affine form of the share s: its value at s0 in units of
-        ``1/units`` (refined like the engine's) and its slope in units of
-        ``1/slope_units``.  With the purchases and who pays below the cap
-        fixed, the cap of each purchase is affine too, and the run buys
-        the same projects in the same order until one of these reaches
-        equality:
+        affine form of the share s: its value at s0 and its slope, in
+        units of ``1/units`` refined so every cap and cap slope is whole.
+        With the purchases and who pays below the cap fixed, the cap of
+        each purchase is affine too, and the run buys the same projects
+        in the same order until one of these reaches equality:
 
         - a voter who paid a whole wallet below a cap reaches the cap, a
           peel event (voters who paid the cap only get further above it:
@@ -348,59 +347,50 @@ class MesEngine:
         rounding decides a skip.
 
         The replay starts in units ``hint`` times smaller.  When ``hint``
-        is the ``payers`` of a replay with the same payer counts, every
-        cap is a whole number of units, and no purchase has to refine the
-        unit (an O(n) rescale); any other hint only costs refinements.
+        is the ``payers`` of a replay with the same payer counts, the
+        starting slope carries them all, and no purchase has to refine
+        the unit (an O(n) rescale); any other hint only costs
+        refinements.
         """
         approvers = self.approvers
         tie_rank = self.tie_rank
         units *= hint
         val = [wallet * hint] * self.n
+        # a wallet grows by ``units`` units per unit of share
+        slope = [units] * self.n
         costs = [c * (units // self._cost_den) for c in self._cost_units]
-        purchases = []
-        payers = slope_units = 1
+        best_num, best_den, peel = limit_num, limit_den, False
+        payers = 1
+        bought = bytearray(self.m)
         for b in selected:
             order = sorted(approvers[b], key=val.__getitem__)
             found = payment_cap(val, order, costs[b])
             if found is None:
                 return None
             remaining, left = found
-            g = gcd(remaining, left)
-            refine = left // g
-            if refine != 1:
-                units *= refine
-                val = [v * refine for v in val]
-                costs = [c * refine for c in costs]
-            cap = remaining // g
             # the first ``cut`` voters are below the cap and pay their
             # whole wallet, the others pay the cap
             cut = len(order) - left
+            drop = sum(map(slope.__getitem__, order[:cut]))
+            refine = left // gcd(remaining, drop, left)
+            if refine != 1:
+                units *= refine
+                val = [v * refine for v in val]
+                slope = [v * refine for v in slope]
+                costs = [c * refine for c in costs]
+                remaining *= refine
+                drop *= refine
+            cap = remaining // left
+            cap_slope = -drop // left
             payers *= left
-            # the wallets, costs and unit at this purchase
-            purchases.append((b, cap, order, cut, list(val), costs, units))
-            if cut:
-                slope_units *= left
-            for i in order[:cut]:
-                val[i] = 0
-            for i in order[cut:]:
-                val[i] -= cap
-        best_num, best_den, peel = limit_num, limit_den, False
-        # Before each purchase every slope is a whole multiple of the
-        # payer counts of the later purchases with peeled voters, so the
-        # cap slopes below divide exactly.
-        slope = [slope_units] * self.n
-        bought = bytearray(self.m)
-        for b, cap, order, cut, held, prices, unit in purchases:
-            cap_slope = -sum(map(slope.__getitem__, order[:cut])) // (len(order) - cut)
             for i in order[:cut]:
                 rate = slope[i] - cap_slope
                 if rate > 0:
-                    num = (cap - held[i]) * slope_units
-                    den = unit * rate
-                    if num * best_den < best_num * den:
-                        best_num, best_den, peel = num, den, True
+                    num = cap - val[i]
+                    if num * best_den < best_num * rate:
+                        best_num, best_den, peel = num, rate, True
             bought[b] = 1
-            cost_b = prices[b]
+            cost_b = costs[b]
             for q in by_count:
                 voters = approvers[q]
                 if len(voters) * cap < cost_b:
@@ -409,12 +399,12 @@ class MesEngine:
                     break
                 if bought[q]:
                     continue
-                cost_q = prices[q]
-                total = sum(map(held.__getitem__, voters))
+                cost_q = costs[q]
+                total = sum(map(val.__getitem__, voters))
                 if total < cost_q:
                     # q cannot tie b before its approvers reach its cost
                     rate = sum(map(slope.__getitem__, voters))
-                    if not rate or (cost_q - total) * slope_units * best_den >= best_num * unit * rate:
+                    if not rate or (cost_q - total) * best_den >= best_num * rate:
                         continue
                 # x = cap * cost_q / cost_b is what an approver pays at b's
                 # factor; total and rate below are scaled by cost_b
@@ -422,13 +412,13 @@ class MesEngine:
                 x_slope = cap_slope * cost_q
                 threshold, inexact = divmod(x, cost_b)
                 if inexact:
-                    below = [i for i in voters if held[i] <= threshold]
+                    below = [i for i in voters if val[i] <= threshold]
                     tied = ()
                 else:
-                    below = [i for i in voters if held[i] < threshold]
-                    tied = [i for i in voters if held[i] == threshold]
+                    below = [i for i in voters if val[i] < threshold]
+                    tied = [i for i in voters if val[i] == threshold]
                 richer = len(voters) - len(below)
-                total = cost_b * (sum(map(held.__getitem__, below)) - cost_q) + richer * x
+                total = cost_b * (sum(map(val.__getitem__, below)) - cost_q) + richer * x
                 if total > 0 or not total and (not richer or tie_rank[q] < tie_rank[b]):
                     # q's factor is below b's, or equal and q is first in
                     # the tie order
@@ -437,26 +427,26 @@ class MesEngine:
                 rate += (richer - len(tied)) * x_slope
                 for i in tied:
                     rate += min(slope[i] * cost_b, x_slope)
-                if rate > 0:
-                    num = -total * slope_units
-                    den = unit * rate
-                    if num * best_den < best_num * den:
-                        best_num, best_den, peel = num, den, False
+                if rate > 0 and -total * best_den < best_num * rate:
+                    best_num, best_den, peel = -total, rate, False
             for i in order[:cut]:
+                val[i] = 0
                 slope[i] = 0
             for i in order[cut:]:
+                val[i] -= cap
                 slope[i] -= cap_slope
         # after the last purchase every unbought project is unaffordable
         # until its approvers reach its cost; a wallet with slope 0 is 0
-        for q in set(range(self.m)).difference(selected):
+        for q in range(self.m):
+            if bought[q]:
+                continue
             rate = sum(map(slope.__getitem__, approvers[q]))
             if rate > 0:
-                num = (costs[q] - sum(map(val.__getitem__, approvers[q]))) * slope_units
+                num = costs[q] - sum(map(val.__getitem__, approvers[q]))
                 if num <= 0:
                     return None
-                den = units * rate
-                if num * best_den < best_num * den:
-                    best_num, best_den, peel = num, den, False
+                if num * best_den < best_num * rate:
+                    best_num, best_den, peel = num, rate, False
         return best_num, best_den, peel, payers
 
     def run(self, share: Fraction, want_ledger: bool = False):

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import helpers
 import oracle
@@ -383,10 +383,11 @@ class TestStarOracle:
             assert result.allocation.total_cost == total_cost(selected, instance)
 
 
-def certify(instance, profile, selected=None):
+def certify(instance, profile, selected=None, hint=1):
     """The star search's certificate for buying ``selected`` (project
     indices; by default what the engine buys) at the instance's own
-    limit, looking at most a share of 10**6 ahead."""
+    limit, looking at most a share of 10**6 ahead, with the replay
+    starting in units ``hint`` times smaller."""
     engine = pure_engine(instance, profile)
     share = Fraction(instance.budget_limit, profile.voter_count)
     wallet, units = _mes_pure._share_units(share.numerator, share.denominator, engine._cost_den)
@@ -394,7 +395,7 @@ def certify(instance, profile, selected=None):
         engine._reset(wallet, units)
         selected, _, _ = engine._select(record=False)
     by_count = sorted(range(engine.m), key=lambda p: -len(engine.approvers[p]))
-    return engine._certificate(selected, wallet, units, 10**6, 1, by_count)
+    return engine._certificate(selected, wallet, units, 10**6, 1, by_count, hint)
 
 
 def round_zero_certificate(instance, profile):
@@ -413,6 +414,13 @@ def star_instance(rng, max_voters, max_projects=5):
     total = sum(p.cost for p in instance.projects)
     limit = total * rng.randint(2, 8) / 10
     return dataclasses.replace(instance, budget_limit=limit), profile
+
+
+def grown_star_instance(rng, max_voters, max_projects=5):
+    """A star_instance whose limit is then raised by 0% to 200%."""
+    instance, profile = star_instance(rng, max_voters, max_projects)
+    grown = instance.budget_limit * rng.randint(100, 300) / 100
+    return dataclasses.replace(instance, budget_limit=grown), profile
 
 
 def assert_skipping_star_matches(instance, profile, epsilon, oracle_rounds, generic_rounds):
@@ -541,6 +549,39 @@ class TestSkippingStarOracle:
         assert certify(instance, profile, [b]) is None  # q is cheaper
         assert certify(instance, profile, [q, b]) is None  # b is unaffordable after q
         assert certify(instance, profile, []) is None  # q is affordable
+
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1))
+    # a cap slope that is not a whole number of units: flooring it, as a
+    # refine that looks at the cap alone would, moves the first event
+    @example(seed=0)
+    @example(seed=75)
+    @example(seed=93)
+    @example(seed=98)
+    def test_certificate_does_not_depend_on_the_hint(self, seed):
+        # the hint only picks the starting unit, so the first event, its
+        # kind and the payer product are the same for any hint
+        rng = random.Random(seed)
+        instance, profile = grown_star_instance(rng, 60, 12)
+        num, den, peel, payers = certify(instance, profile)
+        for hint in (payers, rng.randint(2, 10**6)):
+            other = certify(instance, profile, hint=hint)
+            assert (Fraction(other[0], other[1]), *other[2:]) == (Fraction(num, den), peel, payers)
+
+    @settings(max_examples=80)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_shares_before_the_event_buy_the_same(self, seed):
+        # the certificate invariant against the definition: shares short
+        # of the first event buy what s0 buys, in the same order
+        instance, profile = grown_star_instance(random.Random(seed), 10)
+        gap = round_zero_certificate(instance, profile)
+        assume(gap)
+        order = mes_bruteforce(instance, profile)[0]
+        for part in (Fraction(1, 2), Fraction(999, 1000)):
+            trial = dataclasses.replace(
+                instance, budget_limit=instance.budget_limit + profile.voter_count * gap * part
+            )
+            assert mes_bruteforce(trial, profile)[0] == order
 
     def test_events_land_on_grid_rounds(self):
         # the events test_event_on_a_grid_round aims at are mostly real
