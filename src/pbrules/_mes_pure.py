@@ -17,8 +17,10 @@ whose wallet is the class wallet less ``min(wallet, cap)``; every voter
 who pays out a whole wallet joins the one shared empty class.  A
 purchase whose payment cap is not a whole number of units multiplies
 ``L``, the class wallets and the costs by the cap's reduced
-denominator, so every payment stays an integer; per-voter payments and
-wallets are expanded only when a ledger run returns them.
+denominator, so every payment stays an integer.  A ledger run builds
+one ``Fraction`` per class amount and per class wallet, and expands them
+to the voters only with ``map`` and ``zip``, so no per-voter Python code
+runs for the ledger.
 
 Affordability factors are dimensionless ``(num, den)`` integer pairs, so
 a rescale leaves them valid, and every decision compares them by
@@ -70,6 +72,7 @@ computed in exact integers; no float decides a skip.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Sequence
 
@@ -216,7 +219,9 @@ class MesEngine:
         """One full selection pass at the current wallets.
 
         Returns (selected, factors, payments); factors and payments are
-        filled only when ``record`` is set (payments omit zero amounts).
+        filled only when ``record`` is set.  Each entry of payments is an
+        iterator over the purchase's ``(voter, amount)`` pairs in approver
+        order, omitting zero amounts, to be read once.
         """
         voter_class = self._class
         wallets = self._wallets
@@ -270,15 +275,18 @@ class MesEngine:
             refine = best_den // g
             if refine != 1:
                 self._rescale(refine)
+            buyers = self.approvers[best]
+            if record:
+                # the approvers' classes before the purchase (class 0 pays
+                # nothing) and what each class pays: the cap, or the whole
+                # wallet of a class below it, one Fraction per class
+                paying = list(map(voter_class.__getitem__, buyers))
+                units = self._units
+                paid = [Fraction(cap, units)] * len(wallets)
             # child[c]: the class that c's payers move to, once made; the
             # slots this purchase appends are never looked up in it
             child = [-1] * len(wallets)
-            pays: list[tuple[int, Fraction]] = []
-            if record:
-                units = self._units
-                cap_fraction = Fraction(cap, units)
-                paid = [cap_fraction] * len(wallets)
-            for voter in self.approvers[best]:
+            for voter in buyers:
                 c = voter_class[voter]
                 if not c:
                     continue
@@ -296,12 +304,12 @@ class MesEngine:
                 voter_class[voter] = d
                 for q in ballots[voter]:
                     exact[q] = False
-                if record:
-                    pays.append((voter, paid[c]))
             selected.append(best)
             if record:
                 factors.append(Fraction(best_num, best_den))
-                payments.append(pays)
+                payers = list(compress(buyers, paying))
+                amounts = list(map(paid.__getitem__, filter(None, paying)))
+                payments.append(zip(payers, amounts))
         return selected, factors, payments
 
     def _certificate(
@@ -453,7 +461,9 @@ class MesEngine:
         """Select at per-voter budget ``share``.
 
         Returns (selected, factors, payments, final_budgets); the last
-        three are None unless ``want_ledger``.
+        three are None unless ``want_ledger``.  ``payments`` holds one
+        iterator of ``(voter, amount)`` pairs per purchase, to be read
+        once: it yields pairs without keeping a tuple per payer alive.
         """
         share = Fraction(share)
         self._reset(*_share_units(share.numerator, share.denominator, self._cost_den))

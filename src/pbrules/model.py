@@ -65,18 +65,23 @@ def parse_money(text: str) -> Money:
     return value
 
 
-def decimal_string(value: Money) -> str | None:
-    """Render ``value`` as an exact finite decimal, or None if impossible."""
-    den = value.denominator
+def decimal_places(den: int) -> int | None:
+    """The number of decimal places of a value with reduced denominator
+    ``den``, or None when it has no finite decimal form."""
     twos = (den & -den).bit_length() - 1
     den >>= twos
     fives = 0
     while den % 5 == 0:
         den //= 5
         fives += 1
-    if den != 1:
+    return max(twos, fives) if den == 1 else None
+
+
+def decimal_string(value: Money) -> str | None:
+    """Render ``value`` as an exact finite decimal, or None if impossible."""
+    digits = decimal_places(value.denominator)
+    if digits is None:
         return None
-    digits = max(twos, fives)
     if digits == 0:
         return str(value.numerator)
     scaled = value.numerator * 10**digits // value.denominator

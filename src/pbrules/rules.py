@@ -26,7 +26,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Mapping
+from json.encoder import encode_basestring_ascii
+from typing import Collection, Iterable, Mapping
 
 from . import _mes_pure
 from ._mes_pure import (
@@ -43,6 +44,7 @@ from .model import (
     Profile,
     TieBreak,
     compile_election,
+    decimal_places,
     format_money,
     id_sort_key,
     is_complete,
@@ -112,10 +114,14 @@ class MesLedger:
     ``affordabilities`` holds the factor each project was bought at;
     ``budgets`` the final wallets, in ballot order.
 
-    :meth:`to_json_dict` renders every value exactly (see
-    :func:`~pbrules.model.format_money`) and formats each distinct value
-    once, so beyond one lookup per payment and wallet its cost grows
-    with the number of distinct money values, not with the voters.
+    :meth:`to_json` writes the JSON text itself, byte for byte what
+    ``json.dumps`` writes for :meth:`to_json_dict`, with every value
+    exact (see :func:`~pbrules.model.format_money`).  Each distinct
+    money value is formatted once, each distinct money object escaped
+    once and each voter id escaped once; per payment and wallet there
+    are only lookups and joins done by ``map`` and ``str.join`` in C, so
+    the Python-level work grows with the distinct values and voters, not
+    with the payments.
     """
 
     run_budget: Money
@@ -126,21 +132,90 @@ class MesLedger:
     budgets: dict[str, Money]
 
     def to_json_dict(self) -> dict:
-        text = _money_text()
-        return {
-            "run_budget": text(self.run_budget),
-            "initial_share": text(self.initial_share),
-            "selection_order": list(self.selection_order),
-            "affordabilities": {pid: text(a) for pid, a in self.affordabilities.items()},
-            "payments": {
-                pid: {vid: text(x) for vid, x in sorted(pays.items())}
-                for pid, pays in self.payments.items()
-            },
-            "budgets": {vid: text(b) for vid, b in self.budgets.items()},
-        }
+        return json.loads(self.to_json())
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self, indent: int | str | None = None) -> str:
+        if indent is not None and not isinstance(indent, str):
+            indent = " " * indent
+        literal = _money_literals(
+            (self.run_budget, self.initial_share),
+            self.affordabilities.values(),
+            *(pays.values() for pays in self.payments.values()),
+            self.budgets.values(),
+        ).__getitem__
+        # every voter id has a wallet: escape them all in one pass
+        key = _JsonKeys(zip(self.budgets, map(encode_basestring_ascii, self.budgets))).__getitem__
+
+        def block(amounts: dict[str, Money], depth: int, sort: bool = False) -> str:
+            names = sorted(amounts) if sort else amounts
+            values = map(amounts.__getitem__, names) if sort else amounts.values()
+            return _json_block(
+                "{}", list(map(key, names)), list(map(literal, map(id, values))), depth, indent
+            )
+
+        fields = {
+            "run_budget": literal(id(self.run_budget)),
+            "initial_share": literal(id(self.initial_share)),
+            "selection_order": _json_block(
+                "[]", None, list(map(encode_basestring_ascii, self.selection_order)), 1, indent
+            ),
+            "affordabilities": block(self.affordabilities, 1),
+            "payments": _json_block(
+                "{}",
+                list(map(key, self.payments)),
+                [block(pays, 2, sort=True) for pays in self.payments.values()],
+                1,
+                indent,
+            ),
+            "budgets": block(self.budgets, 1),
+        }
+        return _json_block("{}", list(map(key, fields)), list(fields.values()), 0, indent)
+
+
+class _JsonKeys(dict):
+    """JSON strings of object keys, each escaped on its first lookup."""
+
+    def __missing__(self, name: str) -> str:
+        text = self[name] = encode_basestring_ascii(name)
+        return text
+
+
+def _json_block(
+    brackets: str, keys: list[str] | None, values: list[str], depth: int, indent: str | None
+) -> str:
+    """One JSON object or array, ``depth`` levels deep, as ``json.dumps``
+    writes it: ``values`` are JSON texts, each after its key string from
+    ``keys`` in an object and alone when ``keys`` is None."""
+    if not values:
+        return brackets
+    if indent is None:
+        first, sep, last = brackets[0], ", ", brackets[1]
+    else:
+        pad = "\n" + indent * (depth + 1)
+        first, sep, last = brackets[0] + pad, "," + pad, "\n" + indent * depth + brackets[1]
+    if keys is None:
+        return first + sep.join(values) + last
+    pieces = [sep, "", ": ", ""] * len(values)
+    pieces[0] = first
+    pieces[1::4] = keys
+    pieces[3::4] = values
+    pieces.append(last)
+    return "".join(pieces)
+
+
+def _money_literals(*groups: Collection[Money]) -> dict[int, str]:
+    """The JSON string of each money object in ``groups``, keyed by ``id``.
+
+    Each distinct object is looked up and escaped once, and each
+    distinct value formatted once (see :func:`_money_text`).  The ids
+    are valid while the caller keeps the objects alive, as a ledger does
+    during its rendering.
+    """
+    objects: dict[int, Money] = {}
+    for values in groups:
+        objects.update(zip(map(id, values), values))
+    text = _money_text()
+    return {key: encode_basestring_ascii(text(value)) for key, value in objects.items()}
 
 
 @dataclass(frozen=True)
@@ -274,17 +349,17 @@ def _ledger_run(engine, election: CompiledElection, profile: Profile, run_budget
     share = Fraction(run_budget, profile.voter_count)
     selected, factors, payments, final_budgets = engine.run(share, want_ledger=True)
     pids = election.ids
-    ballots = profile.ballots
+    vids = [b.voter_id for b in profile.ballots]
     return selected, MesLedger(
         run_budget=run_budget,
         initial_share=share,
         selection_order=tuple(pids[p] for p in selected),
         affordabilities={pids[p]: f for p, f in zip(selected, factors)},
         payments={
-            pids[p]: {ballots[v].voter_id: amount for v, amount in pays}
+            pids[p]: {vids[v]: amount for v, amount in pays}
             for p, pays in zip(selected, payments)
         },
-        budgets={b.voter_id: w for b, w in zip(ballots, final_budgets)},
+        budgets=dict(zip(vids, final_budgets)),
     )
 
 
@@ -446,62 +521,75 @@ def _money_text():
     """A :func:`format_money` that formats each distinct value once.
 
     Values are keyed by their ``(numerator, denominator)`` pair: hashing
-    a ``Fraction`` computes a modular inverse of its denominator.
+    a ``Fraction`` computes a modular inverse of its denominator.  Each
+    distinct denominator is tested for a finite decimal form and, when
+    it has none, written once.
     """
     seen: dict[tuple[int, int], str] = {}
+    tails: dict[int, str] = {}  # "/den", or "" for a finite decimal
 
     def text(value: Money) -> str:
         key = value.as_integer_ratio()
         found = seen.get(key)
         if found is None:
-            found = seen[key] = format_money(value)
+            num, den = key
+            tail = tails.get(den)
+            if tail is None:
+                tail = tails[den] = "" if decimal_places(den) is not None else f"/{den}"
+            found = seen[key] = f"{num}{tail}" if tail else format_money(value)
         return found
 
     return text
 
 
-def _group_payments(pays: dict[str, Money]) -> list[tuple[Money, list[str]]]:
-    """Payers grouped by amount, ascending, voters in ledger order.
+def _tally(values: Collection[Money]) -> tuple[int, list[tuple[int, Money, int]]]:
+    """The distinct values ascending, each as ``(value * unit, value,
+    count)``, with ``unit`` the lcm of their denominators.
 
-    Amounts are grouped by ``(numerator, denominator)`` and ordered as
-    ints over the lcm of their denominators.
+    The objects are counted by ``id`` in C, which is valid because
+    ``values`` holds them, and then merged by ``(numerator,
+    denominator)`` once per distinct object.
     """
-    groups: dict[tuple[int, int], tuple[Money, list[str]]] = {}
-    for vid, amount in pays.items():
-        key = amount.as_integer_ratio()
-        group = groups.get(key)
-        if group is None:
-            groups[key] = (amount, [vid])
+    counts = Counter(map(id, values))
+    objects = dict(zip(map(id, values), values))
+    merged: dict[tuple[int, int], list] = {}
+    for key, count in counts.items():
+        value = objects[key]
+        ratio = value.as_integer_ratio()
+        entry = merged.get(ratio)
+        if entry is None:
+            merged[ratio] = [value, count]
         else:
-            group[1].append(vid)
-    unit = math.lcm(*(den for _, den in groups))
-    order = sorted(groups, key=lambda key: key[0] * (unit // key[1]))
-    return [groups[key] for key in order]
+            entry[1] += count
+    dens = {den for _, den in merged}
+    unit = math.lcm(*dens)
+    scale = {den: unit // den for den in dens}
+    return unit, sorted(
+        (num * scale[den], value, count) for (num, den), (value, count) in merged.items()
+    )
 
 
-def _wallet_summary(wallets: Iterable[Money]) -> tuple[Money, Money, Money, Money]:
+def _wallet_summary(wallets: Collection[Money]) -> tuple[Money, Money, Money, Money]:
     """(min, median, max, total) of the wallets.
 
-    The distinct values are tallied by ``(numerator, denominator)`` and
-    summed and ranked as ints over the lcm of their denominators; one
-    ``Fraction`` is built per result.  For an even count the median is
-    the exact mean of the two middle wallets.
+    The distinct values (see :func:`_tally`) are summed and ranked as
+    ints over the lcm of their denominators; one ``Fraction`` is built
+    per result.  For an even count the median is the exact mean of the
+    two middle wallets.
     """
-    tally = Counter(wallet.as_integer_ratio() for wallet in wallets)
-    unit = math.lcm(*(den for _, den in tally))
-    counts = sorted((num * (unit // den), count) for (num, den), count in tally.items())
-    ends = list(accumulate(count for _, count in counts))
+    unit, tally = _tally(wallets)
+    ends = list(accumulate(count for *_, count in tally))
 
     def ranked(rank: int) -> int:  # the wallet at 0-based ``rank``, ascending
-        return counts[bisect_right(ends, rank)][0]
+        return tally[bisect_right(ends, rank)][0]
 
     n = ends[-1]
     middle = ranked((n - 1) // 2) + ranked(n // 2)
-    total = sum(value * count for value, count in counts)
+    total = sum(value * count for value, _, count in tally)
     return (
-        Fraction(counts[0][0], unit),
+        Fraction(tally[0][0], unit),
         Fraction(middle, 2 * unit),
-        Fraction(counts[-1][0], unit),
+        Fraction(tally[-1][0], unit),
         Fraction(total, unit),
     )
 
@@ -511,11 +599,14 @@ def emit_trace(ledger: MesLedger, instance: Instance) -> str:
     each purchase with its affordability factor and payments, and the
     final wallets.
 
-    Every number is exact.  Each distinct money value is formatted once,
-    payments are grouped and the wallet summary (min, median, max, total
-    left) is computed as ints over the lcm of the distinct denominators,
-    so beyond one pass over the payments and wallets the cost grows with
-    the number of distinct values, not with the voters.
+    Every number is exact.  Each distinct money value is formatted once.
+    The payments of a purchase and the final wallets are counted per
+    object with ``Counter(map(id, ...))`` in C, the distinct objects
+    merged by ``(numerator, denominator)``, and groups and the wallet
+    summary (min, median, max, total left) computed as ints over the lcm
+    of the distinct denominators; only a purchase of at most 8 payers,
+    whose trace names them, and a ledger of at most 12 voters, whose
+    wallets it lists, run Python code per voter.
     """
     text = _money_text()
     n = len(ledger.budgets)
@@ -529,19 +620,20 @@ def emit_trace(ledger: MesLedger, instance: Instance) -> str:
         factor = ledger.affordabilities[pid]
         label = f"{pid} ({project.name})" if project.name else pid
         head = f"{step}. buy {label}, cost {text(project.cost)}, alpha = {text(factor)}: "
-        groups = _group_payments(pays)
+        _, groups = _tally(pays.values())
         if len(groups) == 1:
-            amount, voters = groups[0]
-            detail = f"{len(voters)} payer{'s' if len(voters) != 1 else ''}, each pays {text(amount)}."
+            _, amount, count = groups[0]
+            detail = f"{count} payer{'s' if count != 1 else ''}, each pays {text(amount)}."
         elif len(pays) <= 8:
+            named = {amount.as_integer_ratio(): [] for _, amount, _ in groups}
+            for vid in sorted(pays):
+                named[pays[vid].as_integer_ratio()].append(vid)
             detail = "; ".join(
-                f"{', '.join(sorted(voters))} pay{'s' if len(voters) == 1 else ''} {text(amount)}"
-                for amount, voters in groups
+                f"{', '.join(voters)} pay{'s' if len(voters) == 1 else ''} {text(pays[voters[0]])}"
+                for voters in named.values()
             ) + "."
         else:
-            detail = "; ".join(
-                f"{len(voters)} pay {text(amount)}" for amount, voters in groups
-            ) + "."
+            detail = "; ".join(f"{count} pay {text(amount)}" for _, amount, count in groups) + "."
         lines.append(head + detail)
     if n <= 12:
         listing = ", ".join(f"{vid}={text(b)}" for vid, b in ledger.budgets.items())

@@ -13,6 +13,9 @@ CATEGORY_POOL = ("roads", "parks", "schools", "culture")
 # instance must survive a file round trip.
 DECIMAL_DENOMS = (1, 1, 1, 2, 4, 5, 10)
 ANY_DENOMS = DECIMAL_DENOMS + (3, 7)
+# Characters that JSON escapes in an id: a quote, a backslash, a control
+# character, a non-ASCII one and one outside the BMP (a surrogate pair).
+ESCAPED = ('"', "\\", "\t", "\u00e9", "\U0001f600")
 
 
 def random_instance(

@@ -266,6 +266,41 @@ class TestRun:
         assert match is not None, last
         assert Fraction(match.group(1)) == left
 
+    def test_ledger_and_trace_with_escaped_ids(self, tmp_path, capsys):
+        # ids with characters JSON escapes, written to a file and read
+        # back; the last purchase peels two of its three payers
+        rng = random.Random(402)
+        projects = tuple(
+            Project(
+                id=f"p{rng.choice(helpers.ESCAPED)}{j + 1}",
+                cost=Fraction(rng.randint(100, 900), 100),
+            )
+            for j in range(6)
+        )
+        ballots = tuple(
+            ApprovalBallot(
+                f"v{rng.choice(helpers.ESCAPED)}{i + 1}",
+                frozenset(p.id for p in rng.sample(projects, rng.randint(1, 3))),
+            )
+            for i in range(10)
+        )
+        instance = Instance(
+            projects=projects, budget_limit=Fraction(1_501, 100), meta={"instance_id": "402"}
+        )
+        profile = Profile(ballots)
+        election = tmp_path / "escaped.pb"
+        election.write_text(write_pabulib(instance, profile), encoding="utf-8")
+        ledger_path = tmp_path / "ledger.json"
+        argv = ["run", "--file", str(election), "--rule", "mes", "--trace"]
+        argv += ["--out", str(tmp_path / "result.json"), "--ledger-out", str(ledger_path)]
+        assert cli_main(argv) == EXIT_OK
+        _, ledger = mes(instance, profile)
+        assert len(ledger.selection_order) == 3
+        assert len(set(ledger.payments[ledger.selection_order[-1]].values())) == 2
+        expected = json.dumps(oracle.ledger_json_dict(ledger), indent=2)
+        assert ledger_path.read_text(encoding="utf-8") == expected
+        assert capsys.readouterr().out == oracle.trace_text(ledger, instance) + "\n"
+
     def test_epsilon_flag(self, one_file, capsys):
         assert (
             cli_main(

@@ -641,17 +641,25 @@ DECIMAL_DENOMS = (1, 2, 4, 5, 8, 20, 100, 2**30 * 5**2)
 HUGE_DENOMS = (3**500, 7**300 * 2**9, 11**250 * 5**4 * 3)
 
 
-def random_rendering_case(rng, n, huge, sharing, group_sizes, split_middle):
+def random_rendering_case(rng, n, huge, sharing, group_sizes, split_middle, escaped=False):
     """A hand-built ledger and a matching instance for the renderers.
 
     Money comes from a small pool of values; ``sharing`` says whether
     equal values are one shared object ("shared"), distinct equal
     objects ("distinct") or either ("mixed").  ``group_sizes`` gives one
     project per entry with 1, "few" (2 to 8) or "many" (more than 8)
-    payers.  With ``split_middle`` the lower half of the wallets comes
+    payers; with none, nothing is bought and the instance holds one
+    project.  With ``split_middle`` the lower half of the wallets comes
     from strictly smaller values than the upper half, so for an even
-    ``n`` the two middle wallets differ.
+    ``n`` the two middle wallets differ.  With ``escaped`` every voter
+    and project id holds characters from ``helpers.ESCAPED``.
     """
+
+    def ident(prefix, i):
+        if not escaped:
+            return f"{prefix}{i}"
+        return f"{prefix}{''.join(rng.choices(helpers.ESCAPED, k=rng.randint(1, 3)))}{i}"
+
     dens = DECIMAL_DENOMS + (HUGE_DENOMS if huge else ())
     pool = [Fraction(rng.randint(0, 40 * d), d) for d in rng.choices(dens, k=rng.randint(1, 6))]
 
@@ -660,7 +668,7 @@ def random_rendering_case(rng, n, huge, sharing, group_sizes, split_middle):
         fresh = sharing == "distinct" or (sharing == "mixed" and rng.random() < 0.5)
         return Fraction(value.numerator, value.denominator) if fresh else value
 
-    voters = [f"v{i + 1}" for i in range(n)]
+    voters = [ident("v", i + 1) for i in range(n)]
     rng.shuffle(voters)
     if split_middle:
         values = sorted(set(pool))
@@ -675,7 +683,7 @@ def random_rendering_case(rng, n, huge, sharing, group_sizes, split_middle):
 
     projects, payments, factors = [], {}, {}
     for j, size in enumerate(group_sizes):
-        pid = f"p{j + 1}"
+        pid = ident("p", j + 1)
         if size == "many" and n > 8:
             k = rng.randint(9, n)
         elif size == 1:
@@ -688,6 +696,8 @@ def random_rendering_case(rng, n, huge, sharing, group_sizes, split_middle):
         factors[pid] = take(pool)
         name = f"Project {j + 1}" if rng.random() < 0.5 else None
         projects.append(Project(id=pid, cost=take(pool) + 1, name=name))
+    if not projects:
+        projects.append(Project(id=ident("p", 1), cost=take(pool) + 1))
     instance = Instance(projects=tuple(projects), budget_limit=take(pool) + 1)
     ledger = MesLedger(
         run_budget=take(pool),
@@ -702,8 +712,10 @@ def random_rendering_case(rng, n, huge, sharing, group_sizes, split_middle):
 
 def assert_renderings_match(ledger, instance):
     oracle_dict = ledger_json_dict(ledger)
-    assert ledger.to_json(indent=2) == json.dumps(oracle_dict, indent=2)
+    for indent in (None, 0, 2, 4, "\t"):
+        assert ledger.to_json(indent=indent) == json.dumps(oracle_dict, indent=indent)
     assert ledger.to_json() == json.dumps(oracle_dict)
+    assert ledger.to_json_dict() == oracle_dict
     assert emit_trace(ledger, instance) == trace_text(ledger, instance)
 
 
@@ -714,18 +726,32 @@ class TestRenderingOracle:
         n=st.one_of(st.integers(1, 12), st.integers(13, 40)),
         huge=st.booleans(),
         sharing=st.sampled_from(("shared", "distinct", "mixed")),
-        group_sizes=st.lists(st.sampled_from((1, "few", "many")), min_size=1, max_size=5),
+        group_sizes=st.lists(st.sampled_from((1, "few", "many")), max_size=5),
         split_middle=st.booleans(),
+        escaped=st.booleans(),
+    )
+    @example(
+        seed=0, n=3, huge=False, sharing="shared", group_sizes=[], split_middle=False, escaped=True
     )
     def test_matches_per_value_rendering(
-        self, seed, n, huge, sharing, group_sizes, split_middle
+        self, seed, n, huge, sharing, group_sizes, split_middle, escaped
     ):
         ledger, instance = random_rendering_case(
-            random.Random(seed), n, huge, sharing, group_sizes, split_middle
+            random.Random(seed), n, huge, sharing, group_sizes, split_middle, escaped
         )
         if split_middle and n % 2 == 0:
             wallets = sorted(ledger.budgets.values())
             assert wallets[n // 2 - 1] < wallets[n // 2]
+        assert_renderings_match(ledger, instance)
+
+    def test_ledger_without_purchases(self):
+        # no project is affordable: the engine's ledger buys nothing
+        instance = Instance(
+            projects=(Project(id='p"1', cost=Fraction(100)),), budget_limit=Fraction(3, 7)
+        )
+        profile = Profile(tuple(ApprovalBallot(f"v\\{i}", frozenset({'p"1'})) for i in range(3)))
+        _, ledger = mes(instance, profile)
+        assert not ledger.selection_order and not ledger.payments
         assert_renderings_match(ledger, instance)
 
     def test_engine_ledgers_match(self):
