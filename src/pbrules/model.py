@@ -6,7 +6,9 @@ floats implicitly.  Use :func:`money` or :func:`parse_money` at boundaries
 so validation happens in one place.
 
 All model objects are immutable after construction and safe to share
-across threads or processes.  Every layer reads :func:`compile_election`.
+across threads or processes; a :class:`Profile` read from a file builds
+its ballot objects only when they are asked for.  Every layer reads
+:func:`compile_election`, which adopts such a profile's index rows.
 """
 
 from __future__ import annotations
@@ -193,26 +195,90 @@ class ApprovalBallot:
         object.__setattr__(self, "approved", frozenset(self.approved))
 
 
-@dataclass(frozen=True)
 class Profile:
     """The full ballot profile.  Voter ids must be unique and there must
-    be at least one ballot; individual approval sets may be empty."""
+    be at least one ballot; individual approval sets may be empty.
 
-    ballots: tuple[ApprovalBallot, ...]
+    A profile holds either its ballots or, as the PaBuLib reader builds
+    it, each voter's id and approved project indices into a project-id
+    order, the form :func:`compile_election` adopts.  It derives the other
+    form once, on first use.  Equality, hashing and repr go by the
+    ballots; a pickle carries the indexed form when there is one.
+    """
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ballots", tuple(self.ballots))
-        if not self.ballots:
+    __slots__ = ("_ballots", "_voter_ids", "_ids", "_rows")
+
+    def __init__(self, ballots: Iterable[ApprovalBallot]) -> None:
+        ballots = tuple(ballots)
+        if not ballots:
             raise ValueError("a profile needs at least one ballot")
         seen: set[str] = set()
-        for ballot in self.ballots:
+        for ballot in ballots:
             if ballot.voter_id in seen:
                 raise ValueError(f"duplicate voter id {ballot.voter_id!r}")
             seen.add(ballot.voter_id)
+        self._hold(ballots, None, None, None)
+
+    @classmethod
+    def _indexed(
+        cls, voter_ids: tuple[str, ...], ids: tuple[str, ...], rows: tuple[list[int], ...]
+    ) -> Profile:
+        """The profile whose voter ``voter_ids[i]`` approves the projects
+        ``ids[j]`` for ``j`` in ``rows[i]``.  The caller has checked that
+        there is at least one voter and that the voter ids are unique and
+        non-empty."""
+        profile = cls.__new__(cls)
+        profile._hold(None, voter_ids, ids, rows)
+        return profile
+
+    def _hold(self, ballots, voter_ids, ids, rows) -> None:
+        for name, value in zip(self.__slots__, (ballots, voter_ids, ids, rows)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        if self._rows is None:
+            return Profile, (self._ballots,)
+        return Profile._indexed, (self._voter_ids, self._ids, self._rows)
+
+    @property
+    def ballots(self) -> tuple[ApprovalBallot, ...]:
+        """Each voter's ballot, in ballot order."""
+        if self._ballots is None:
+            project = self._ids.__getitem__
+            ballots = tuple(
+                ApprovalBallot(vid, frozenset(map(project, row)))
+                for vid, row in zip(self._voter_ids, self._rows)
+            )
+            object.__setattr__(self, "_ballots", ballots)
+        return self._ballots
+
+    @property
+    def voter_ids(self) -> tuple[str, ...]:
+        """Each ballot's voter id, in ballot order."""
+        if self._voter_ids is None:
+            object.__setattr__(self, "_voter_ids", tuple(b.voter_id for b in self._ballots))
+        return self._voter_ids
 
     @property
     def voter_count(self) -> int:
-        return len(self.ballots)
+        return len(self._voter_ids if self._ballots is None else self._ballots)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.ballots == other.ballots
+
+    def __hash__(self) -> int:
+        return hash(self.ballots)
+
+    def __repr__(self) -> str:
+        return f"Profile(ballots={self.ballots!r})"
 
     def validate_against(self, instance: Instance) -> None:
         """Check every approved id exists in ``instance`` (raises KeyError)."""
@@ -444,16 +510,21 @@ def _sum_fractions(terms: list[tuple[int, list[int]]]) -> tuple[int, list[int]]:
 def compile_election(instance: Instance, profile: Profile) -> CompiledElection:
     """The :class:`CompiledElection` of ``instance`` and ``profile``;
     KeyError (see :meth:`Profile.validate_against`) when a ballot
-    approves a project the instance lacks."""
+    approves a project the instance lacks.  A profile whose index rows
+    index the instance's project ids, in order, hands over its rows as
+    the ``ballots``; any other is mapped ballot by ballot."""
     ids = tuple(p.id for p in instance.projects)
-    index = {pid: j for j, pid in enumerate(ids)}
     cost_den = math.lcm(*(p.cost.denominator for p in instance.projects))
-    try:
-        # exact-size lists: freed small tuples are kept for reuse, lists from maps over-allocate
-        ballots = tuple(list(tuple(map(index.__getitem__, b.approved))) for b in profile.ballots)
-    except KeyError:
-        profile.validate_against(instance)  # raises the message of the first bad ballot
-        raise
+    if profile._ids == ids:
+        ballots = profile._rows
+    else:
+        index = {pid: j for j, pid in enumerate(ids)}
+        try:
+            # exact-size lists: freed small tuples are kept for reuse, lists from maps over-allocate
+            ballots = tuple(list(tuple(map(index.__getitem__, b.approved))) for b in profile.ballots)
+        except KeyError:
+            profile.validate_against(instance)  # raises the message of the first bad ballot
+            raise
     approvers: tuple[list[int], ...] = tuple([] for _ in ids)
     for voter, ballot in enumerate(ballots):
         for j in ballot:

@@ -10,6 +10,11 @@ Parsing is strict and reads the file in one pass: each line is checked
 as it is read, the first error in file order is raised, and an error
 found in a line carries its number.  Unknown columns are preserved, not
 rejected: extra project columns round-trip through :attr:`Project.extra`.
+
+Each vote row is kept as its voter id and its project indices in the
+instance's project order, the form :func:`pbrules.model.compile_election`
+adopts; the profile builds ``ApprovalBallot`` objects only when asked
+for them.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from pathlib import Path
 
 from .model import (
     Allocation,
-    ApprovalBallot,
     Instance,
     Profile,
     Project,
@@ -148,7 +152,8 @@ def parse_pabulib(
     projects: list[Project] = []
     known: set[str] = set()
     ignored = {""}  # ballot tokens that name no project: blanks, dropped ids
-    ballots: list[ApprovalBallot] = []
+    voter_ids: list[str] = []
+    rows: list[list[int]] = []
     voters: set[str] = set()
 
     for lineno, raw in enumerate(text.lstrip("\ufeff").split("\n"), start=1):
@@ -172,6 +177,8 @@ def parse_pabulib(
                 _check_count(meta, "num_projects", project_rows)
                 if not projects:
                     raise PabulibParseError("no projects with costs", None, "no-projects")
+                ids = tuple(project.id for project in projects)
+                index_of = {pid: j for j, pid in enumerate(ids)}.__getitem__
             section = upcoming.pop(0)
             awaiting_header = True
             continue
@@ -261,14 +268,13 @@ def parse_pabulib(
                 raise PabulibParseError(
                     f"ballot {vid!r} references unknown project {pid!r}", lineno, "unknown-project"
                 )
-        # a frozenset copied from a set gets a smaller table than one
-        # grown token by token, and the profile keeps every ballot
-        ballots.append(ApprovalBallot(vid, frozenset(approved)))
+        voter_ids.append(vid)
+        rows.append(list(map(index_of, approved)))
 
     if upcoming:
         raise PabulibParseError(f"missing section {upcoming[0]}", None, "missing-section")
-    _check_count(meta, "num_votes", len(ballots))
-    if not ballots:
+    _check_count(meta, "num_votes", len(rows))
+    if not rows:
         raise PabulibParseError("file has no votes", None, "missing-votes")
 
     instance_id = _derive_instance_id(meta, source)
@@ -280,7 +286,7 @@ def parse_pabulib(
         instance = Instance(projects=tuple(projects), budget_limit=budget, meta=meta)
     except ValueError as exc:
         raise PabulibParseError(str(exc), None, "bad-money") from None
-    return instance, Profile(tuple(ballots))
+    return instance, Profile._indexed(tuple(voter_ids), ids, tuple(rows))
 
 
 def _field(text: str, what: str, comma: bool = True, padded: bool = False) -> str:

@@ -349,7 +349,7 @@ def _ledger_run(engine, election: CompiledElection, profile: Profile, run_budget
     share = Fraction(run_budget, profile.voter_count)
     selected, factors, payments, final_budgets = engine.run(share, want_ledger=True)
     pids = election.ids
-    vids = [b.voter_id for b in profile.ballots]
+    vids = profile.voter_ids
     return selected, MesLedger(
         run_budget=run_budget,
         initial_share=share,

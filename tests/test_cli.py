@@ -616,6 +616,25 @@ class TestCorpusRun:
             tuple(entry) for entry in report["ranking"]
         ]
 
+    def test_commands_build_no_ballot_objects(self, dataset, tmp_path, capsys, monkeypatch):
+        """Parsed profiles reach every command as index rows: building an
+        ApprovalBallot per voter would undo the compact ingest."""
+        root, accepted = dataset
+
+        def refuse(ballot):
+            raise AssertionError(f"ApprovalBallot built for voter {ballot.voter_id!r}")
+
+        monkeypatch.setattr(ApprovalBallot, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            ApprovalBallot("v", frozenset())
+        one_file = str(root / f"{accepted[0][0].instance_id}.pb")
+        for rule in ("mes", "mes*+"):
+            argv = ["run", "--file", one_file, "--rule", rule, "--trace"]
+            self.run(capsys, argv + ["--ledger-out", str(tmp_path / "ledger.json")])
+        self.run(capsys, ["stats", "--dir", str(root)])
+        self.run(capsys, ["compare", "--dir", str(root), "--rules", ",".join(self.RULES), "--jobs", "1"])
+        self.run(capsys, ["extremes", "--dir", str(root), "--jobs", "1"])
+
 
 def degenerate_election(case: str):
     """One small election per degenerate input of the star completion."""

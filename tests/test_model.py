@@ -1,11 +1,15 @@
 """Model layer: money parsing, validation, allocations, the district builder."""
 
+import dataclasses
+import pickle
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from pbrules.model import (
     Allocation,
     ApprovalBallot,
@@ -14,6 +18,7 @@ from pbrules.model import (
     Project,
     approvers,
     build_district_example,
+    compile_election,
     decimal_string,
     format_money,
     id_sort_key,
@@ -22,6 +27,7 @@ from pbrules.model import (
     parse_money,
     total_cost,
 )
+from pbrules.pabulib import parse_pabulib, write_pabulib
 
 
 # Odd, not a multiple of 5, and 159 digits long.
@@ -144,6 +150,19 @@ class TestValidation:
         with pytest.raises(ValueError):
             Profile(ballots=())
 
+    def test_profile_is_frozen_and_picklable(self):
+        profile = Profile(
+            ballots=(ApprovalBallot("v2", frozenset({"a"})), ApprovalBallot("v1", frozenset()))
+        )
+        assert profile.voter_ids == ("v2", "v1") and profile.voter_count == 2
+        assert pickle.loads(pickle.dumps(profile)) == profile
+        assert profile != Profile(reversed(profile.ballots))
+        assert repr(profile) == f"Profile(ballots={profile.ballots!r})"
+        with pytest.raises(AttributeError):
+            profile.ballots = ()
+        with pytest.raises(AttributeError):
+            del profile.ballots
+
     def test_validate_against_unknown_project(self):
         inst = make_instance([1], 1)
         profile = Profile((ApprovalBallot("v", frozenset({"ghost"})),))
@@ -156,6 +175,35 @@ class TestValidation:
         with pytest.raises(KeyError):
             inst.project("zzz")
         assert inst.project_ids == {"a", "b"}
+
+
+class TestCompileParsedProfile:
+    """compile_election adopts a parsed profile's index rows when they
+    index the instance's own project order, and maps its ballots
+    otherwise; both must give the election built from the ballots."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_rows_and_ballots_compile_alike(self, seed):
+        rng = random.Random(seed)
+        written = helpers.random_instance(
+            rng, decimal_money=True, with_categories=True, tag=str(seed)
+        )
+        instance, parsed = parse_pabulib(write_pabulib(*written))
+        # reversed, with an unapproved project in front: other indices
+        reordered = dataclasses.replace(
+            instance,
+            projects=(Project("unused", Fraction(1)),) + instance.projects[::-1],
+        )
+        for target in (instance, reordered):
+            got = compile_election(target, parsed)
+            want = compile_election(target, Profile(parsed.ballots))
+            assert got.approvers == want.approvers
+            assert [set(b) for b in got.ballots] == [set(b) for b in want.ballots]
+            for field in ("ids", "cost_den", "costs", "labels", "members"):
+                assert getattr(got, field) == getattr(want, field)
+            assert [{got.ids[j] for j in b} for b in got.ballots] == [
+                b.approved for b in written[1].ballots
+            ]
 
 
 class TestAllocation:

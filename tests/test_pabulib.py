@@ -1,6 +1,8 @@
 """File format layer: parsing, located errors, writing, directory ingest."""
 
 import json
+import pickle
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -306,6 +308,61 @@ class TestWriting:
         assert again_instance.budget_limit == instance.budget_limit
         assert again_instance.instance_id == instance.instance_id
         assert again_profile == profile
+
+
+def with_costless_projects(text: str, ids: tuple[str, ...]) -> str:
+    """``text`` with projects ``ids`` listed without a cost and added to
+    every second ballot."""
+    lines = text.split("\n")
+    count = next(k for k, line in enumerate(lines) if line.startswith("num_projects;"))
+    lines[count] = f"num_projects;{int(lines[count].split(';')[1]) + len(ids)}"
+    first_project = lines.index("PROJECTS") + 2
+    lines[first_project:first_project] = [f"{pid};" for pid in ids]
+    for k in range(lines.index("VOTES") + 2, len(lines), 2):
+        if lines[k]:
+            lines[k] += "," + ",".join(ids)
+    return "\n".join(lines)
+
+
+class TestIndexedProfile:
+    """parse_pabulib hands over each voter's id and project indices; the
+    profile must behave as the one built from its ballots."""
+
+    @pytest.mark.parametrize("variant", ["plain", "costless", "crlf-bom"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_parsed_profile_is_the_written_one(self, seed, variant):
+        rng = random.Random(seed)
+        instance, profile = helpers.random_instance(
+            rng, decimal_money=True, with_categories=bool(seed % 2), tag=str(seed)
+        )
+        text = write_pabulib(instance, profile)
+        if variant == "costless":
+            text = with_costless_projects(text, ("x1", "x2"))
+        elif variant == "crlf-bom":
+            text = "\ufeff" + text.replace("\n", "\r\n")
+        parsed_instance, parsed = parse_pabulib(text, drop_costless=variant == "costless")
+        assert parsed_instance.projects == instance.projects
+        voter_ids = tuple(b.voter_id for b in profile.ballots)
+        assert parsed.voter_ids == voter_ids
+        assert parsed.voter_count == profile.voter_count
+        # pickled before and after the ballots are built
+        assert pickle.loads(pickle.dumps(parsed)) == profile
+        assert parsed == profile and profile == parsed
+        assert hash(parsed) == hash(profile)
+        assert repr(parsed) == repr(Profile(parsed.ballots))
+        assert pickle.loads(pickle.dumps(parsed)) == profile
+        assert parsed.voter_ids == voter_ids and len(parsed.ballots) == parsed.voter_count
+        with pytest.raises(AttributeError):
+            parsed.ballots = profile.ballots
+        with pytest.raises(AttributeError):
+            parsed.voter_ids = voter_ids
+
+    def test_validates_against_another_instance(self):
+        instance, profile = parse_pabulib(MINIMAL)
+        profile.validate_against(instance)
+        smaller = Instance(projects=instance.projects[:1], budget_limit=instance.budget_limit)
+        with pytest.raises(KeyError, match="ballot '1' approves unknown project 'b'"):
+            profile.validate_against(smaller)
 
 
 def _write_corpus_file(path: Path, instance_id: str, n_voters: int, n_projects: int):
