@@ -113,6 +113,22 @@ def stats_csv(rows: Sequence[InstanceStats]) -> str:
     return _csv(STAT_COLUMNS, map(vars, rows))
 
 
+def stats_json(rows: Sequence[InstanceStats]) -> str:
+    """Money columns exact, as in the CSV; other fractions as floats."""
+    return json.dumps(
+        [
+            {
+                column: format_money(value)
+                if column in MONEY_COLUMNS
+                else (float(value) if isinstance(value, Fraction) else value)
+                for column, value in vars(row).items()
+            }
+            for row in rows
+        ],
+        indent=2,
+    )
+
+
 AGGREGATE_METRICS = METRIC_COLUMNS[2:]  # everything after instance_id, rule
 
 
@@ -152,6 +168,18 @@ class ComparisonReport:
 
     def to_csv(self) -> str:
         return _csv(COMPARISON_COLUMNS, map(vars, self.rows))
+
+    def to_json(self) -> str:
+        """The rule names and rows; floats rounded as in the CSV."""
+        rows = [
+            {
+                column: float(format_sig(value)) if isinstance(value, float) else value
+                for column, value in vars(row).items()
+                if column in COMPARISON_COLUMNS
+            }
+            for row in self.rows
+        ]
+        return json.dumps({"rules": list(self.rules), "rows": rows}, indent=2)
 
     def raw_csv(self) -> str:
         return _csv(METRIC_COLUMNS, self.raw)

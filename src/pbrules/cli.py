@@ -7,7 +7,9 @@ smallest rule effects).  Exit codes: 0 on success, 1 for usage errors,
 
 ``--dir`` defaults to the PB_DATA_DIR environment variable.  ``--config``
 names a flat key=value file whose keys mirror the long option names;
-explicit flags win over the config, the config wins over defaults.
+explicit flags win over the config, the config wins over defaults.  A
+config value is converted and checked by its option's ``type``, as a flag
+value is, before any command runs.
 """
 
 from __future__ import annotations
@@ -16,21 +18,18 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .analysis import (
-    COMPARISON_COLUMNS,
-    MONEY_COLUMNS,
     compare_rules,
     extract_extremes,
-    format_sig,
     instance_stats,
     repeated_rules,
     stats_csv,
+    stats_json,
 )
-from .model import format_money, parse_money
+from .model import Money, parse_money
 from .pabulib import IngestFilter, PabulibParseError, ingest_directory, parse_pabulib
 from .rules import (
     RULE_NAMES,
@@ -100,24 +99,35 @@ def _load_config(path: str, keys: set[str]) -> dict[str, str]:
 
 
 def _apply_config(parser: argparse.ArgumentParser, mapping: dict[str, str]) -> None:
-    # set_defaults keeps explicit flags winning; subparsers parse into a
-    # fresh namespace, so each one needs the defaults as well
-    parser.set_defaults(**mapping)
+    # set_defaults keeps explicit flags winning, and argparse passes a
+    # string default through the option's type as it does a flag value;
+    # subparsers parse into a fresh namespace, so each one needs the
+    # defaults.  A store_true flag has no type: its value becomes a bool here.
     for sub in _subparsers(parser):
-        sub.set_defaults(**mapping)
+        flags = {a.dest for a in sub._actions if isinstance(a, argparse._StoreTrueAction)}
+        sub.set_defaults(
+            **{
+                dest: value.lower() in ("1", "true", "yes", "on") if dest in flags else value
+                for dest, value in mapping.items()
+            }
+        )
 
 
-def _as_int(value, flag: str) -> int:
+def _jobs(value: str) -> int:
     try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise _UsageError(f"{flag} must be an integer, got {value!r}") from None
+        jobs = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"--jobs must be at least 1, got {jobs}")
+    return jobs
 
 
-def _as_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    return str(value).strip().lower() in ("1", "true", "yes", "on")
+def _money(value: str) -> Money:
+    try:
+        return parse_money(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _build_parser() -> _Parser:
@@ -130,8 +140,8 @@ def _build_parser() -> _Parser:
 
     def add_dir(p):
         p.add_argument("--dir", help="corpus directory of .pb files (default: $PB_DATA_DIR)")
-        p.add_argument("--min-voters", default=None, help="skip files with fewer voters")
-        p.add_argument("--min-projects", default=None, help="skip files with fewer projects")
+        p.add_argument("--min-voters", type=int, help="skip files with fewer voters")
+        p.add_argument("--min-projects", type=int, help="skip files with fewer projects")
         p.add_argument(
             "--filter-defaults",
             action="store_true",
@@ -141,8 +151,10 @@ def _build_parser() -> _Parser:
         p.add_argument("--skip-report", metavar="FILE", help="write skipped files as JSON lines")
 
     def add_star(p):
-        p.add_argument("--epsilon", help="budget increment per completion round (money)")
-        p.add_argument("--max-iterations", default=None, help="cap on completion rounds")
+        p.add_argument(
+            "--epsilon", type=_money, help="budget increment per completion round (money)"
+        )
+        p.add_argument("--max-iterations", type=int, help="cap on completion rounds")
 
     p_stats = sub.add_parser("stats", parents=[common], help="per-instance corpus statistics")
     add_dir(p_stats)
@@ -163,7 +175,7 @@ def _build_parser() -> _Parser:
         "--rules", default="greedcost,mes+,mes*+", help="comma-separated rule names"
     )
     add_star(p_compare)
-    p_compare.add_argument("--jobs", default=None, help="parallel worker processes")
+    p_compare.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes")
     p_compare.add_argument("--out", metavar="FILE", help="write here instead of stdout")
     p_compare.add_argument("--raw-out", metavar="FILE", help="write the per-instance table too")
     p_compare.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -173,7 +185,7 @@ def _build_parser() -> _Parser:
     )
     add_dir(p_extremes)
     add_star(p_extremes)
-    p_extremes.add_argument("--jobs", default=None, help="parallel worker processes")
+    p_extremes.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes")
     p_extremes.add_argument("--out", metavar="FILE", help="write the JSON report here")
 
     return parser
@@ -192,18 +204,11 @@ def _ingest(args) -> tuple:
     directory = args.dir or os.environ.get("PB_DATA_DIR")
     if not directory:
         raise _UsageError("no corpus directory: pass --dir or set PB_DATA_DIR")
-    defaults = IngestFilter() if _as_bool(args.filter_defaults) else None
-    min_voters = (
-        _as_int(args.min_voters, "--min-voters")
-        if args.min_voters is not None
-        else (defaults.min_voters if defaults else 1)
+    base = IngestFilter() if args.filter_defaults else IngestFilter(min_voters=1, min_projects=1)
+    ingest_filter = IngestFilter(
+        min_voters=base.min_voters if args.min_voters is None else args.min_voters,
+        min_projects=base.min_projects if args.min_projects is None else args.min_projects,
     )
-    min_projects = (
-        _as_int(args.min_projects, "--min-projects")
-        if args.min_projects is not None
-        else (defaults.min_projects if defaults else 1)
-    )
-    ingest_filter = IngestFilter(min_voters=min_voters, min_projects=min_projects)
     try:
         result = ingest_directory(directory, ingest_filter)
     except (FileNotFoundError, NotADirectoryError, OSError) as exc:
@@ -222,42 +227,18 @@ def _ingest(args) -> tuple:
     return result.accepted
 
 
-def _star_kwargs(args) -> dict:
-    kwargs: dict = {}
-    if getattr(args, "epsilon", None):
-        try:
-            kwargs["epsilon"] = parse_money(args.epsilon)
-        except ValueError as exc:
-            raise _UsageError(f"--epsilon: {exc}") from None
-    if getattr(args, "max_iterations", None) is not None:
-        kwargs["max_iterations"] = _as_int(args.max_iterations, "--max-iterations")
-    return kwargs
-
-
 def _make_spec(name: str, args) -> RuleSpec:
+    star = {"epsilon": args.epsilon, "max_iterations": args.max_iterations}
     try:
-        return RuleSpec.from_name(name, **_star_kwargs(args))
+        return RuleSpec.from_name(name, **{k: v for k, v in star.items() if v is not None})
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-
-
-def _stat_json(column: str, value):
-    if column in MONEY_COLUMNS:
-        return format_money(value)
-    return float(value) if isinstance(value, Fraction) else value
 
 
 def _cmd_stats(args) -> int:
     dataset = _ingest(args)
     rows = [instance_stats(instance, profile) for instance, profile in dataset]
-    if args.format == "json":
-        payload = [
-            {column: _stat_json(column, value) for column, value in vars(row).items()}
-            for row in rows
-        ]
-        _write_out(json.dumps(payload, indent=2), args.out)
-    else:
-        _write_out(stats_csv(rows), args.out)
+    _write_out(stats_json(rows) if args.format == "json" else stats_csv(rows), args.out)
     return EXIT_OK
 
 
@@ -267,8 +248,7 @@ def _cmd_run(args) -> int:
     if not args.rule:
         raise _UsageError("run needs --rule")
     spec = _make_spec(args.rule, args)
-    trace = _as_bool(args.trace)
-    if spec.variant is Variant.GREED_COST and (args.ledger_out or trace):
+    if spec.variant is Variant.GREED_COST and (args.ledger_out or args.trace):
         kept = "payment ledger" if args.ledger_out else "purchase trace"
         raise _UsageError(f"rule {spec.variant.value} produces no {kept}")
     path = Path(args.file)
@@ -284,45 +264,21 @@ def _cmd_run(args) -> int:
     _write_out(json.dumps(result.to_json_dict(instance), indent=2), args.out)
     if args.ledger_out:
         Path(args.ledger_out).write_text(result.ledger.to_json(indent=2), encoding="utf-8")
-    if trace:
+    if args.trace:
         print(emit_trace(result.ledger, instance))
     return EXIT_OK
 
 
-def _jobs(args) -> int:
-    if args.jobs is None:
-        return 1
-    jobs = _as_int(args.jobs, "--jobs")
-    if jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {jobs}")
-    return jobs
-
-
 def _cmd_compare(args) -> int:
-    names = [name.strip() for name in str(args.rules).split(",") if name.strip()]
+    names = [name.strip() for name in args.rules.split(",") if name.strip()]
     if not names:
         raise _UsageError("--rules lists no rule names")
     specs = [_make_spec(name, args) for name in names]
     repeated = repeated_rules(specs)
     if repeated:
         raise _UsageError(f"--rules lists {', '.join(repeated)} more than once")
-    jobs = _jobs(args)
-    report = compare_rules(_ingest(args), specs, jobs=jobs)
-    if args.format == "json":
-        payload = {
-            "rules": list(report.rules),
-            "rows": [
-                {
-                    column: float(format_sig(value)) if isinstance(value, float) else value
-                    for column, value in vars(row).items()
-                    if column in COMPARISON_COLUMNS
-                }
-                for row in report.rows
-            ],
-        }
-        _write_out(json.dumps(payload, indent=2), args.out)
-    else:
-        _write_out(report.to_csv(), args.out)
+    report = compare_rules(_ingest(args), specs, jobs=args.jobs)
+    _write_out(report.to_json() if args.format == "json" else report.to_csv(), args.out)
     if args.raw_out:
         Path(args.raw_out).write_text(report.raw_csv(), encoding="utf-8")
     return EXIT_OK
@@ -330,10 +286,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_extremes(args) -> int:
     spec = _make_spec("mes*+", args)
-    jobs = _jobs(args)
     dataset = _ingest(args)
     try:
-        report = extract_extremes(dataset, mes_spec=spec, jobs=jobs)
+        report = extract_extremes(dataset, mes_spec=spec, jobs=args.jobs)
     except ValueError as exc:
         raise _DataError(str(exc)) from None
     _write_out(report.to_json(indent=2), args.out)

@@ -425,6 +425,40 @@ class TestCompare:
         assert cli_main(argv + ["--dir", str(tmp_path / "missing")]) == EXIT_USAGE
 
 
+class TestEmptyBallots:
+    """An election where every ballot is empty: no voter has a demand
+    share, and no equal-shares round can buy anything."""
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        instance = Instance(
+            projects=(
+                Project(id="a", cost=Fraction(5), categories=frozenset({"roads"})),
+                Project(id="b", cost=Fraction(3), categories=frozenset({"parks"})),
+            ),
+            budget_limit=Fraction(6),
+            meta={"instance_id": "5"},
+        )
+        profile = Profile((ApprovalBallot("v1", frozenset()), ApprovalBallot("v2", frozenset())))
+        (tmp_path / "empty_5.pb").write_text(write_pabulib(instance, profile), encoding="utf-8")
+        return tmp_path
+
+    def test_corpus_commands(self, root, capsys):
+        assert cli_main(["stats", "--dir", str(root)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].startswith("5,2,2,6,")
+        argv = ["compare", "--dir", str(root), "--rules", "greedcost,mes,mes+,mes*+"]
+        assert cli_main(argv) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 1 + 8 * 4
+        assert cli_main(["extremes", "--dir", str(root)]) == EXIT_OK
+        assert [entry[0] for entry in json.loads(capsys.readouterr().out)["ranking"]] == ["5"]
+
+    def test_star_run_is_exhausted(self, root, capsys):
+        argv = ["run", "--file", str(root / "empty_5.pb"), "--rule", "mes*+"]
+        assert cli_main(argv) == EXIT_OK
+        star = json.loads(capsys.readouterr().out)["star"]
+        assert (star["status"], star["rounds_run"]) == ("exhausted", 1)
+
+
 class TestExtremes:
     def test_json_report(self, corpus, capsys):
         assert cli_main(["extremes", "--dir", str(corpus)]) == EXIT_OK
@@ -530,6 +564,57 @@ class TestConfig:
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         assert cli_main(["stats", "--config", str(tmp_path / "none.cfg")]) == EXIT_USAGE
+
+    def test_flag_values_are_booleans(self, one_file, tmp_path, capsys):
+        cfg = tmp_path / "pb.cfg"
+        argv = ["run", "--file", str(one_file), "--rule", "mes", "--config", str(cfg)]
+        outputs = {}
+        for value in ("yes", "false"):
+            cfg.write_text(f"trace = {value}\n", encoding="utf-8")
+            assert cli_main(argv) == EXIT_OK
+            outputs[value] = capsys.readouterr().out
+        assert cli_main(argv[:5] + ["--trace"]) == EXIT_OK
+        assert outputs["yes"] == capsys.readouterr().out
+        assert cli_main(argv[:5]) == EXIT_OK
+        assert outputs["false"] == capsys.readouterr().out
+        assert "split equally" in outputs["yes"]
+        assert outputs["false"] != outputs["yes"]
+
+    def test_filter_defaults_from_config(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "pb.cfg"
+        argv = ["stats", "--dir", str(corpus), "--config", str(cfg)]
+        cfg.write_text("filter-defaults = true\n", encoding="utf-8")
+        assert cli_main(argv) == EXIT_DATA
+        assert "accepted 0 instances, skipped 3 files" in capsys.readouterr().err
+        cfg.write_text("filter-defaults = off\n", encoding="utf-8")
+        assert cli_main(argv) == EXIT_OK
+
+    def test_count_from_config_matches_the_flag(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "pb.cfg"
+        cfg.write_text("min-projects = 5\n", encoding="utf-8")
+        argv = ["stats", "--dir", str(corpus)]
+        assert cli_main(argv + ["--config", str(cfg)]) == EXIT_OK
+        from_config = capsys.readouterr()
+        assert cli_main(argv + ["--min-projects", "5"]) == EXIT_OK
+        assert capsys.readouterr() == from_config
+        assert "accepted 2 instances, skipped 1 files" in from_config.err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("jobs = 0", "--jobs must be at least 1, got 0"),
+            ("max-iterations = x", "argument --max-iterations: invalid int value: 'x'"),
+            ("epsilon =", "argument --epsilon: not a decimal money amount: ''"),
+            ("min-voters = 1.5", "argument --min-voters: invalid int value: '1.5'"),
+        ],
+    )
+    def test_bad_value_is_rejected_before_the_corpus_is_read(
+        self, tmp_path, capsys, line, message
+    ):
+        cfg = tmp_path / "pb.cfg"
+        cfg.write_text(f"dir = {tmp_path / 'missing'}\n{line}\n", encoding="utf-8")
+        assert cli_main(["compare", "--config", str(cfg)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
 
 
 class TestCorpusRun:

@@ -55,6 +55,15 @@ INSTANCE, PROFILE = build(
 )
 
 
+# every ballot is empty: no voter has a demand share to average
+EMPTY_BALLOTS = build(
+    [("a", 5), ("b", 3)],
+    6,
+    [("v1", set()), ("v2", set())],
+    categories={"a": ("roads",), "b": ("parks",)},
+)
+
+
 class TestSimilarity:
     def test_hand_values(self):
         # costs: {a,b} = 10, {b,c} = 16, intersection {b} = 6.
@@ -195,6 +204,12 @@ class TestCategories:
         # Empty allocation.
         assert category_proportionality(PROFILE, INSTANCE, set()) is None
 
+    def test_every_ballot_empty(self):
+        instance, profile = EMPTY_BALLOTS
+        report = category_proportionality(profile, instance, {"a"})
+        assert [(e.label, e.voter_share) for e in report.entries] == [("parks", 0), ("roads", 0)]
+        assert report.excluded_voters == profile.voter_count == 2
+
     def test_perfect_match_scores_one(self):
         instance, profile = build(
             [("a", 5), ("b", 5)],
@@ -251,6 +266,13 @@ class TestRows:
             cost_satisfaction(PROFILE, {"a", "b"}, INSTANCE)
         )
         assert row["happiness"] == Fraction(1, 2)
+
+    def test_metric_row_with_every_ballot_empty(self):
+        instance, profile = EMPTY_BALLOTS
+        row = metric_row(instance, profile, "mes", {"a"}, {"a"})
+        assert row["proportionality"] is not None
+        assert row["happiness"] == 0
+        assert row["gini_cost"] == 0
 
     def test_metric_row_handles_empty_allocation(self):
         row = metric_row(INSTANCE, PROFILE, "mes", set(), {"a"})

@@ -1,5 +1,6 @@
 """File format layer: parsing, located errors, writing, directory ingest."""
 
+import dataclasses
 import json
 import pickle
 import random
@@ -165,6 +166,28 @@ class TestErrors:
         bad = MINIMAL.replace("b;50", "b;")
         _expect_error(bad, "missing-cost", 10)
 
+    def test_empty_column_name(self):
+        bad = MINIMAL.replace("project_id;cost", "project_id;;cost")
+        _expect_error(bad, "missing-header", 8)
+
+    def test_duplicate_column(self):
+        bad = MINIMAL.replace("project_id;cost", "project_id;cost;cost")
+        _expect_error(bad, "missing-header", 8)
+
+    def test_empty_meta_key(self):
+        _expect_error(MINIMAL.replace("budget;100", "budget;100\n;x"), "meta", 4)
+
+    def test_empty_project_id(self):
+        _expect_error(MINIMAL.replace("b;50", ";50"), "bad-project", 10)
+
+    def test_bad_project_cost(self):
+        error = _expect_error(MINIMAL.replace("b;50", "b;6,0"), "bad-money", 10)
+        assert "'6,0'" in str(error)
+
+    def test_zero_budget(self):
+        # parse_money reads 0; the instance rejects it once the file is read
+        _expect_error(MINIMAL.replace("budget;100", "budget;0"), "bad-money", None)
+
     def test_unknown_project_in_ballot(self):
         bad = MINIMAL.replace("2;b", "2;zzz")
         _expect_error(bad, "unknown-project", 14)
@@ -234,6 +257,25 @@ class TestWriting:
         assert header.endswith(";selected")
         rows = {r.split(";")[0]: r.split(";")[-1] for r in lines[lines.index("PROJECTS") + 2 : lines.index("VOTES")]}
         assert rows == {"a": "1", "b": "0"}
+        # a selected column the projects already carry gives way to the allocation's
+        marked = Instance(
+            projects=tuple(
+                dataclasses.replace(p, extra={"note": p.id, "selected": "1"})
+                for p in instance.projects
+            ),
+            budget_limit=instance.budget_limit,
+            meta=instance.meta,
+        )
+        text = write_pabulib(marked, profile, Allocation.of({"a"}, marked))
+        lines = text.splitlines()
+        assert lines[lines.index("PROJECTS") + 1].split(";") == [
+            "project_id", "cost", "note", "selected"
+        ]
+        again, _ = parse_pabulib(text)
+        assert {p.id: p.extra for p in again.projects} == {
+            "a": {"note": "a", "selected": "1"},
+            "b": {"note": "b", "selected": "0"},
+        }
 
     def test_votes_sorted_numerically(self):
         instance = Instance(
@@ -442,3 +484,13 @@ class TestIngest:
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             ingest_directory(tmp_path / "nope")
+
+    def test_count_mismatch_reason_has_no_line(self, tmp_path):
+        (tmp_path / "short.pb").write_text(
+            MINIMAL.replace("num_votes;2", "num_votes;3"), encoding="utf-8"
+        )
+        result = ingest_directory(tmp_path, IngestFilter(min_voters=1, min_projects=1))
+        assert result.accepted == ()
+        assert [(s.file, s.reason) for s in result.skipped] == [
+            ("short.pb", "parse error: META declares num_votes=3 but the file has 2 rows")
+        ]
