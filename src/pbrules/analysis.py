@@ -145,13 +145,9 @@ class ComparisonRow:
     std_error: float | None
     p_vs_baseline: float | None
     significant: bool | None
-    degenerate: bool = False
 
 
-# the degenerate flag stays on the row but is not reported
-COMPARISON_COLUMNS = tuple(
-    f.name for f in dataclasses.fields(ComparisonRow) if f.name != "degenerate"
-)
+COMPARISON_COLUMNS = tuple(f.name for f in dataclasses.fields(ComparisonRow))
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,6 @@ class ComparisonReport:
             {
                 column: float(format_sig(value)) if isinstance(value, float) else value
                 for column, value in vars(row).items()
-                if column in COMPARISON_COLUMNS
             }
             for row in self.rows
         ]
@@ -199,18 +194,17 @@ def _instance_comparison(args) -> list[dict]:
     """The metric rows of every rule on one instance.  ``mes`` and ``mes+``
     with the same tie-break share one equal-shares run."""
     (instance, profile), specs = args
-    election = compile_election(instance, profile)
     baseline_spec = next(
         (s for s in specs if s.variant is Variant.GREED_COST),
         RuleSpec(Variant.GREED_COST),
     )
-    baseline = greed_cost(instance, profile, baseline_spec.tiebreak, election)
+    baseline = greed_cost(instance, profile, baseline_spec.tiebreak)
     mes_runs: dict[TieBreak, Allocation] = {}
 
     def mes_run(tiebreak: TieBreak) -> Allocation:
         if tiebreak not in mes_runs:
             spec = RuleSpec(Variant.MES, tiebreak=tiebreak)
-            mes_runs[tiebreak] = run_rule(spec, instance, profile, election).allocation
+            mes_runs[tiebreak] = run_rule(spec, instance, profile).allocation
         return mes_runs[tiebreak]
 
     rows = []
@@ -221,13 +215,11 @@ def _instance_comparison(args) -> list[dict]:
             allocation = mes_run(spec.tiebreak)
         elif spec.variant is Variant.MES_PLUS:
             allocation = complete_with_secondary(
-                mes_run(spec.tiebreak), instance, profile, spec.tiebreak, election
+                mes_run(spec.tiebreak), instance, profile, spec.tiebreak
             )
         else:
-            allocation = run_rule(spec, instance, profile, election).allocation
-        rows.append(
-            metric_row(instance, profile, spec.variant.value, allocation, baseline, election)
-        )
+            allocation = run_rule(spec, instance, profile).allocation
+        rows.append(metric_row(instance, profile, spec.variant.value, allocation, baseline))
     return rows
 
 
@@ -276,7 +268,6 @@ def compare_rules(
             se = stats.standard_error(defined) if len(defined) > 1 else None
             p = None
             significant = None
-            degenerate = False
             if name != baseline_name and baseline_name in by_rule:
                 pairs = [
                     (float(rv), float(bv))
@@ -284,12 +275,8 @@ def compare_rules(
                     if rv is not None and bv is not None
                 ]
                 if len(pairs) >= 2:
-                    result = stats.paired_t_test(
-                        [a for a, _ in pairs], [b for _, b in pairs]
-                    )
-                    p = result.p_value
+                    p = stats.paired_t_test([a for a, _ in pairs], [b for _, b in pairs]).p_value
                     significant = p < SIGNIFICANCE_LEVEL
-                    degenerate = result.degenerate
             table.append(
                 ComparisonRow(
                     metric=metric,
@@ -299,7 +286,6 @@ def compare_rules(
                     std_error=se,
                     p_vs_baseline=p,
                     significant=significant,
-                    degenerate=degenerate,
                 )
             )
     return ComparisonReport(tuple(rule_names), tuple(table), tuple(raw))
@@ -429,13 +415,13 @@ def _effect_worker(args) -> InstanceEffectReport | None:
     """The effect report of one instance, or None when its effect score
     is undefined (see :func:`pbrules.metrics.effect_score`)."""
     (instance, profile), mes_spec = args
-    election = compile_election(instance, profile)
-    greed_allocation = greed_cost(instance, profile, election=election)
-    mes_allocation = run_rule(mes_spec, instance, profile, election).allocation
-    greed_report = category_proportionality(profile, instance, greed_allocation, election)
-    mes_report = category_proportionality(profile, instance, mes_allocation, election)
+    greed_allocation = greed_cost(instance, profile)
+    mes_allocation = run_rule(mes_spec, instance, profile).allocation
+    greed_report = category_proportionality(profile, instance, greed_allocation)
+    mes_report = category_proportionality(profile, instance, mes_allocation)
     if greed_report is None or mes_report is None:
         return None
+    election = compile_election(instance, profile)
     greed_funding = sorted(election.voter_funding(greed_allocation))
     mes_funding = sorted(election.voter_funding(mes_allocation))
     # satisfaction = funding / cost_den / limit = funding * num / den

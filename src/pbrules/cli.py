@@ -8,8 +8,8 @@ smallest rule effects).  Exit codes: 0 on success, 1 for usage errors,
 ``--dir`` defaults to the PB_DATA_DIR environment variable.  ``--config``
 names a flat key=value file whose keys mirror the long option names;
 explicit flags win over the config, the config wins over defaults.  A
-config value is converted and checked by its option's ``type``, as a flag
-value is, before any command runs.
+config value is converted and checked by its option's ``type`` and
+``choices``, as a flag value is, before any command runs.
 """
 
 from __future__ import annotations
@@ -59,20 +59,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _subparsers(parser: argparse.ArgumentParser) -> list[argparse.ArgumentParser]:
-    return [
-        sub
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Each subcommand's parser, by command name."""
+    return {
+        name: sub
         for action in parser._actions
         if isinstance(action, argparse._SubParsersAction)
-        for sub in action.choices.values()
-    ]
+        for name, sub in action.choices.items()
+    }
 
 
 def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
     """Dests of the subcommands' long options, minus config and help."""
     return {
         action.dest
-        for sub in _subparsers(parser)
+        for sub in _subparsers(parser).values()
         for action in sub._actions
         if any(option.startswith("--") for option in action.option_strings)
     } - {"config", "help"}
@@ -103,7 +104,7 @@ def _apply_config(parser: argparse.ArgumentParser, mapping: dict[str, str]) -> N
     # string default through the option's type as it does a flag value;
     # subparsers parse into a fresh namespace, so each one needs the
     # defaults.  A store_true flag has no type: its value becomes a bool here.
-    for sub in _subparsers(parser):
+    for sub in _subparsers(parser).values():
         flags = {a.dest for a in sub._actions if isinstance(a, argparse._StoreTrueAction)}
         sub.set_defaults(
             **{
@@ -111,6 +112,18 @@ def _apply_config(parser: argparse.ArgumentParser, mapping: dict[str, str]) -> N
                 for dest, value in mapping.items()
             }
         )
+
+
+def _check_choices(parser: argparse.ArgumentParser, args) -> None:
+    # argparse checks choices for command-line values only, not for the
+    # defaults a config sets: check those with the flag's own message
+    sub = _subparsers(parser)[args.command]
+    for action in sub._actions:
+        if action.choices is not None:
+            try:
+                sub._check_value(action, getattr(args, action.dest))
+            except argparse.ArgumentError as exc:
+                sub.error(str(exc))
 
 
 def _jobs(value: str) -> int:
@@ -317,6 +330,7 @@ def cli_main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help / --version
             return int(exc.code or 0)
+        _check_choices(parser, args)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

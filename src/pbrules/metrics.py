@@ -156,17 +156,15 @@ def category_proportionality(
     profile: Profile,
     instance: Instance,
     allocation: Allocation | AbstractSet[str],
-    election: CompiledElection | None = None,
 ) -> CategoryReport | None:
     """Build the :class:`CategoryReport`, or None when the instance has no
     category labels or the allocation is empty (supply shares undefined).
-    ``election``, when given, is the compiled ``instance`` and ``profile``
-    and keeps its demand shares across calls."""
+    The demand shares are computed once per compiled election."""
     labels = instance.category_labels
     chosen = _selected(allocation)
     if not labels or not chosen:
         return None
-    election = election or compile_election(instance, profile)
+    election = compile_election(instance, profile)
     voter_shares, excluded = election.demand
     funded = election.funded(chosen)
     supply = sum(funded)
@@ -195,11 +193,11 @@ def effect_score(
     """How much switching from the greedy rule to equal shares helps:
     the mean of the proportionality gain and the satisfaction-Gini drop.
     None when either category report is undefined."""
-    election = compile_election(instance, profile)
-    greed_report = category_proportionality(profile, instance, greed_allocation, election)
-    mes_report = category_proportionality(profile, instance, mes_allocation, election)
+    greed_report = category_proportionality(profile, instance, greed_allocation)
+    mes_report = category_proportionality(profile, instance, mes_allocation)
     if greed_report is None or mes_report is None:
         return None
+    election = compile_election(instance, profile)
     return effect_value(
         greed_report,
         mes_report,
@@ -253,18 +251,16 @@ def metric_row(
     rule_name: str,
     allocation: Allocation | AbstractSet[str],
     baseline: Allocation | AbstractSet[str],
-    election: CompiledElection | None = None,
 ) -> dict:
     """One per-instance result row, keyed exactly by METRIC_COLUMNS.
     ``baseline`` is the allocation similarity is measured against (the
-    greedy outcome in the comparison pipeline); ``election``, when given,
-    is the compiled ``instance`` and ``profile``."""
-    election = election or compile_election(instance, profile)
+    greedy outcome in the comparison pipeline)."""
+    election = compile_election(instance, profile)
     funded = election.funded(allocation)
     funding = election.per_voter(funded)
     weights, _ = election.effort_weights(funded)
     n = len(funding)
-    report = category_proportionality(profile, instance, allocation, election)
+    report = category_proportionality(profile, instance, allocation)
     return {
         "instance_id": instance.instance_id,
         "rule": rule_name,

@@ -8,7 +8,9 @@ so validation happens in one place.
 All model objects are immutable after construction and safe to share
 across threads or processes; a :class:`Profile` read from a file builds
 its ballot objects only when they are asked for.  Every layer reads
-:func:`compile_election`, which adopts such a profile's index rows.
+:func:`compile_election`, which adopts such a profile's index rows and
+keeps the election it builds on the profile, so that the rules and
+metrics of one instance share one compile.
 """
 
 from __future__ import annotations
@@ -202,11 +204,13 @@ class Profile:
     A profile holds either its ballots or, as the PaBuLib reader builds
     it, each voter's id and approved project indices into a project-id
     order, the form :func:`compile_election` adopts.  It derives the other
-    form once, on first use.  Equality, hashing and repr go by the
-    ballots; a pickle carries the indexed form when there is one.
+    form once, on first use, and keeps the election
+    :func:`compile_election` last built for it.  Equality, hashing and
+    repr go by the ballots; a pickle carries the indexed form when there
+    is one, and never the election.
     """
 
-    __slots__ = ("_ballots", "_voter_ids", "_ids", "_rows")
+    __slots__ = ("_ballots", "_voter_ids", "_ids", "_rows", "_compiled")
 
     def __init__(self, ballots: Iterable[ApprovalBallot]) -> None:
         ballots = tuple(ballots)
@@ -232,7 +236,7 @@ class Profile:
         return profile
 
     def _hold(self, ballots, voter_ids, ids, rows) -> None:
-        for name, value in zip(self.__slots__, (ballots, voter_ids, ids, rows)):
+        for name, value in zip(self.__slots__, (ballots, voter_ids, ids, rows, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
@@ -406,8 +410,10 @@ class CompiledElection:
     indices, ``approvers[j]`` lists project ``j``'s approvers in
     ascending voter order, and ``members[label]`` lists the projects of
     each category label of the instance, in ``labels`` order.  It holds
-    no budget limit, and nothing reading it may mutate it.  Build it
-    with :func:`compile_election`.
+    no budget limit, so instances that differ only in their limit share
+    it, and nothing reading it may mutate it.  Build it with
+    :func:`compile_election`, which builds it once per profile and
+    project tuple.
     """
 
     ids: tuple[str, ...]
@@ -512,7 +518,21 @@ def compile_election(instance: Instance, profile: Profile) -> CompiledElection:
     KeyError (see :meth:`Profile.validate_against`) when a ballot
     approves a project the instance lacks.  A profile whose index rows
     index the instance's project ids, in order, hands over its rows as
-    the ``ballots``; any other is mapped ballot by ballot."""
+    the ``ballots``; any other is mapped ballot by ballot.
+
+    The election is built once per pair: the profile keeps it with the
+    ``instance.projects`` tuple it was built from, and a later call whose
+    instance holds that very tuple returns the same object.  The profile
+    holds the tuple, so its identity cannot pass to another one.
+    ``dataclasses.replace(instance, budget_limit=...)`` keeps the tuple
+    (``Instance`` stores a given tuple as is) and so the election, which
+    holds no budget.  A call with another project tuple, even an equal
+    one, compiles again and replaces the kept election.  A pickled
+    profile carries no election: a worker process compiles its own.
+    """
+    cached = profile._compiled
+    if cached is not None and cached[0] is instance.projects:
+        return cached[1]
     ids = tuple(p.id for p in instance.projects)
     cost_den = math.lcm(*(p.cost.denominator for p in instance.projects))
     if profile._ids == ids:
@@ -530,7 +550,7 @@ def compile_election(instance: Instance, profile: Profile) -> CompiledElection:
         for j in ballot:
             approvers[j].append(voter)
     labels = instance.category_labels
-    return CompiledElection(
+    election = CompiledElection(
         ids=ids,
         cost_den=cost_den,
         costs=tuple(
@@ -544,6 +564,8 @@ def compile_election(instance: Instance, profile: Profile) -> CompiledElection:
             for label in labels
         },
     )
+    object.__setattr__(profile, "_compiled", (instance.projects, election))
+    return election
 
 
 DISTRICT_NAMES = ("North", "East", "South", "West")

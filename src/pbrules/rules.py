@@ -5,14 +5,15 @@ All rules are deterministic: ties are resolved by an explicit
 :class:`TieBreak` (default: lower cost first, then lexicographically
 smaller project id) so reruns agree bit for bit.
 
-Each public rule takes the :class:`~pbrules.model.CompiledElection` of
-its instance and profile as an optional last argument and compiles it
-when not given, with the same result.  The equal-shares selection runs
-on the exact engine of ``_mes_pure``, built on the compiled arrays; this
-module owns the completion logic and the ledger bookkeeping.  Greedy
-cost welfare and the greedy top-up of the ``mes+`` and ``mes*+``
-completions share one greedy walk: the top-up resumes it from the
-equal-shares selection with the money left over.
+Each rule reads the :class:`~pbrules.model.CompiledElection` of its
+instance and profile from :func:`~pbrules.model.compile_election`, which
+builds it once per pair, so the rules and metrics of one instance share
+one compile.  The equal-shares selection runs on the exact engine of
+``_mes_pure``, built on the compiled arrays; this module owns the
+completion logic and the ledger bookkeeping.  Greedy cost welfare and
+the greedy top-up of the ``mes+`` and ``mes*+`` completions share one
+greedy walk: the top-up resumes it from the equal-shares selection with
+the money left over.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from ._mes_pure import (
 )
 from .model import (
     Allocation,
-    CompiledElection,
     Instance,
     Money,
     Profile,
@@ -279,15 +279,14 @@ class RuleResult:
 def _greedy_walk(
     instance: Instance,
     profile: Profile,
-    tiebreak: TieBreak | None,
-    election: CompiledElection | None,
+    tiebreak: TieBreak,
     funded: frozenset[str],
     remaining: Money,
 ) -> Allocation:
     """Walk the projects by (-approval score, tie rank), skip those in
     ``funded`` and fund each other one that fits in ``remaining``."""
-    election = election or compile_election(instance, profile)
-    rank = election.tie_rank(tiebreak or TieBreak())
+    election = compile_election(instance, profile)
+    rank = election.tie_rank(tiebreak)
     selected = list(funded)
     for j in sorted(range(len(rank)), key=lambda j: (-len(election.approvers[j]), rank[j])):
         project = instance.projects[j]
@@ -298,14 +297,11 @@ def _greedy_walk(
 
 
 def greed_cost(
-    instance: Instance,
-    profile: Profile,
-    tiebreak: TieBreak | None = None,
-    election: CompiledElection | None = None,
+    instance: Instance, profile: Profile, tiebreak: TieBreak = TieBreak()
 ) -> Allocation:
     """Greedy cost welfare: walk projects by approval score (descending)
     and fund each one that still fits.  Complete by construction."""
-    return _greedy_walk(instance, profile, tiebreak, election, frozenset(), instance.budget_limit)
+    return _greedy_walk(instance, profile, tiebreak, frozenset(), instance.budget_limit)
 
 
 def mes_affordability(
@@ -336,7 +332,8 @@ def mes_affordability(
     return cap / cost, contributions
 
 
-def _make_engine(instance: Instance, election: CompiledElection, tiebreak: TieBreak):
+def _make_engine(instance: Instance, profile: Profile, tiebreak: TieBreak):
+    election = compile_election(instance, profile)
     costs = [p.cost for p in instance.projects]
     tie_rank = election.tie_rank(tiebreak)
     return _backend.MesEngine(
@@ -344,11 +341,11 @@ def _make_engine(instance: Instance, election: CompiledElection, tiebreak: TieBr
     )
 
 
-def _ledger_run(engine, election: CompiledElection, profile: Profile, run_budget: Money):
+def _ledger_run(engine, instance: Instance, profile: Profile, run_budget: Money):
     """Run ``engine`` at an equal split of ``run_budget``; its selection and ledger."""
     share = Fraction(run_budget, profile.voter_count)
     selected, factors, payments, final_budgets = engine.run(share, want_ledger=True)
-    pids = election.ids
+    pids = compile_election(instance, profile).ids
     vids = profile.voter_ids
     return selected, MesLedger(
         run_budget=run_budget,
@@ -364,10 +361,7 @@ def _ledger_run(engine, election: CompiledElection, profile: Profile, run_budget
 
 
 def mes(
-    instance: Instance,
-    profile: Profile,
-    tiebreak: TieBreak | None = None,
-    election: CompiledElection | None = None,
+    instance: Instance, profile: Profile, tiebreak: TieBreak = TieBreak()
 ) -> tuple[Allocation, MesLedger]:
     """Method of Equal Shares at the instance's own budget limit.
 
@@ -376,9 +370,8 @@ def mes(
     of cost), cheapest first, deducting real payments from wallets.  Not
     complete in general; see the completions below.
     """
-    election = election or compile_election(instance, profile)
-    engine = _make_engine(instance, election, tiebreak or TieBreak())
-    _, ledger = _ledger_run(engine, election, profile, instance.budget_limit)
+    engine = _make_engine(instance, profile, tiebreak)
+    _, ledger = _ledger_run(engine, instance, profile, instance.budget_limit)
     return Allocation.of(ledger.selection_order, instance), ledger
 
 
@@ -386,8 +379,7 @@ def complete_with_secondary(
     base: Allocation,
     instance: Instance,
     profile: Profile,
-    tiebreak: TieBreak | None = None,
-    election: CompiledElection | None = None,
+    tiebreak: TieBreak = TieBreak(),
 ) -> Allocation:
     """Top up ``base`` with the greedy rule on the leftover budget.
 
@@ -401,7 +393,7 @@ def complete_with_secondary(
     if is_complete(base, instance):
         return base
     leftover = instance.budget_limit - base.total_cost
-    return _greedy_walk(instance, profile, tiebreak, election, base.selected, leftover)
+    return _greedy_walk(instance, profile, tiebreak, base.selected, leftover)
 
 
 def complete_star(
@@ -410,8 +402,7 @@ def complete_star(
     profile: Profile,
     epsilon: Money | None = None,
     max_iterations: int = 10_000,
-    tiebreak: TieBreak | None = None,
-    election: CompiledElection | None = None,
+    tiebreak: TieBreak = TieBreak(),
 ) -> StarResult:
     """Complete a rule by rerunning it at limit, limit + eps, limit + 2*eps,
     ... and returning the first round whose outcome is complete and still
@@ -420,48 +411,40 @@ def complete_star(
     A round that overshoots the original limit ends the search with the
     previous round's outcome (which may be incomplete); running out of
     rounds returns the last feasible outcome with status "exhausted".
-    ``rule`` is either the name/variant of a built-in rule or any callable
-    (Instance, Profile) -> Allocation, run at every round.  The
-    equal-shares rule takes a fast path inside this function: one engine
-    runs the rounds and skips those it proves select what the round
-    before selected (see ``MesEngine.run_star``), then replays the chosen
-    round for the ledger.  Every other rule runs each round; both paths
-    report the same status, chosen round and rounds examined;
-    ``rounds_run`` tells them apart.
+    ``rule`` is either :func:`mes` or any callable (Instance, Profile) ->
+    Allocation, run at every round.  The equal-shares rule takes a fast
+    path inside this function: one engine runs the rounds and skips
+    those it proves select what the round before selected (see
+    ``MesEngine.run_star``), then replays the chosen round for the
+    ledger; ``tiebreak`` applies to it only.  A callable runs each
+    round; both paths report the same status, chosen round and rounds
+    examined; ``rounds_run`` tells them apart.
     """
-    tiebreak = tiebreak or TieBreak()
+    if not callable(rule):
+        raise ValueError(f"not a rule: {rule!r}")
     epsilon = default_epsilon(profile) if epsilon is None else money(epsilon)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    election = election or compile_election(instance, profile)
     budget = instance.budget_limit
     ledger = None
 
-    if rule is mes or rule == "mes" or rule is Variant.MES:
-        engine = _make_engine(instance, election, tiebreak)
+    if rule is mes:
+        engine = _make_engine(instance, profile, tiebreak)
         selected, chosen, examined, status, rounds_run = engine.run_star(
             budget, epsilon, max_iterations
         )
-        replay, ledger = _ledger_run(engine, election, profile, budget + chosen * epsilon)
+        replay, ledger = _ledger_run(engine, instance, profile, budget + chosen * epsilon)
         if replay != selected:
             raise AssertionError("star replay diverged from the search run")
         allocation = Allocation.of(ledger.selection_order, instance)
     else:
-        if rule == "greedcost" or rule is Variant.GREED_COST:
-            rule_fn = lambda inst, prof: greed_cost(inst, prof, tiebreak, election)
-        elif callable(rule):
-            rule_fn = rule
-        else:
-            raise ValueError(f"not a rule: {rule!r}")
         allocation = Allocation(frozenset(), 0)
         status, chosen = STATUS_EXHAUSTED, max_iterations - 1
         for round_index in range(max_iterations):
             trial = dataclasses.replace(instance, budget_limit=budget + round_index * epsilon)
-            outcome = rule_fn(trial, profile)
-            if isinstance(outcome, tuple):
-                outcome = outcome[0]
+            outcome = rule(trial, profile)
             if outcome.total_cost > budget:
                 status, chosen = STATUS_NEXT_INFEASIBLE, max(round_index - 1, 0)
                 break
@@ -484,20 +467,13 @@ def complete_star(
     )
 
 
-def run_rule(
-    spec: RuleSpec,
-    instance: Instance,
-    profile: Profile,
-    election: CompiledElection | None = None,
-) -> RuleResult:
+def run_rule(spec: RuleSpec, instance: Instance, profile: Profile) -> RuleResult:
     """Dispatch a :class:`RuleSpec` and return the final allocation with
-    the run's evidence (ledger, star metadata) attached.  Without
-    ``election``, it compiles one for the run and its top-up."""
+    the run's evidence (ledger, star metadata) attached."""
     tiebreak = spec.tiebreak
     name = spec.variant.value
-    election = election or compile_election(instance, profile)
     if spec.variant is Variant.GREED_COST:
-        return RuleResult(name, greed_cost(instance, profile, tiebreak, election))
+        return RuleResult(name, greed_cost(instance, profile, tiebreak))
     star = None
     if spec.variant is Variant.MES_STAR_PLUS:
         star = complete_star(
@@ -507,13 +483,12 @@ def run_rule(
             epsilon=spec.epsilon,
             max_iterations=spec.max_iterations,
             tiebreak=tiebreak,
-            election=election,
         )
         allocation, ledger = star.allocation, star.ledger
     else:
-        allocation, ledger = mes(instance, profile, tiebreak, election)
+        allocation, ledger = mes(instance, profile, tiebreak)
     if spec.variant is not Variant.MES:
-        allocation = complete_with_secondary(allocation, instance, profile, tiebreak, election)
+        allocation = complete_with_secondary(allocation, instance, profile, tiebreak)
     return RuleResult(name, allocation, ledger=ledger, star=star)
 
 

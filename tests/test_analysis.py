@@ -198,6 +198,9 @@ class TestCompareRules:
         dataset = categorized_dataset(44, 2)
         with pytest.raises(ValueError):
             compare_rules(dataset, [])
+        report = compare_rules(dataset, [RuleSpec(Variant.GREED_COST)])
+        with pytest.raises(KeyError, match="no row for metric 'nope'"):
+            report.row("nope", "greedcost")
 
     def test_repeated_rules_are_rejected(self):
         dataset = categorized_dataset(44, 2)
@@ -288,6 +291,10 @@ class TestQuadrants:
 
 
 class TestExtremes:
+    def test_empty_dataset(self):
+        with pytest.raises(ValueError, match="empty dataset"):
+            extract_extremes([])
+
     def test_ranking_and_reports(self):
         dataset = categorized_dataset(46, 7)
         report = extract_extremes(dataset, mes_spec=RuleSpec(Variant.MES_PLUS))

@@ -414,6 +414,10 @@ class TestCompare:
         assert cli_main(["compare", "--dir", str(corpus), "--jobs", jobs]) == EXIT_USAGE
         assert "--jobs must be at least 1" in capsys.readouterr().err
 
+    def test_jobs_must_be_an_int(self, corpus, capsys):
+        assert cli_main(["compare", "--dir", str(corpus), "--jobs", "x"]) == EXIT_USAGE
+        assert "argument --jobs: invalid int value: 'x'" in capsys.readouterr().err
+
     def test_repeated_rules_are_usage_error(self, corpus, tmp_path, capsys):
         argv = ["compare", "--rules", "greedcost,mes,MES", "--raw-out", str(tmp_path / "raw.csv")]
         assert cli_main(argv + ["--dir", str(corpus)]) == EXIT_USAGE
@@ -615,6 +619,27 @@ class TestConfig:
         cfg.write_text(f"dir = {tmp_path / 'missing'}\n{line}\n", encoding="utf-8")
         assert cli_main(["compare", "--config", str(cfg)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["stats", "compare"])
+    def test_choice_from_config_is_checked_as_the_flag_is(
+        self, corpus, tmp_path, capsys, command
+    ):
+        cfg = tmp_path / "pb.cfg"
+        cfg.write_text("format = xml\n", encoding="utf-8")
+        argv = [command, "--dir", str(corpus)]
+        assert cli_main(argv + ["--format", "xml"]) == EXIT_USAGE
+        from_flag = capsys.readouterr()
+        assert "argument --format: invalid choice: 'xml'" in from_flag.err
+        assert cli_main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+        assert capsys.readouterr() == from_flag
+        # a valid choice from the config takes effect, and a flag still wins
+        cfg.write_text("format = json\n", encoding="utf-8")
+        assert cli_main(argv + ["--config", str(cfg)]) == EXIT_OK
+        json.loads(capsys.readouterr().out)
+        assert cli_main(argv + ["--config", str(cfg), "--format", "csv"]) == EXIT_OK
+        from_flag = capsys.readouterr().out
+        assert cli_main(argv) == EXIT_OK
+        assert capsys.readouterr().out == from_flag
 
 
 class TestCorpusRun:

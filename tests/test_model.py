@@ -150,6 +150,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             Profile(ballots=())
 
+    def test_ballot_needs_a_voter_id(self):
+        with pytest.raises(ValueError, match="voter id must be non-empty"):
+            ApprovalBallot("", frozenset({"a"}))
+
     def test_profile_is_frozen_and_picklable(self):
         profile = Profile(
             ballots=(ApprovalBallot("v2", frozenset({"a"})), ApprovalBallot("v1", frozenset()))
@@ -157,6 +161,7 @@ class TestValidation:
         assert profile.voter_ids == ("v2", "v1") and profile.voter_count == 2
         assert pickle.loads(pickle.dumps(profile)) == profile
         assert profile != Profile(reversed(profile.ballots))
+        assert (profile == 3) is False
         assert repr(profile) == f"Profile(ballots={profile.ballots!r})"
         with pytest.raises(AttributeError):
             profile.ballots = ()
@@ -204,6 +209,51 @@ class TestCompileParsedProfile:
             assert [{got.ids[j] for j in b} for b in got.ballots] == [
                 b.approved for b in written[1].ballots
             ]
+
+
+class TestCompileOnce:
+    """compile_election keeps the election it builds on the profile, for
+    the project tuple it was built from."""
+
+    def test_same_projects_return_the_same_election(self):
+        instance, profile = build_district_example([4, 3, 2, 1], 900)
+        election = compile_election(instance, profile)
+        assert compile_election(instance, profile) is election
+        # a new limit keeps the project tuple, and the election holds no limit
+        raised = dataclasses.replace(instance, budget_limit=instance.budget_limit * 3)
+        assert raised.projects is instance.projects
+        assert compile_election(raised, profile) is election
+
+    def test_other_projects_compile_again(self):
+        instance, profile = build_district_example([4, 3, 2, 1], 900)
+        election = compile_election(instance, profile)
+        reordered = dataclasses.replace(instance, projects=instance.projects[::-1])
+        other = compile_election(reordered, profile)
+        assert other is not election
+        assert other.ids == election.ids[::-1]
+        # an equal tuple that is another object compiles again too
+        copied = dataclasses.replace(instance, projects=tuple(list(instance.projects)))
+        again = compile_election(copied, profile)
+        assert again is not election and again is not other
+        assert (again.ids, again.costs, again.approvers) == (
+            election.ids,
+            election.costs,
+            election.approvers,
+        )
+
+    @pytest.mark.parametrize("parsed", [False, True])
+    def test_pickle_carries_no_election(self, parsed):
+        instance, profile = build_district_example([4, 3, 2, 1], 900)
+        if parsed:
+            instance, profile = parse_pabulib(write_pabulib(instance, profile))
+        before = pickle.dumps(profile)
+        election = compile_election(instance, profile)
+        assert pickle.dumps(profile) == before
+        restored = pickle.loads(before)
+        assert restored == profile
+        fresh = compile_election(instance, restored)
+        assert fresh is not election
+        assert fresh.approvers == election.approvers
 
 
 class TestAllocation:
@@ -285,3 +335,5 @@ class TestDistrictExample:
             build_district_example((1, 2, 3, 0), budget=10)
         with pytest.raises(ValueError):
             build_district_example((1, 1, 1, 1), budget=10, projects_per_district=0)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            build_district_example((1, 1, 1, 1), budget=0)

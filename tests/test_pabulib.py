@@ -294,6 +294,9 @@ class TestWriting:
         profile = Profile((ApprovalBallot("v", frozenset({"p"})),))
         with pytest.raises(ValueError):
             write_pabulib(instance, profile)
+        instance = Instance(projects=(Project(id="p", cost=1),), budget_limit=Fraction(1, 3))
+        with pytest.raises(ValueError, match="budget limit has no finite decimal form"):
+            write_pabulib(instance, profile)
 
     @pytest.mark.parametrize(
         "change, message",

@@ -294,7 +294,7 @@ class TestCompletions:
 
     def test_star_of_complete_rule_stops_at_round_zero(self):
         instance, profile = XY
-        result = complete_star(Variant.GREED_COST, instance, profile, epsilon=Fraction(1))
+        result = complete_star(greed_cost, instance, profile, epsilon=Fraction(1))
         assert result.status == STATUS_COMPLETE
         assert result.chosen_round == 0
         assert result.allocation.selected == {"x", "y"}
@@ -443,8 +443,10 @@ class TestRunRule:
             instance, profile = helpers.random_instance(rng, max_voters=30, max_projects=8)
             election = compile_election(instance, profile)
             for name in ("mes", "mes+", "mes*+"):
-                run_rule(RuleSpec.from_name(name, max_iterations=60), instance, profile, election)
-            fresh = compile_election(instance, profile)
+                run_rule(RuleSpec.from_name(name, max_iterations=60), instance, profile)
+            assert compile_election(instance, profile) is election
+            # a new profile of the same ballots compiles afresh
+            fresh = compile_election(instance, Profile(profile.ballots))
             for field in dataclasses.fields(CompiledElection):
                 assert getattr(election, field.name) == getattr(fresh, field.name), field.name
 
