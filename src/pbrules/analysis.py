@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import operator
@@ -23,15 +24,7 @@ from typing import Iterable, Sequence
 
 from . import stats
 from .metrics import METRIC_COLUMNS, category_proportionality, effect_value, metric_row
-from .model import (
-    Allocation,
-    Instance,
-    Money,
-    Profile,
-    TieBreak,
-    compile_election,
-    format_money,
-)
+from .model import Instance, Money, Profile, compile_election, format_money
 from .rules import RuleSpec, Variant, complete_with_secondary, greed_cost, run_rule
 
 Dataset = Sequence[tuple[Instance, Profile]]
@@ -192,31 +185,20 @@ def _map_jobs(worker, work: list, jobs: int) -> list:
 
 def _instance_comparison(args) -> list[dict]:
     """The metric rows of every rule on one instance.  ``mes`` and ``mes+``
-    with the same tie-break share one equal-shares run."""
+    share one equal-shares run."""
     (instance, profile), specs = args
-    baseline_spec = next(
-        (s for s in specs if s.variant is Variant.GREED_COST),
-        RuleSpec(Variant.GREED_COST),
+    baseline = greed_cost(instance, profile)
+    mes_run = functools.cache(
+        lambda: run_rule(RuleSpec(Variant.MES), instance, profile).allocation
     )
-    baseline = greed_cost(instance, profile, baseline_spec.tiebreak)
-    mes_runs: dict[TieBreak, Allocation] = {}
-
-    def mes_run(tiebreak: TieBreak) -> Allocation:
-        if tiebreak not in mes_runs:
-            spec = RuleSpec(Variant.MES, tiebreak=tiebreak)
-            mes_runs[tiebreak] = run_rule(spec, instance, profile).allocation
-        return mes_runs[tiebreak]
-
     rows = []
     for spec in specs:
         if spec.variant is Variant.GREED_COST:
             allocation = baseline
         elif spec.variant is Variant.MES:
-            allocation = mes_run(spec.tiebreak)
+            allocation = mes_run()
         elif spec.variant is Variant.MES_PLUS:
-            allocation = complete_with_secondary(
-                mes_run(spec.tiebreak), instance, profile, spec.tiebreak
-            )
+            allocation = complete_with_secondary(mes_run(), instance, profile)
         else:
             allocation = run_rule(spec, instance, profile).allocation
         rows.append(metric_row(instance, profile, spec.variant.value, allocation, baseline))

@@ -9,7 +9,9 @@ smallest rule effects).  Exit codes: 0 on success, 1 for usage errors,
 names a flat key=value file whose keys mirror the long option names;
 explicit flags win over the config, the config wins over defaults.  A
 config value is converted and checked by its option's ``type`` and
-``choices``, as a flag value is, before any command runs.
+``choices``, as a flag value is, before any command runs.  An on/off
+flag takes 1/true/yes/on or 0/false/no/off, in any case.  A key may
+appear once.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 
+_ON = ("1", "true", "yes", "on")
+_OFF = ("0", "false", "no", "off")
+
+
 class _UsageError(Exception):
     pass
 
@@ -69,18 +75,22 @@ def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentP
     }
 
 
-def _config_keys(parser: argparse.ArgumentParser) -> set[str]:
-    """Dests of the subcommands' long options, minus config and help."""
+def _config_keys(parser: argparse.ArgumentParser) -> dict[str, bool]:
+    """Dests of the subcommands' long options, minus config and help,
+    each mapped to whether it is an on/off flag."""
     return {
-        action.dest
+        action.dest: isinstance(action, argparse._StoreTrueAction)
         for sub in _subparsers(parser).values()
         for action in sub._actions
-        if any(option.startswith("--") for option in action.option_strings)
-    } - {"config", "help"}
+        if action.dest not in ("config", "help")
+        and any(option.startswith("--") for option in action.option_strings)
+    }
 
 
-def _load_config(path: str, keys: set[str]) -> dict[str, str]:
-    mapping: dict[str, str] = {}
+def _load_config(path: str, keys: dict[str, bool]) -> dict[str, str | bool]:
+    """The values of the config file at ``path`` by option dest; an
+    on/off flag's value becomes a bool."""
+    mapping: dict[str, str | bool] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -92,26 +102,29 @@ def _load_config(path: str, keys: set[str]) -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise _UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        dest = key.strip().replace("-", "_")
+        key, value = key.strip(), value.strip()
+        dest = key.replace("-", "_")
         if dest not in keys:
-            raise _UsageError(f"{path}:{lineno}: unknown config key {key.strip()!r}")
-        mapping[dest] = value.strip()
+            raise _UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if dest in mapping:
+            raise _UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
+        if keys[dest]:  # a store_true flag has no type to convert its value
+            if value.lower() not in _ON + _OFF:
+                raise _UsageError(
+                    f"{path}:{lineno}: config key {key!r} is on ({'/'.join(_ON)}) "
+                    f"or off ({'/'.join(_OFF)}), got {value!r}"
+                )
+            value = value.lower() in _ON
+        mapping[dest] = value
     return mapping
 
 
-def _apply_config(parser: argparse.ArgumentParser, mapping: dict[str, str]) -> None:
+def _apply_config(parser: argparse.ArgumentParser, mapping: dict[str, str | bool]) -> None:
     # set_defaults keeps explicit flags winning, and argparse passes a
     # string default through the option's type as it does a flag value;
-    # subparsers parse into a fresh namespace, so each one needs the
-    # defaults.  A store_true flag has no type: its value becomes a bool here.
+    # subparsers parse into a fresh namespace, so each one needs the defaults
     for sub in _subparsers(parser).values():
-        flags = {a.dest for a in sub._actions if isinstance(a, argparse._StoreTrueAction)}
-        sub.set_defaults(
-            **{
-                dest: value.lower() in ("1", "true", "yes", "on") if dest in flags else value
-                for dest, value in mapping.items()
-            }
-        )
+        sub.set_defaults(**mapping)
 
 
 def _check_choices(parser: argparse.ArgumentParser, args) -> None:

@@ -356,44 +356,6 @@ def is_complete(allocation: Allocation, instance: Instance) -> bool:
     )
 
 
-_TIE_TOKENS = ("cost", "-cost", "id")
-
-
-@dataclass(frozen=True)
-class TieBreak:
-    """Deterministic tie ordering over projects.
-
-    ``criteria`` is applied left to right; tokens: "cost" (cheaper
-    first), "-cost" (dearer first), "id" (lexicographic).  An "id" token
-    is appended automatically when absent so the order is always total.
-    """
-
-    criteria: tuple[str, ...] = ("cost", "id")
-
-    def __post_init__(self) -> None:
-        criteria = tuple(self.criteria)
-        for token in criteria:
-            if token not in _TIE_TOKENS:
-                raise ValueError(f"unknown tie-break token {token!r} (use {_TIE_TOKENS})")
-        if "id" not in criteria:
-            criteria = criteria + ("id",)
-        object.__setattr__(self, "criteria", criteria)
-
-    def rank(self, instance: Instance) -> dict[str, int]:
-        """Project id -> position in the tie order (0 wins ties)."""
-        ids = [p.id for p in instance.projects]
-        return dict(zip(ids, self.positions(ids, [p.cost for p in instance.projects])))
-
-    def positions(self, ids: Sequence[str], costs: Sequence) -> list[int]:
-        """Each project's tie order position, by index; any positive cost scale."""
-        columns = [
-            costs if token == "cost" else [-c for c in costs] if token == "-cost" else ids
-            for token in self.criteria
-        ]
-        order = sorted(range(len(ids)), key=lambda j: [column[j] for column in columns])
-        return sorted(range(len(ids)), key=order.__getitem__)  # inverse of ``order``
-
-
 def _selected(allocation: Allocation | AbstractSet[str]) -> frozenset[str]:
     if isinstance(allocation, Allocation):
         return allocation.selected
@@ -409,7 +371,10 @@ class CompiledElection:
     denominators.  ``ballots[i]`` lists voter ``i``'s approved project
     indices, ``approvers[j]`` lists project ``j``'s approvers in
     ascending voter order, and ``members[label]`` lists the projects of
-    each category label of the instance, in ``labels`` order.  It holds
+    each category label of the instance, in ``labels`` order.
+    ``tie_rank[j]`` is project ``j``'s place in the one tie order every
+    rule uses: the cheaper project first, then the smaller id compared as
+    a plain string (``"10"`` before ``"9"``); 0 wins a tie.  It holds
     no budget limit, so instances that differ only in their limit share
     it, and nothing reading it may mutate it.  Build it with
     :func:`compile_election`, which builds it once per profile and
@@ -421,12 +386,9 @@ class CompiledElection:
     costs: tuple[int, ...]
     ballots: tuple[list[int], ...]
     approvers: tuple[list[int], ...]
+    tie_rank: tuple[int, ...]
     labels: tuple[str, ...]
     members: dict[str, tuple[int, ...]]
-
-    def tie_rank(self, tiebreak: TieBreak) -> list[int]:
-        """Each project's position in ``tiebreak``'s order, by index."""
-        return tiebreak.positions(self.ids, self.costs)
 
     def funded(self, allocation: Allocation | AbstractSet[str]) -> list[int]:
         """Per project, its int cost when ``allocation`` funds it, else 0."""
@@ -549,15 +511,16 @@ def compile_election(instance: Instance, profile: Profile) -> CompiledElection:
     for voter, ballot in enumerate(ballots):
         for j in ballot:
             approvers[j].append(voter)
+    costs = tuple(p.cost.numerator * (cost_den // p.cost.denominator) for p in instance.projects)
+    order = sorted(range(len(ids)), key=lambda j: (costs[j], ids[j]))
     labels = instance.category_labels
     election = CompiledElection(
         ids=ids,
         cost_den=cost_den,
-        costs=tuple(
-            p.cost.numerator * (cost_den // p.cost.denominator) for p in instance.projects
-        ),
+        costs=costs,
         ballots=ballots,
         approvers=approvers,
+        tie_rank=tuple(sorted(range(len(ids)), key=order.__getitem__)),  # inverse of ``order``
         labels=labels,
         members={
             label: tuple(j for j, p in enumerate(instance.projects) if label in p.categories)

@@ -1,9 +1,10 @@
 """Budgeting rules: greedy cost welfare, the Method of Equal Shares and
 its completions.
 
-All rules are deterministic: ties are resolved by an explicit
-:class:`TieBreak` (default: lower cost first, then lexicographically
-smaller project id) so reruns agree bit for bit.
+All rules are deterministic: every tie goes by one fixed order, the
+cheaper project first, then the smaller project id compared as a plain
+string (``"10"`` before ``"9"``), so reruns agree bit for bit.  The
+compiled election holds that order as ``tie_rank``.
 
 Each rule reads the :class:`~pbrules.model.CompiledElection` of its
 instance and profile from :func:`~pbrules.model.compile_election`, which
@@ -24,7 +25,7 @@ import json
 import math
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -42,7 +43,6 @@ from .model import (
     Instance,
     Money,
     Profile,
-    TieBreak,
     compile_election,
     decimal_places,
     format_money,
@@ -77,7 +77,6 @@ class RuleSpec:
     variant: Variant
     epsilon: Money | None = None
     max_iterations: int = 10_000
-    tiebreak: TieBreak = field(default_factory=TieBreak)
 
     def __post_init__(self) -> None:
         if self.epsilon is not None:
@@ -279,14 +278,13 @@ class RuleResult:
 def _greedy_walk(
     instance: Instance,
     profile: Profile,
-    tiebreak: TieBreak,
     funded: frozenset[str],
     remaining: Money,
 ) -> Allocation:
     """Walk the projects by (-approval score, tie rank), skip those in
     ``funded`` and fund each other one that fits in ``remaining``."""
     election = compile_election(instance, profile)
-    rank = election.tie_rank(tiebreak)
+    rank = election.tie_rank
     selected = list(funded)
     for j in sorted(range(len(rank)), key=lambda j: (-len(election.approvers[j]), rank[j])):
         project = instance.projects[j]
@@ -296,12 +294,10 @@ def _greedy_walk(
     return Allocation.of(selected, instance)
 
 
-def greed_cost(
-    instance: Instance, profile: Profile, tiebreak: TieBreak = TieBreak()
-) -> Allocation:
+def greed_cost(instance: Instance, profile: Profile) -> Allocation:
     """Greedy cost welfare: walk projects by approval score (descending)
     and fund each one that still fits.  Complete by construction."""
-    return _greedy_walk(instance, profile, tiebreak, frozenset(), instance.budget_limit)
+    return _greedy_walk(instance, profile, frozenset(), instance.budget_limit)
 
 
 def mes_affordability(
@@ -332,12 +328,11 @@ def mes_affordability(
     return cap / cost, contributions
 
 
-def _make_engine(instance: Instance, profile: Profile, tiebreak: TieBreak):
+def _make_engine(instance: Instance, profile: Profile):
     election = compile_election(instance, profile)
     costs = [p.cost for p in instance.projects]
-    tie_rank = election.tie_rank(tiebreak)
     return _backend.MesEngine(
-        len(election.ballots), costs, election.approvers, tie_rank, election.ballots
+        len(election.ballots), costs, election.approvers, election.tie_rank, election.ballots
     )
 
 
@@ -360,9 +355,7 @@ def _ledger_run(engine, instance: Instance, profile: Profile, run_budget: Money)
     )
 
 
-def mes(
-    instance: Instance, profile: Profile, tiebreak: TieBreak = TieBreak()
-) -> tuple[Allocation, MesLedger]:
+def mes(instance: Instance, profile: Profile) -> tuple[Allocation, MesLedger]:
     """Method of Equal Shares at the instance's own budget limit.
 
     Each voter gets an equal share of the limit; projects are bought in
@@ -370,17 +363,12 @@ def mes(
     of cost), cheapest first, deducting real payments from wallets.  Not
     complete in general; see the completions below.
     """
-    engine = _make_engine(instance, profile, tiebreak)
+    engine = _make_engine(instance, profile)
     _, ledger = _ledger_run(engine, instance, profile, instance.budget_limit)
     return Allocation.of(ledger.selection_order, instance), ledger
 
 
-def complete_with_secondary(
-    base: Allocation,
-    instance: Instance,
-    profile: Profile,
-    tiebreak: TieBreak = TieBreak(),
-) -> Allocation:
+def complete_with_secondary(base: Allocation, instance: Instance, profile: Profile) -> Allocation:
     """Top up ``base`` with the greedy rule on the leftover budget.
 
     The greedy walk of :func:`greed_cost` resumes from ``base`` with the
@@ -393,7 +381,7 @@ def complete_with_secondary(
     if is_complete(base, instance):
         return base
     leftover = instance.budget_limit - base.total_cost
-    return _greedy_walk(instance, profile, tiebreak, base.selected, leftover)
+    return _greedy_walk(instance, profile, base.selected, leftover)
 
 
 def complete_star(
@@ -402,7 +390,6 @@ def complete_star(
     profile: Profile,
     epsilon: Money | None = None,
     max_iterations: int = 10_000,
-    tiebreak: TieBreak = TieBreak(),
 ) -> StarResult:
     """Complete a rule by rerunning it at limit, limit + eps, limit + 2*eps,
     ... and returning the first round whose outcome is complete and still
@@ -416,9 +403,9 @@ def complete_star(
     path inside this function: one engine runs the rounds and skips
     those it proves select what the round before selected (see
     ``MesEngine.run_star``), then replays the chosen round for the
-    ledger; ``tiebreak`` applies to it only.  A callable runs each
-    round; both paths report the same status, chosen round and rounds
-    examined; ``rounds_run`` tells them apart.
+    ledger.  A callable runs each round; both paths report the same
+    status, chosen round and rounds examined; ``rounds_run`` tells them
+    apart.
     """
     if not callable(rule):
         raise ValueError(f"not a rule: {rule!r}")
@@ -431,7 +418,7 @@ def complete_star(
     ledger = None
 
     if rule is mes:
-        engine = _make_engine(instance, profile, tiebreak)
+        engine = _make_engine(instance, profile)
         selected, chosen, examined, status, rounds_run = engine.run_star(
             budget, epsilon, max_iterations
         )
@@ -470,25 +457,17 @@ def complete_star(
 def run_rule(spec: RuleSpec, instance: Instance, profile: Profile) -> RuleResult:
     """Dispatch a :class:`RuleSpec` and return the final allocation with
     the run's evidence (ledger, star metadata) attached."""
-    tiebreak = spec.tiebreak
     name = spec.variant.value
     if spec.variant is Variant.GREED_COST:
-        return RuleResult(name, greed_cost(instance, profile, tiebreak))
+        return RuleResult(name, greed_cost(instance, profile))
     star = None
     if spec.variant is Variant.MES_STAR_PLUS:
-        star = complete_star(
-            mes,
-            instance,
-            profile,
-            epsilon=spec.epsilon,
-            max_iterations=spec.max_iterations,
-            tiebreak=tiebreak,
-        )
+        star = complete_star(mes, instance, profile, spec.epsilon, spec.max_iterations)
         allocation, ledger = star.allocation, star.ledger
     else:
-        allocation, ledger = mes(instance, profile, tiebreak)
+        allocation, ledger = mes(instance, profile)
     if spec.variant is not Variant.MES:
-        allocation = complete_with_secondary(allocation, instance, profile, tiebreak)
+        allocation = complete_with_secondary(allocation, instance, profile)
     return RuleResult(name, allocation, ledger=ledger, star=star)
 
 

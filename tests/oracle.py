@@ -17,7 +17,6 @@ import statistics
 from fractions import Fraction
 
 from pbrules.model import Instance, Profile, format_money, total_cost
-from pbrules.rules import TieBreak
 
 
 def affordability_fixed_point(budgets, approver_ids, cost):
@@ -52,15 +51,19 @@ def affordability_fixed_point(budgets, approver_ids, cost):
     raise AssertionError("affordability fixed point did not stabilize")
 
 
-def mes_bruteforce(instance: Instance, profile: Profile, tiebreak: TieBreak | None = None):
+def tie_key(project):
+    """The tie order by definition: the cheaper project first, then the
+    smaller id compared as a plain string."""
+    return (project.cost, project.id)
+
+
+def mes_bruteforce(instance: Instance, profile: Profile):
     """Definitional equal shares: full rescan of every remaining project
-    at every step, lowest (factor, tie rank) bought first.
+    at every step, lowest (factor, tie key) bought first.
 
     Returns (selection order, factors, payments, final budgets), all
     keyed by ids.
     """
-    tiebreak = tiebreak or TieBreak()
-    rank = tiebreak.rank(instance)
     n = profile.voter_count
     budgets = {
         ballot.voter_id: Fraction(instance.budget_limit, n) for ballot in profile.ballots
@@ -79,7 +82,7 @@ def mes_bruteforce(instance: Instance, profile: Profile, tiebreak: TieBreak | No
     payments: dict[str, dict[str, Fraction]] = {}
     while True:
         best = None
-        for pid in sorted(remaining, key=rank.__getitem__):
+        for pid in sorted(remaining, key=lambda pid: tie_key(instance.project(pid))):
             result = affordability_fixed_point(
                 budgets, approver_map[pid], instance.cost_of(pid)
             )
@@ -100,13 +103,7 @@ def mes_bruteforce(instance: Instance, profile: Profile, tiebreak: TieBreak | No
     return order, factors, payments, budgets
 
 
-def star_bruteforce(
-    instance: Instance,
-    profile: Profile,
-    epsilon: Fraction,
-    max_rounds: int,
-    tiebreak: TieBreak | None = None,
-):
+def star_bruteforce(instance: Instance, profile: Profile, epsilon: Fraction, max_rounds: int):
     """Definitional budget-increase completion over mes_bruteforce.
 
     Returns (selected ids, chosen_round, rounds_examined, status) with
@@ -116,7 +113,7 @@ def star_bruteforce(
     previous: list[str] = []
     for r in range(max_rounds):
         trial = dataclasses.replace(instance, budget_limit=limit + r * epsilon)
-        order, _, _, _ = mes_bruteforce(trial, profile, tiebreak)
+        order, _, _, _ = mes_bruteforce(trial, profile)
         total = total_cost(order, instance)
         if total > limit:
             return previous, max(r - 1, 0), r + 1, "next_infeasible"
@@ -128,14 +125,14 @@ def star_bruteforce(
     return previous, max_rounds - 1, max_rounds, "exhausted"
 
 
-def topup_bruteforce(base_ids, instance: Instance, profile: Profile, tiebreak: TieBreak):
+def topup_bruteforce(base_ids, instance: Instance, profile: Profile):
     """Definitional greedy top-up: a separate greedy election on the
     projects ``base_ids`` leaves unfunded, at the budget it leaves over,
     with every ballot cut down to those projects.
 
-    Ties in approval score go to the project whose values under the
-    ``tiebreak`` tokens ("cost", "-cost", "id") compare smaller, token by
-    token.  Returns the union of ``base_ids`` and the projects bought.
+    Ties in approval score go to the project with the smaller
+    :func:`tie_key`.  Returns the union of ``base_ids`` and the projects
+    bought.
     """
     funded = set(base_ids)
     leftover = instance.budget_limit - total_cost(funded, instance)
@@ -145,8 +142,7 @@ def topup_bruteforce(base_ids, instance: Instance, profile: Profile, tiebreak: T
 
     def priority(project):
         score = sum(1 for approved in ballots if project.id in approved)
-        values = {"cost": project.cost, "-cost": -project.cost, "id": project.id}
-        return (-score, tuple(values[token] for token in tiebreak.criteria))
+        return (-score, tie_key(project))
 
     for project in sorted(rest, key=priority):
         if project.cost <= leftover:

@@ -25,7 +25,7 @@ from pbrules.analysis import compare_rules, extract_extremes, instance_stats
 from pbrules.metrics import gini, similarity
 from pbrules.model import approvers, build_district_example, is_complete
 from pbrules.pabulib import ingest_directory, parse_pabulib, write_pabulib
-from pbrules.rules import RuleSpec, TieBreak, Variant, greed_cost, mes, run_rule
+from pbrules.rules import RuleSpec, Variant, greed_cost, mes, run_rule
 from pbrules.stats import student_t_two_sided_p
 
 
@@ -443,7 +443,7 @@ def _minimality_failures(count: int) -> list[str]:
     for k in range(count):
         instance, profile = helpers.random_instance(rng, tag=f"mini-{k}")
         _, ledger = mes(instance, profile)
-        rank = TieBreak().rank(instance)
+        tie = {project.id: oracle.tie_key(project) for project in instance.projects}
         budgets = {
             ballot.voter_id: ledger.initial_share for ballot in profile.ballots
         }
@@ -460,7 +460,7 @@ def _minimality_failures(count: int) -> list[str]:
                 if got is None:
                     continue
                 factor, _ = got
-                if best is None or (factor, rank[cand]) < (best[0], rank[best[1]]):
+                if best is None or (factor, tie[cand]) < (best[0], tie[best[1]]):
                     best = (factor, cand)
             if best is None or best[1] != pid or best[0] != ledger.affordabilities[pid]:
                 failures.append(f"{instance.instance_id}: step {pid} not minimal")
@@ -502,7 +502,7 @@ def _round_trip_failures(random_count: int) -> tuple[list[str], int]:
     failures = []
     fixtures = sorted((Path(__file__).parent / "data").glob("*.pb"))
     for file in fixtures:
-        instance, profile = parse_pabulib(file.read_text(), source=file.name)
+        instance, profile = parse_pabulib(file.read_text(encoding="utf-8"), source=file.name)
         again, again_profile = parse_pabulib(write_pabulib(instance, profile))
         if _projection(instance, profile) != _projection(again, again_profile):
             failures.append(f"{file.name}: round trip changed the model")

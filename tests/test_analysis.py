@@ -22,7 +22,7 @@ from pbrules.analysis import (
 )
 from pbrules.metrics import METRIC_COLUMNS, metric_row
 from pbrules.model import ApprovalBallot, Instance, Profile, Project
-from pbrules.rules import RuleSpec, TieBreak, Variant
+from pbrules.rules import RuleSpec, Variant
 
 
 def build(projects, budget, ballots, categories=None):
@@ -207,20 +207,14 @@ class TestCompareRules:
         specs = [
             RuleSpec(Variant.GREED_COST),
             RuleSpec(Variant.MES),
-            RuleSpec(Variant.MES, tiebreak=TieBreak(("-cost",))),
+            RuleSpec(Variant.MES, max_iterations=7),
         ]
         with pytest.raises(ValueError, match="more than once: mes"):
             compare_rules(dataset, specs)
 
-    @pytest.mark.parametrize("plus_criteria, runs", [(("cost",), 1), (("-cost",), 2)])
-    def test_mes_and_mes_plus_share_one_run(self, monkeypatch, plus_criteria, runs):
-        # one equal-shares run per instance when the tie-breaks agree
+    def test_mes_and_mes_plus_share_one_run(self, monkeypatch):
         dataset = categorized_dataset(45, 5)
-        specs = [
-            RuleSpec(Variant.GREED_COST),
-            RuleSpec(Variant.MES),
-            RuleSpec(Variant.MES_PLUS, tiebreak=TieBreak(plus_criteria)),
-        ]
+        specs = [RuleSpec(Variant.GREED_COST), RuleSpec(Variant.MES), RuleSpec(Variant.MES_PLUS)]
         calls = []
         original = rules.mes
 
@@ -230,7 +224,7 @@ class TestCompareRules:
 
         monkeypatch.setattr(rules, "mes", counted_mes)
         report = compare_rules(dataset, specs)
-        assert calls == [instance.instance_id for instance, _ in dataset for _ in range(runs)]
+        assert calls == [instance.instance_id for instance, _ in dataset]
         expected = []
         for instance, profile in dataset:
             baseline = rules.greed_cost(instance, profile)

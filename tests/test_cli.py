@@ -584,6 +584,48 @@ class TestConfig:
         assert "split equally" in outputs["yes"]
         assert outputs["false"] != outputs["yes"]
 
+    def test_on_and_off_words_in_any_case(self, one_file, tmp_path, capsys):
+        cfg = tmp_path / "pb.cfg"
+        argv = ["run", "--file", str(one_file), "--rule", "mes", "--config", str(cfg)]
+        for word in ("1", "TRUE", "Yes", "on", "0", "false", "NO", "Off"):
+            cfg.write_text(f"trace = {word}\n", encoding="utf-8")
+            assert cli_main(argv) == EXIT_OK, word
+            traced = "split equally" in capsys.readouterr().out
+            assert traced is (word.lower() in ("1", "true", "yes", "on")), word
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["run", "--rule", "mes", "--file"], "trace = ture"),
+            (["stats", "--dir"], "filter-defaults = nope"),
+            (["compare", "--dir"], "filter_defaults ="),
+        ],
+    )
+    def test_bad_on_off_value_is_rejected_before_any_file_is_read(
+        self, tmp_path, capsys, argv, line
+    ):
+        cfg = tmp_path / "pb.cfg"
+        cfg.write_text(f"# flags\n{line}\n", encoding="utf-8")
+        argv = argv + [str(tmp_path / "missing"), "--config", str(cfg)]
+        assert cli_main(argv) == EXIT_USAGE
+        key, _, value = line.partition("=")
+        err = capsys.readouterr().err
+        assert f"pb.cfg:2: config key {key.strip()!r} is on (1/true/yes/on)" in err
+        assert f"or off (0/false/no/off), got {value.strip()!r}" in err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [("trace = 1\ntrace = 0\n", "trace"), ("min-voters = 1\nmin_voters = 2\n", "min_voters")],
+    )
+    def test_duplicate_key_is_usage_error(self, one_file, tmp_path, capsys, text, key):
+        cfg = tmp_path / "pb.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        argv = ["run", "--file", str(one_file), "--rule", "mes", "--config", str(cfg)]
+        assert cli_main(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert f"pb.cfg:2: duplicate config key {key!r}" in out.err
+        assert out.out == ""
+
     def test_filter_defaults_from_config(self, corpus, tmp_path, capsys):
         cfg = tmp_path / "pb.cfg"
         argv = ["stats", "--dir", str(corpus), "--config", str(cfg)]

@@ -23,6 +23,7 @@ from oracle import (
     ledger_json_dict,
     mes_bruteforce,
     star_bruteforce,
+    tie_key,
     topup_bruteforce,
     trace_text,
 )
@@ -52,7 +53,6 @@ from pbrules.model import (
 from pbrules.rules import (
     MesLedger,
     RuleSpec,
-    TieBreak,
     Variant,
     complete_star,
     complete_with_secondary,
@@ -158,7 +158,7 @@ def pure_engine(instance, profile):
         profile.voter_count,
         [p.cost for p in instance.projects],
         election.approvers,
-        election.tie_rank(TieBreak()),
+        election.tie_rank,
         election.ballots,
     )
 
@@ -354,11 +354,9 @@ class TestSelectionOracle:
 
     def test_ledger_replay_is_stepwise_minimal(self):
         rng = random.Random(24)
-        rank_of = TieBreak().rank
         for _ in range(120):
             instance, profile = helpers.random_instance(rng)
             _, ledger = mes(instance, profile)
-            rank = rank_of(instance)
             budgets = {
                 b.voter_id: ledger.initial_share for b in profile.ballots
             }
@@ -372,7 +370,9 @@ class TestSelectionOracle:
                     if result is not None:
                         candidates[q] = result[0]
                 assert pid in candidates
-                winner = min(candidates, key=lambda q: (candidates[q], rank[q]))
+                winner = min(
+                    candidates, key=lambda q: (candidates[q], tie_key(instance.project(q)))
+                )
                 assert winner == pid
                 assert candidates[pid] == ledger.affordabilities[pid]
                 for vid, amount in ledger.payments[pid].items():
@@ -627,16 +627,15 @@ class TestTopUpOracle:
     @settings(max_examples=300)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        criteria=st.lists(st.sampled_from(("cost", "-cost", "id")), unique=True, max_size=3),
         mes_base=st.booleans(),
         tie_heavy=st.booleans(),
     )
-    def test_matches_bruteforce(self, seed, criteria, mes_base, tie_heavy):
+    def test_matches_bruteforce(self, seed, mes_base, tie_heavy):
         rng = random.Random(seed)
         instance, profile = helpers.random_instance(rng)
         if tie_heavy:
             # few distinct costs and a tight limit, so score and cost ties
-            # reach the later tie-break tokens
+            # reach the id
             instance = Instance(
                 projects=tuple(
                     dataclasses.replace(p, cost=Fraction(rng.randint(1, 3)))
@@ -645,15 +644,12 @@ class TestTopUpOracle:
                 budget_limit=Fraction(rng.randint(1, 8)),
                 meta=instance.meta,
             )
-        tiebreak = TieBreak(tuple(criteria))
         if mes_base:
-            base, _ = mes(instance, profile, tiebreak)
+            base, _ = mes(instance, profile)
         else:
             base = random_feasible_base(rng, instance)
-        completed = complete_with_secondary(base, instance, profile, tiebreak)
-        assert completed.selected == topup_bruteforce(
-            base.selected, instance, profile, tiebreak
-        )
+        completed = complete_with_secondary(base, instance, profile)
+        assert completed.selected == topup_bruteforce(base.selected, instance, profile)
         assert completed.total_cost == total_cost(completed.selected, instance)
         assert is_complete(completed, instance)
 
@@ -893,7 +889,6 @@ class TestMetricsOracle:
         rng = random.Random(seed)
         instance, profile = metric_case(rng, single_voter, approval_rate, with_categories, orphan)
         spec = RuleSpec(Variant.MES_STAR_PLUS if star else Variant.MES_PLUS, max_iterations=40)
-        tiebreak = TieBreak()
         if precompiled:
             compile_election(instance, profile)
         result = run_rule(spec, instance, profile)
@@ -903,7 +898,7 @@ class TestMetricsOracle:
         expected = oracle.effect_report(
             instance,
             profile,
-            greed_cost(instance, profile, tiebreak).selected,
+            greed_cost(instance, profile).selected,
             result.allocation.selected,
         )
         if expected is None:

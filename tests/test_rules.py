@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import helpers
+import oracle
 from pbrules import _mes_pure, rules
 from pbrules.model import (
     Allocation,
@@ -29,7 +30,6 @@ from pbrules.rules import (
     STATUS_EXHAUSTED,
     STATUS_NEXT_INFEASIBLE,
     RuleSpec,
-    TieBreak,
     Variant,
     complete_star,
     complete_with_secondary,
@@ -65,21 +65,43 @@ XY = build(
 
 
 class TestTieBreak:
+    """Every rule breaks ties by the compiled election's ``tie_rank``."""
+
+    @staticmethod
+    def rank(instance, profile):
+        election = compile_election(instance, profile)
+        return dict(zip(election.ids, election.tie_rank))
+
     def test_default_rank(self):
-        instance, _ = build([("a", 5), ("b", 3), ("c", 5)], 20, [("v", {"a", "b", "c"})])
-        assert TieBreak().rank(instance) == {"b": 0, "a": 1, "c": 2}
+        instance, profile = build([("a", 5), ("b", 3), ("c", 5)], 20, [("v", {"a", "b", "c"})])
+        assert self.rank(instance, profile) == {"b": 0, "a": 1, "c": 2}
 
-    def test_dearer_first(self):
-        instance, _ = build([("a", 5), ("b", 3), ("c", 5)], 20, [("v", {"a", "b", "c"})])
-        assert TieBreak(("-cost",)).rank(instance) == {"a": 0, "c": 1, "b": 2}
+    def test_ids_compare_as_plain_strings(self):
+        ids = ("9", "10", "p9", "p10")
+        instance, profile = build([(pid, 1) for pid in ids], 4, [("v", set(ids))])
+        assert self.rank(instance, profile) == {"10": 0, "9": 1, "p10": 2, "p9": 3}
 
-    def test_id_appended(self):
-        assert TieBreak(("cost",)).criteria == ("cost", "id")
-        assert TieBreak(("id",)).criteria == ("id",)
+    def test_equal_costs_in_other_denominators_go_by_id(self):
+        instance, profile = build(
+            [("b", "1/2"), ("a", "2/4"), ("c", "1/3"), ("d", "3/6")],
+            4,
+            [("v", {"a", "b", "c", "d"})],
+        )
+        assert self.rank(instance, profile) == {"c": 0, "a": 1, "b": 2, "d": 3}
 
-    def test_unknown_token(self):
-        with pytest.raises(ValueError):
-            TieBreak(("random",))
+    def test_matches_the_oracle_key(self):
+        rng = random.Random(18)
+        for _ in range(200):
+            instance, profile = helpers.random_instance(rng, max_projects=14)
+            if rng.random() < 0.5:
+                # few distinct costs, so the id decides many ties
+                projects = tuple(
+                    dataclasses.replace(p, cost=Fraction(rng.randint(1, 3), rng.choice((1, 2, 4))))
+                    for p in instance.projects
+                )
+                instance = dataclasses.replace(instance, projects=projects)
+            order = sorted(instance.projects, key=oracle.tie_key)
+            assert self.rank(instance, profile) == {p.id: k for k, p in enumerate(order)}
 
 
 class TestGreedCost:
