@@ -32,9 +32,9 @@ Dataset = Sequence[tuple[Instance, Profile]]
 SIGNIFICANCE_LEVEL = 0.05
 
 
-def format_sig(value: float, digits: int = 4) -> str:
-    """Four significant digits by default; plain decimal where possible."""
-    return f"%.{digits}g" % float(value)
+def format_sig(value: float) -> str:
+    """Four significant digits; plain decimal where possible."""
+    return "%.4g" % float(value)
 
 
 def _render(value) -> str:
@@ -371,8 +371,8 @@ class ExtremesReport:
                 return position
         raise KeyError(f"instance {instance_id!r} not in the ranking")
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=indent, default=format_money)
+    def to_json(self) -> str:
+        return json.dumps(dataclasses.asdict(self), indent=2, default=format_money)
 
 
 def _block(ids: set[str], instance: Instance) -> BlockSummary:

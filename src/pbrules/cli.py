@@ -9,7 +9,8 @@ smallest rule effects).  Exit codes: 0 on success, 1 for usage errors,
 names a flat key=value file whose keys mirror the long option names;
 explicit flags win over the config, the config wins over defaults.  A
 config value is converted and checked by its option's ``type`` and
-``choices``, as a flag value is, before any command runs.  An on/off
+``choices``, as a flag value is, before any command runs; that holds
+for a key whose option only another subcommand has too.  An on/off
 flag takes 1/true/yes/on or 0/false/no/off, in any case.  A key may
 appear once.
 """
@@ -127,16 +128,27 @@ def _apply_config(parser: argparse.ArgumentParser, mapping: dict[str, str | bool
         sub.set_defaults(**mapping)
 
 
-def _check_choices(parser: argparse.ArgumentParser, args) -> None:
-    # argparse checks choices for command-line values only, not for the
-    # defaults a config sets: check those with the flag's own message
-    sub = _subparsers(parser)[args.command]
-    for action in sub._actions:
-        if action.choices is not None:
-            try:
-                sub._check_value(action, getattr(args, action.dest))
-            except argparse.ArgumentError as exc:
-                sub.error(str(exc))
+def _check_config(
+    parser: argparse.ArgumentParser, args, mapping: dict[str, str | bool]
+) -> None:
+    # argparse checks choices for command-line values only, and passes a
+    # config value through a type only for an option of the chosen
+    # subcommand: check every config value here with the flag's own message
+    subs = _subparsers(parser)
+    sub = subs[args.command]
+    own = {action.dest: action for action in sub._actions}
+    other = {action.dest: action for each in subs.values() for action in each._actions}
+    for dest, value in mapping.items():
+        try:
+            if dest in own:  # typed already; a flag's value wins
+                action, value = own[dest], getattr(args, dest)
+            else:
+                action = other[dest]
+                value = sub._get_value(action, value)
+            if action.choices is not None:
+                sub._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            sub.error(str(exc))
 
 
 def _jobs(value: str) -> int:
@@ -289,7 +301,7 @@ def _cmd_run(args) -> int:
     result = run_rule(spec, instance, profile)
     _write_out(json.dumps(result.to_json_dict(instance), indent=2), args.out)
     if args.ledger_out:
-        Path(args.ledger_out).write_text(result.ledger.to_json(indent=2), encoding="utf-8")
+        Path(args.ledger_out).write_text(result.ledger.to_json(), encoding="utf-8")
     if args.trace:
         print(emit_trace(result.ledger, instance))
     return EXIT_OK
@@ -317,7 +329,7 @@ def _cmd_extremes(args) -> int:
         report = extract_extremes(dataset, mes_spec=spec, jobs=args.jobs)
     except ValueError as exc:
         raise _DataError(str(exc)) from None
-    _write_out(report.to_json(indent=2), args.out)
+    _write_out(report.to_json(), args.out)
     return EXIT_OK
 
 
@@ -337,13 +349,13 @@ def cli_main(argv=None) -> int:
     try:
         known, _ = probe.parse_known_args(argv)
         parser = _build_parser()
-        if known.config:
-            _apply_config(parser, _load_config(known.config, _config_keys(parser)))
+        mapping = _load_config(known.config, _config_keys(parser)) if known.config else {}
+        _apply_config(parser, mapping)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help / --version
             return int(exc.code or 0)
-        _check_choices(parser, args)
+        _check_config(parser, args, mapping)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

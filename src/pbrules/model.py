@@ -284,17 +284,6 @@ class Profile:
     def __repr__(self) -> str:
         return f"Profile(ballots={self.ballots!r})"
 
-    def validate_against(self, instance: Instance) -> None:
-        """Check every approved id exists in ``instance`` (raises KeyError)."""
-        known = instance.project_ids
-        for ballot in self.ballots:
-            unknown = ballot.approved - known
-            if unknown:
-                raise KeyError(
-                    f"ballot {ballot.voter_id!r} approves unknown project "
-                    f"{sorted(unknown)[0]!r}"
-                )
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -329,21 +318,6 @@ class Allocation:
 def total_cost(project_ids: Iterable[str], instance: Instance) -> Money:
     """Sum of the costs of ``project_ids``; KeyError on unknown ids."""
     return sum((instance.cost_of(pid) for pid in project_ids), Fraction(0))
-
-
-def approvers(
-    project_id: str, profile: Profile, instance: Instance | None = None
-) -> frozenset[str]:
-    """Voter ids approving ``project_id``.
-
-    When ``instance`` is given, unknown ids raise KeyError instead of
-    silently returning the empty set.
-    """
-    if instance is not None:
-        instance.project(project_id)
-    return frozenset(
-        ballot.voter_id for ballot in profile.ballots if project_id in ballot.approved
-    )
 
 
 def is_complete(allocation: Allocation, instance: Instance) -> bool:
@@ -477,10 +451,11 @@ def _sum_fractions(terms: list[tuple[int, list[int]]]) -> tuple[int, list[int]]:
 
 def compile_election(instance: Instance, profile: Profile) -> CompiledElection:
     """The :class:`CompiledElection` of ``instance`` and ``profile``;
-    KeyError (see :meth:`Profile.validate_against`) when a ballot
-    approves a project the instance lacks.  A profile whose index rows
-    index the instance's project ids, in order, hands over its rows as
-    the ``ballots``; any other is mapped ballot by ballot.
+    KeyError naming the first ballot, in ballot order, that approves a
+    project the instance lacks, and the smallest such project id.  A
+    profile whose index rows index the instance's project ids, in order,
+    hands over its rows as the ``ballots``; any other is mapped ballot
+    by ballot.
 
     The election is built once per pair: the profile keeps it with the
     ``instance.projects`` tuple it was built from, and a later call whose
@@ -505,8 +480,11 @@ def compile_election(instance: Instance, profile: Profile) -> CompiledElection:
             # exact-size lists: freed small tuples are kept for reuse, lists from maps over-allocate
             ballots = tuple(list(tuple(map(index.__getitem__, b.approved))) for b in profile.ballots)
         except KeyError:
-            profile.validate_against(instance)  # raises the message of the first bad ballot
-            raise
+            known = instance.project_ids
+            bad = next(b for b in profile.ballots if not b.approved <= known)
+            raise KeyError(
+                f"ballot {bad.voter_id!r} approves unknown project {min(bad.approved - known)!r}"
+            ) from None
     approvers: tuple[list[int], ...] = tuple([] for _ in ids)
     for voter, ballot in enumerate(ballots):
         for j in ballot:

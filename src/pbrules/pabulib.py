@@ -127,21 +127,17 @@ def _derive_instance_id(meta: dict[str, str], source: str | None) -> str:
     return ""
 
 
-def parse_pabulib(
-    text: str, source: str | None = None, drop_costless: bool = False
-) -> tuple[Instance, Profile]:
+def parse_pabulib(text: str, source: str | None = None) -> tuple[Instance, Profile]:
     """Parse one PaBuLib file into an (Instance, Profile) pair.
 
     ``source`` is the file name, used only to derive an instance id when
-    the META section does not carry one.  ``drop_costless`` silently
-    removes projects with an empty cost cell (and their ballot
-    references) instead of failing; the declared num_projects count is
-    still checked against the raw row count.
+    the META section does not carry one.  A project with an empty cost
+    cell fails the file with code ``missing-cost``.
 
     The file is read in one pass and the first error in file order is
     raised.  Each line is checked as it is read; the META values are
     checked when the PROJECTS line is reached, num_projects and the
-    presence of a project with a cost when the VOTES line is reached,
+    presence of a project when the VOTES line is reached,
     and num_votes, the sections and the presence of a vote at the end.
     """
     meta: dict[str, str] = {}
@@ -151,7 +147,6 @@ def parse_pabulib(
     project_rows = 0
     projects: list[Project] = []
     known: set[str] = set()
-    ignored = {""}  # ballot tokens that name no project: blanks, dropped ids
     voter_ids: list[str] = []
     rows: list[list[int]] = []
     voters: set[str] = set()
@@ -176,7 +171,7 @@ def parse_pabulib(
             elif stripped == "VOTES":
                 _check_count(meta, "num_projects", project_rows)
                 if not projects:
-                    raise PabulibParseError("no projects with costs", None, "no-projects")
+                    raise PabulibParseError("no projects", None, "no-projects")
                 ids = tuple(project.id for project in projects)
                 index_of = {pid: j for j, pid in enumerate(ids)}.__getitem__
             section = upcoming.pop(0)
@@ -226,15 +221,12 @@ def parse_pabulib(
             pid = row["project_id"].strip()
             if not pid:
                 raise PabulibParseError("empty project_id", lineno, "bad-project")
-            if pid in known or pid in ignored:
+            if pid in known:
                 raise PabulibParseError(
                     f"duplicate project id {pid!r}", lineno, "duplicate-project"
                 )
             cost_text = row["cost"].strip()
             if not cost_text:
-                if drop_costless:
-                    ignored.add(pid)
-                    continue
                 raise PabulibParseError(f"project {pid!r} has no cost", lineno, "missing-cost")
             try:
                 cost = parse_money(cost_text)
@@ -261,7 +253,7 @@ def parse_pabulib(
         tokens = fields[vote_column].split(",")
         approved = set(map(str.strip, tokens))
         if not approved <= known:
-            approved -= ignored
+            approved.discard("")  # blank tokens name no project
             if not approved <= known:
                 unknown = approved - known
                 pid = next(token for token in map(str.strip, tokens) if token in unknown)
@@ -382,11 +374,11 @@ def write_pabulib(
 @dataclass(frozen=True)
 class IngestFilter:
     """Corpus admission rules; the defaults reproduce the study filter
-    (at least 100 voters and 10 priced projects, complete data)."""
+    (at least 100 voters and 10 projects).  Every project has a cost:
+    a file with a costless project is skipped whatever the filter."""
 
     min_voters: int = 100
     min_projects: int = 10
-    require_costs: bool = True
 
 
 @dataclass(frozen=True)
@@ -409,7 +401,7 @@ class IngestResult:
 
 
 def _skip_reason(exc: PabulibParseError) -> str:
-    if exc.code in ("missing-cost", "no-projects"):
+    if exc.code == "missing-cost":
         return "missing cost"
     if exc.code == "missing-votes":
         return "missing votes"
@@ -437,9 +429,7 @@ def ingest_directory(path: str | Path, ingest_filter: IngestFilter = IngestFilte
             skipped.append(SkippedFile(file.name, f"unreadable: {exc}"))
             continue
         try:
-            instance, profile = parse_pabulib(
-                text, source=file.name, drop_costless=not ingest_filter.require_costs
-            )
+            instance, profile = parse_pabulib(text, source=file.name)
         except PabulibParseError as exc:
             skipped.append(SkippedFile(file.name, _skip_reason(exc)))
             continue

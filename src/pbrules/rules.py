@@ -29,15 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from typing import Collection, Iterable, Mapping
+from typing import Collection
 
 from . import _mes_pure
-from ._mes_pure import (
-    STATUS_COMPLETE,
-    STATUS_EXHAUSTED,
-    STATUS_NEXT_INFEASIBLE,
-    payment_cap,
-)
+from ._mes_pure import STATUS_COMPLETE, STATUS_EXHAUSTED, STATUS_NEXT_INFEASIBLE
 from .model import (
     Allocation,
     Instance,
@@ -114,13 +109,13 @@ class MesLedger:
     ``budgets`` the final wallets, in ballot order.
 
     :meth:`to_json` writes the JSON text itself, byte for byte what
-    ``json.dumps`` writes for :meth:`to_json_dict`, with every value
-    exact (see :func:`~pbrules.model.format_money`).  Each distinct
-    money value is formatted once, each distinct money object escaped
-    once and each voter id escaped once; per payment and wallet there
-    are only lookups and joins done by ``map`` and ``str.join`` in C, so
-    the Python-level work grows with the distinct values and voters, not
-    with the payments.
+    ``json.dumps(..., indent=2)`` writes for :meth:`to_json_dict`, with
+    every value exact (see :func:`~pbrules.model.format_money`).  Each
+    distinct money value is formatted once, each distinct money object
+    escaped once and each voter id escaped once; per payment and wallet
+    there are only lookups and joins done by ``map`` and ``str.join`` in
+    C, so the Python-level work grows with the distinct values and
+    voters, not with the payments.
     """
 
     run_budget: Money
@@ -133,9 +128,7 @@ class MesLedger:
     def to_json_dict(self) -> dict:
         return json.loads(self.to_json())
 
-    def to_json(self, indent: int | str | None = None) -> str:
-        if indent is not None and not isinstance(indent, str):
-            indent = " " * indent
+    def to_json(self) -> str:
         literal = _money_literals(
             (self.run_budget, self.initial_share),
             self.affordabilities.values(),
@@ -149,14 +142,14 @@ class MesLedger:
             names = sorted(amounts) if sort else amounts
             values = map(amounts.__getitem__, names) if sort else amounts.values()
             return _json_block(
-                "{}", list(map(key, names)), list(map(literal, map(id, values))), depth, indent
+                "{}", list(map(key, names)), list(map(literal, map(id, values))), depth
             )
 
         fields = {
             "run_budget": literal(id(self.run_budget)),
             "initial_share": literal(id(self.initial_share)),
             "selection_order": _json_block(
-                "[]", None, list(map(encode_basestring_ascii, self.selection_order)), 1, indent
+                "[]", None, list(map(encode_basestring_ascii, self.selection_order)), 1
             ),
             "affordabilities": block(self.affordabilities, 1),
             "payments": _json_block(
@@ -164,11 +157,10 @@ class MesLedger:
                 list(map(key, self.payments)),
                 [block(pays, 2, sort=True) for pays in self.payments.values()],
                 1,
-                indent,
             ),
             "budgets": block(self.budgets, 1),
         }
-        return _json_block("{}", list(map(key, fields)), list(fields.values()), 0, indent)
+        return _json_block("{}", list(map(key, fields)), list(fields.values()), 0)
 
 
 class _JsonKeys(dict):
@@ -179,19 +171,15 @@ class _JsonKeys(dict):
         return text
 
 
-def _json_block(
-    brackets: str, keys: list[str] | None, values: list[str], depth: int, indent: str | None
-) -> str:
-    """One JSON object or array, ``depth`` levels deep, as ``json.dumps``
-    writes it: ``values`` are JSON texts, each after its key string from
-    ``keys`` in an object and alone when ``keys`` is None."""
+def _json_block(brackets: str, keys: list[str] | None, values: list[str], depth: int) -> str:
+    """One JSON object or array, ``depth`` levels deep, as
+    ``json.dumps(..., indent=2)`` writes it: ``values`` are JSON texts,
+    each after its key string from ``keys`` in an object and alone when
+    ``keys`` is None."""
     if not values:
         return brackets
-    if indent is None:
-        first, sep, last = brackets[0], ", ", brackets[1]
-    else:
-        pad = "\n" + indent * (depth + 1)
-        first, sep, last = brackets[0] + pad, "," + pad, "\n" + indent * depth + brackets[1]
+    pad = "\n" + "  " * (depth + 1)
+    first, sep, last = brackets[0] + pad, "," + pad, "\n" + "  " * depth + brackets[1]
     if keys is None:
         return first + sep.join(values) + last
     pieces = [sep, "", ": ", ""] * len(values)
@@ -298,34 +286,6 @@ def greed_cost(instance: Instance, profile: Profile) -> Allocation:
     """Greedy cost welfare: walk projects by approval score (descending)
     and fund each one that still fits.  Complete by construction."""
     return _greedy_walk(instance, profile, frozenset(), instance.budget_limit)
-
-
-def mes_affordability(
-    budgets: Mapping[str, Money], approver_ids: Iterable[str], cost: Money
-) -> tuple[Money, dict[str, Money]] | None:
-    """Cheapest uniform way for the approvers to buy a project.
-
-    Every approver contributes min(wallet, cap) where the cap is the
-    smallest amount that makes contributions sum to ``cost``; agents whose
-    whole wallet is below the equal share of what the others still owe pay
-    everything they have.  Returns (cap / cost, contributions) with zero
-    contributions omitted, or None when the wallets cannot cover the cost.
-    """
-    cost = money(cost)
-    if cost <= 0:
-        raise ValueError("cost must be positive")
-    wallets = {i: money(budgets[i]) for i in sorted(set(approver_ids))}
-    peel = payment_cap(wallets, sorted(wallets, key=wallets.__getitem__), cost)
-    if peel is None:
-        return None
-    remaining, left = peel
-    cap = remaining / left
-    contributions = {}
-    for voter, wallet in wallets.items():
-        pay = min(wallet, cap)
-        if pay > 0:
-            contributions[voter] = pay
-    return cap / cost, contributions
 
 
 def _make_engine(instance: Instance, profile: Profile):

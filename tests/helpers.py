@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from pbrules._mes_pure import payment_cap
 from pbrules.model import ApprovalBallot, Instance, Profile, Project
 
 CATEGORY_POOL = ("roads", "parks", "schools", "culture")
@@ -66,8 +67,23 @@ def random_instance(
         meta={"instance_id": f"{tag}", "description": f"seeded random ({tag})"},
     )
     profile = Profile(ballots=tuple(ballots))
-    profile.validate_against(instance)
+    assert all(b.approved <= instance.project_ids for b in profile.ballots)
     return instance, profile
+
+
+def affordability(budgets, voter_ids, cost):
+    """``(cap / cost, payments)`` at which the voters ``voter_ids`` buy a
+    project of positive ``cost`` paying min(wallet, cap) each, by the
+    engine's :func:`~pbrules._mes_pure.payment_cap` on the wallets
+    ``budgets``; zero payments are omitted.  None when the wallets cannot
+    cover the cost."""
+    order = sorted(voter_ids, key=budgets.__getitem__)
+    peel = payment_cap(budgets, order, cost)
+    if peel is None:
+        return None
+    cap = Fraction(*peel)
+    payments = {v: min(budgets[v], cap) for v in order}
+    return cap / cost, {v: pay for v, pay in payments.items() if pay > 0}
 
 
 def random_dataset(seed: int, count: int, **kwargs):

@@ -23,7 +23,7 @@ from conftest import ACCEPTANCE_LINES, CORPUS_HINT, corpus_dir
 
 from pbrules.analysis import compare_rules, extract_extremes, instance_stats
 from pbrules.metrics import gini, similarity
-from pbrules.model import approvers, build_district_example, is_complete
+from pbrules.model import build_district_example, is_complete
 from pbrules.pabulib import ingest_directory, parse_pabulib, write_pabulib
 from pbrules.rules import RuleSpec, Variant, greed_cost, mes, run_rule
 from pbrules.stats import student_t_two_sided_p
@@ -337,7 +337,7 @@ def test_criterion_7_district_example():
         label
         for project in cheap.projects
         for label in project.categories
-        if len(approvers(project.id, cheap_profile, cheap)) * share >= project.cost
+        if sum(project.id in b.approved for b in cheap_profile.ballots) * share >= project.cost
     }
     if affordable != {"North", "East", "South"}:
         failures.append(f"premise broke: affordable districts {sorted(affordable)}")

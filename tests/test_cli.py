@@ -662,6 +662,37 @@ class TestConfig:
         assert cli_main(["compare", "--config", str(cfg)]) == EXIT_USAGE
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, key, bad, good, message",
+        [
+            ("stats", "jobs", "x", "2", "argument --jobs: invalid int value: 'x'"),
+            (
+                "run",
+                "format",
+                "xml",
+                "json",
+                "argument --format: invalid choice: 'xml' (choose from 'csv', 'json')",
+            ),
+        ],
+    )
+    def test_value_for_another_commands_option_is_checked(
+        self, corpus, one_file, tmp_path, capsys, command, key, bad, good, message
+    ):
+        # stats has no --jobs and run no --format: the value is still checked
+        cfg = tmp_path / "pb.cfg"
+        cfg.write_text(f"{key} = {bad}\n", encoding="utf-8")
+        inputs = {
+            "stats": ["--dir", str(corpus)],
+            "run": ["--file", str(one_file), "--rule", "mes"],
+        }
+        argv = [command, *inputs[command], "--config", str(cfg)]
+        assert cli_main(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert f"pbrules {command}: error: {message}" in out.err
+        assert out.out == ""
+        cfg.write_text(f"{key} = {good}\n", encoding="utf-8")
+        assert cli_main(argv) == EXIT_OK
+
     @pytest.mark.parametrize("command", ["stats", "compare"])
     def test_choice_from_config_is_checked_as_the_flag_is(
         self, corpus, tmp_path, capsys, command

@@ -16,7 +16,6 @@ from pbrules.model import (
     Instance,
     Profile,
     Project,
-    approvers,
     build_district_example,
     compile_election,
     decimal_string,
@@ -171,8 +170,8 @@ class TestValidation:
     def test_validate_against_unknown_project(self):
         inst = make_instance([1], 1)
         profile = Profile((ApprovalBallot("v", frozenset({"ghost"})),))
-        with pytest.raises(KeyError):
-            profile.validate_against(inst)
+        with pytest.raises(KeyError, match="ballot 'v' approves unknown project 'ghost'"):
+            compile_election(inst, profile)
 
     def test_lookup_helpers(self):
         inst = make_instance([2, 3], 10, ids=["a", "b"])
@@ -281,10 +280,8 @@ class TestAllocation:
                 ApprovalBallot("v2", frozenset({"a", "b"})),
             )
         )
-        assert approvers("a", profile) == {"v1", "v2"}
-        assert approvers("b", profile, inst) == {"v2"}
-        with pytest.raises(KeyError):
-            approvers("ghost", profile, inst)
+        # the compiled election lists each project's approvers in ballot order
+        assert compile_election(inst, profile).approvers == ([0, 1], [1])
 
     @given(
         st.lists(st.integers(1, 50), min_size=1, max_size=8),
@@ -313,7 +310,7 @@ class TestDistrictExample:
                 p.id for p in inst.projects if p.id.startswith(district)
             }
             assert len(ballot.approved) == 4
-        profile.validate_against(inst)
+        compile_election(inst, profile)  # KeyError on a ballot naming an unknown project
 
     def test_default_cost_model_is_a_third(self):
         inst, _ = build_district_example((4, 3, 2, 1), budget=120)

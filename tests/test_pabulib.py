@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from pbrules.model import Allocation, ApprovalBallot, Instance, Profile, Project
+from pbrules.model import Allocation, ApprovalBallot, Instance, Profile, Project, compile_election
 from pbrules.pabulib import (
     IngestFilter,
     PabulibParseError,
@@ -98,6 +98,10 @@ voter_id;vote
 1;a,b
 2;b
 """
+
+
+# a PROJECTS section with a header and no rows
+NO_PROJECTS = MINIMAL.replace("num_projects;2", "num_projects;0").replace("a;60\nb;50\n", "")
 
 
 class TestErrors:
@@ -225,17 +229,14 @@ class TestErrors:
         _expect_error(bad, code, line)
 
 
-class TestDropCostless:
-    def test_drops_project_and_references(self):
-        text = MINIMAL.replace("b;50", "b;")
-        instance, profile = parse_pabulib(text, drop_costless=True)
-        assert instance.project_ids == {"a"}
-        assert profile.ballots[0].approved == {"a"}
-        assert profile.ballots[1].approved == frozenset()
-
+class TestCostless:
     def test_all_costless_is_an_error(self):
         text = MINIMAL.replace("a;60", "a;").replace("b;50", "b;")
-        _expect_error(text, "no-projects", None, drop_costless=True)
+        _expect_error(text, "missing-cost", 9)
+
+    def test_no_project_rows_is_an_error(self):
+        error = _expect_error(NO_PROJECTS, "no-projects", None)
+        assert str(error) == "no projects"
 
 
 class TestWriting:
@@ -355,14 +356,14 @@ class TestWriting:
         assert again_profile == profile
 
 
-def with_costless_projects(text: str, ids: tuple[str, ...]) -> str:
-    """``text`` with projects ``ids`` listed without a cost and added to
-    every second ballot."""
+def with_projects(text: str, ids: tuple[str, ...], cost: str) -> str:
+    """``text`` with projects ``ids`` of cost ``cost`` listed first and
+    added to every second ballot."""
     lines = text.split("\n")
     count = next(k for k, line in enumerate(lines) if line.startswith("num_projects;"))
     lines[count] = f"num_projects;{int(lines[count].split(';')[1]) + len(ids)}"
     first_project = lines.index("PROJECTS") + 2
-    lines[first_project:first_project] = [f"{pid};" for pid in ids]
+    lines[first_project:first_project] = [f"{pid};{cost}" for pid in ids]
     for k in range(lines.index("VOTES") + 2, len(lines), 2):
         if lines[k]:
             lines[k] += "," + ",".join(ids)
@@ -382,10 +383,20 @@ class TestIndexedProfile:
         )
         text = write_pabulib(instance, profile)
         if variant == "costless":
-            text = with_costless_projects(text, ("x1", "x2"))
+            # a project with no cost fails its file at its row; priced,
+            # the same projects come first and shift every index
+            costless = with_projects(text, ("x1", "x2"), "")
+            _expect_error(costless, "missing-cost", costless.split("\n").index("x1;") + 1)
+            text = with_projects(text, ("x1", "x2"), "1")
+            extra = (Project("x1", Fraction(1)), Project("x2", Fraction(1)))
+            instance = dataclasses.replace(instance, projects=extra + instance.projects)
+            profile = Profile(
+                ApprovalBallot(b.voter_id, b.approved | {"x1", "x2"}) if i % 2 == 0 else b
+                for i, b in enumerate(profile.ballots)
+            )
         elif variant == "crlf-bom":
             text = "\ufeff" + text.replace("\n", "\r\n")
-        parsed_instance, parsed = parse_pabulib(text, drop_costless=variant == "costless")
+        parsed_instance, parsed = parse_pabulib(text)
         assert parsed_instance.projects == instance.projects
         voter_ids = tuple(b.voter_id for b in profile.ballots)
         assert parsed.voter_ids == voter_ids
@@ -404,10 +415,10 @@ class TestIndexedProfile:
 
     def test_validates_against_another_instance(self):
         instance, profile = parse_pabulib(MINIMAL)
-        profile.validate_against(instance)
+        compile_election(instance, profile)
         smaller = Instance(projects=instance.projects[:1], budget_limit=instance.budget_limit)
         with pytest.raises(KeyError, match="ballot '1' approves unknown project 'b'"):
-            profile.validate_against(smaller)
+            compile_election(smaller, profile)
 
 
 def _write_corpus_file(path: Path, instance_id: str, n_voters: int, n_projects: int):
@@ -430,7 +441,6 @@ class TestIngest:
     def test_defaults(self):
         f = IngestFilter()
         assert (f.min_voters, f.min_projects) == (100, 10)
-        assert f.require_costs
 
     def test_directory_filtering_and_report(self, tmp_path):
         _write_corpus_file(tmp_path / "city_10.pb", "10", 5, 3)
@@ -467,15 +477,13 @@ class TestIngest:
         parsed = [json.loads(line) for line in lines]
         assert all(set(entry) == {"file", "reason"} for entry in parsed)
 
-    def test_require_costs_false_drops_instead(self, tmp_path):
-        (tmp_path / "costless.pb").write_text(
-            MINIMAL.replace("b;50", "b;"), encoding="utf-8"
-        )
-        result = ingest_directory(
-            tmp_path, IngestFilter(min_voters=1, min_projects=1, require_costs=False)
-        )
-        assert len(result.accepted) == 1
-        assert result.accepted[0][0].project_ids == {"a"}
+    def test_empty_projects_section_is_a_parse_error(self, tmp_path):
+        (tmp_path / "empty.pb").write_text(NO_PROJECTS, encoding="utf-8")
+        result = ingest_directory(tmp_path, IngestFilter(min_voters=1, min_projects=1))
+        assert result.accepted == ()
+        assert result.skip_report_lines() == [
+            json.dumps({"file": "empty.pb", "reason": "parse error: no projects"})
+        ]
 
     def test_unicode_digit_file_name(self, tmp_path):
         # "²".isdigit() is True but int("²") raises; the id is the stem
