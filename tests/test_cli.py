@@ -4,9 +4,13 @@ import argparse
 import csv
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +110,19 @@ class TestBasics:
 
     def test_unknown_command_is_usage_error(self, capsys):
         assert cli_main(["frobnicate"]) == EXIT_USAGE
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        # ``python -m pbrules`` from a checkout, without installing
+        root = Path(__file__).resolve().parent.parent
+        argv = ["run", "--file", str(root / "tests" / "data" / "basic.pb"), "--rule", "mes"]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run(
+            [sys.executable, "-m", "pbrules", *argv],
+            env=env, capture_output=True, text=True, encoding="utf-8", timeout=60,
+        )
+        assert done.returncode == EXIT_OK, done.stderr
+        assert cli_main(argv) == EXIT_OK
+        assert json.loads(done.stdout) == json.loads(capsys.readouterr().out)
 
 
 class TestStats:

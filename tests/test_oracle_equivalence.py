@@ -46,6 +46,7 @@ from pbrules.model import (
     Instance,
     Profile,
     Project,
+    build_district_example,
     is_complete,
     total_cost,
 )
@@ -122,6 +123,32 @@ class TestPaymentCap:
             assert all(isinstance(x, int) for x in integral)
             assert Fraction(*integral) == exact[0] / exact[1] * units
 
+    def test_grouped_walk_matches_the_walk_over_voters(self):
+        # classes of 1 to 6 voters, several of them on one wallet and some
+        # below the cap: walking the classes with their counts gives the
+        # cap, or None, that walking their voters one by one gives
+        rng = random.Random(29)
+        whole_class_peels = short = 0
+        for _ in range(600):
+            wallets = [rng.randint(0, 6) * rng.choice((1, 1, 2)) for _ in range(rng.randint(1, 6))]
+            counts = {c: rng.randint(1, 6) for c in range(len(wallets))}
+            order = sorted(counts, key=wallets.__getitem__)
+            voters = [c for c in order for _ in range(counts[c])]
+            total = sum(map(wallets.__getitem__, voters))
+            cost = rng.randint(1, total + total // 4 + 1)
+            grouped = _mes_pure.payment_cap(wallets, order, cost, counts)
+            single = _mes_pure.payment_cap(wallets, voters, cost)
+            assert grouped == single
+            if grouped is None:
+                short += 1
+                continue
+            remaining, left = grouped
+            whole_class_peels += any(
+                counts[c] >= 2 and wallets[c] * left < remaining for c in order
+            )
+        assert whole_class_peels >= 200
+        assert short >= 100
+
 
 PRIME_VOTER_COUNTS = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
@@ -165,9 +192,15 @@ def pure_engine(instance, profile):
     )
 
 
-def pure_engine_ledger(instance, profile):
-    """The pure engine's ledger run, keyed by ids like the oracle's."""
+def pure_engine_ledger(instance, profile, counted=False):
+    """The pure engine's ledger run, keyed by ids like the oracle's.
+    With ``counted``, every waterfill counts the approvers' classes,
+    however few the approvers (otherwise a project needs
+    ``MesEngine._count_from`` of them, more than a brute-force case
+    has)."""
     engine = pure_engine(instance, profile)
+    if counted:
+        engine._count_from = 0
     share = Fraction(instance.budget_limit, profile.voter_count)
     selected, factors, payments, wallets = engine.run(share, want_ledger=True)
     pids = [p.id for p in instance.projects]
@@ -208,10 +241,11 @@ class TestPureEngineOracle:
         seed=st.integers(0, 2**32 - 1),
         n=st.sampled_from(PRIME_VOTER_COUNTS),
         thirds=st.booleans(),
+        counted=st.booleans(),
     )
-    def test_ledger_matches_bruteforce(self, seed, n, thirds):
+    def test_ledger_matches_bruteforce(self, seed, n, thirds, counted):
         instance, profile = odd_money_instance(random.Random(seed), n, thirds)
-        _, ledger = pure_engine_ledger(instance, profile)
+        _, ledger = pure_engine_ledger(instance, profile, counted)
         assert ledger == mes_bruteforce(instance, profile)
         _, factors, payments, wallets = ledger
         values = [*factors.values(), *wallets.values()]
@@ -224,12 +258,13 @@ class TestPureEngineOracle:
         n=st.sampled_from((2, 3, 5, 7)),
         copies=st.integers(2, 4),
         thirds=st.booleans(),
+        counted=st.booleans(),
     )
-    def test_shared_wallets_match_bruteforce(self, seed, n, copies, thirds):
+    def test_shared_wallets_match_bruteforce(self, seed, n, copies, thirds, counted):
         # every ballot cast 2 to 4 times: most voters share a wallet, and
         # purchases split the wallet classes and drain some of them
         instance, profile = shared_wallet_instance(random.Random(seed), n, copies, thirds)
-        engine, ledger = pure_engine_ledger(instance, profile)
+        engine, ledger = pure_engine_ledger(instance, profile, counted)
         assert ledger == mes_bruteforce(instance, profile)
         _, _, payments, _ = ledger
         assert all(amount for pays in payments.values() for amount in pays.values())
@@ -237,19 +272,41 @@ class TestPureEngineOracle:
         classes = engine._class
         assert all(classes[i] == classes[i - i % copies] for i in range(len(classes)))
 
-    def test_shared_wallets_drain_and_split(self):
-        # the cases of the test above do reach the empty class, and leave
-        # voters with one ballot in several classes
+    def test_shared_wallets_drain_and_split(self, monkeypatch):
+        # the cases of the test above do reach the empty class, leave
+        # voters with one ballot in several classes, and have waterfills
+        # that peel a class of two or more voters at once, on the
+        # engine's counted path, where the ledger still matches the oracle
+        peeled_classes = []
+        payment_cap = _mes_pure.payment_cap
+
+        def recording_cap(wallets, order, cost, counts=None):
+            found = payment_cap(wallets, order, cost, counts)
+            if found is not None and counts is not None:
+                # the classes walked past before the cap was pinned
+                unpinned = sum(counts.values()) - found[1]
+                for c in order:
+                    if not unpinned:
+                        break
+                    peeled_classes.append(counts[c])
+                    unpinned -= counts[c]
+            return found
+
+        monkeypatch.setattr(_mes_pure, "payment_cap", recording_cap)
         rng = random.Random(28)
-        drained = split = 0
+        drained = split = peeled = 0
         for _ in range(100):
             n = rng.choice((2, 3, 5, 7))
             instance, profile = shared_wallet_instance(rng, n, 3, rng.random() < 0.5)
-            engine, (_, _, _, wallets) = pure_engine_ledger(instance, profile)
-            drained += 0 in wallets.values()
+            peeled_classes.clear()
+            engine, ledger = pure_engine_ledger(instance, profile, counted=True)
+            assert ledger == mes_bruteforce(instance, profile)
+            drained += 0 in ledger[3].values()
             split += len(set(engine._class)) > 1
+            peeled += any(count >= 2 for count in peeled_classes)
         assert drained >= 10
         assert split >= 60
+        assert peeled >= 10
 
     def test_recomputed_bound_ties_go_to_the_tie_order(self):
         # x drains v1, so a's bound 1/3 goes stale; recomputed it is 1/2,
@@ -612,6 +669,50 @@ class TestSkippingStarOracle:
         rng = random.Random(26)
         gaps = [round_zero_certificate(*star_instance(rng, 10)) for _ in range(60)]
         assert sum(1 for gap in gaps if gap) >= 30
+
+
+def district_instance(rng, crossers):
+    """The four-district example with 1 to 6 voters per district, 1 to 4
+    projects each at random costs and a random limit; then ``crossers``
+    voters also approve one project of another district."""
+    instance, profile = build_district_example(
+        [rng.randint(1, 6) for _ in range(4)],
+        Fraction(rng.randint(10, 120), rng.choice((1, 2))),
+        projects_per_district=rng.randint(1, 4),
+        cost_model=lambda r, d, j: Fraction(r.randint(1, 30), r.choice((1, 2, 3))),
+        seed=rng.randrange(2**32),
+    )
+    ballots = list(profile.ballots)
+    for i in rng.sample(range(len(ballots)), min(crossers, len(ballots))):
+        ballot = ballots[i]
+        other = [p.id for p in instance.projects if p.id not in ballot.approved]
+        ballots[i] = ApprovalBallot(ballot.voter_id, ballot.approved | {rng.choice(other)})
+    return instance, Profile(tuple(ballots))
+
+
+class TestSparseElections:
+    """Voters who approve only their own district's projects, and a few
+    who cross into another: a purchase leaves the factors of every other
+    district where they were.  The engine recomputes every factor after
+    each purchase all the same; the outcome must not change."""
+
+    @settings(max_examples=150)
+    @given(seed=st.integers(0, 2**32 - 1), crossers=st.integers(0, 3), counted=st.booleans())
+    def test_ledger_matches_bruteforce(self, seed, crossers, counted):
+        instance, profile = district_instance(random.Random(seed), crossers)
+        _, ledger = pure_engine_ledger(instance, profile, counted)
+        assert ledger == mes_bruteforce(instance, profile)
+
+    @settings(max_examples=40)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        crossers=st.integers(0, 3),
+        cents=st.integers(1, 100),
+    )
+    def test_skipping_star_matches_generic(self, seed, crossers, cents):
+        instance, profile = district_instance(random.Random(seed), crossers)
+        epsilon = Fraction(profile.voter_count * cents, 100)
+        assert_skipping_star_matches(instance, profile, epsilon, 30, 200)
 
 
 def random_feasible_base(rng, instance):
