@@ -2,8 +2,7 @@
 
 Per-voter metrics and category shares are computed in integers over
 the :class:`~pbrules.model.CompiledElection` of the instance, the one
-the rules read too (``compile_election`` and ``CompiledElection`` are
-re-exported here): costs are ints over their common denominator, so a
+the rules read too: costs are ints over their common denominator, so a
 voter's funded cost is an int, and the Gini coefficient, being
 scale-invariant, needs no per-voter fraction.
 Results stay exact: each reported number is one
@@ -24,7 +23,6 @@ from typing import AbstractSet, Sequence
 
 from .model import (
     Allocation,
-    CompiledElection,
     Instance,
     Money,
     Profile,
@@ -46,19 +44,6 @@ def similarity(
     if denominator == 0:
         return Fraction(1)
     return Fraction(2) * total_cost(a & b, instance) / denominator
-
-
-def cost_satisfaction(
-    profile: Profile, allocation: Allocation | AbstractSet[str], instance: Instance
-) -> list[Fraction]:
-    """Per voter, the funded cost of their approved projects as a fraction
-    of the budget limit; ballot order."""
-    election = compile_election(instance, profile)
-    limit = instance.budget_limit
-    numerator, denominator = limit.denominator, election.cost_den * limit.numerator
-    return [
-        Fraction(x * numerator, denominator) for x in election.voter_funding(allocation)
-    ]
 
 
 def gini(values: Sequence[Fraction | int]) -> Fraction:
@@ -90,43 +75,12 @@ def _gini(values: Sequence[int]) -> Fraction:
     return Fraction(weighted, n * total)
 
 
-def effort(
-    profile: Profile, allocation: Allocation | AbstractSet[str], instance: Instance
-) -> list[Fraction]:
-    """Per voter, the funded cost attributed to them when each funded
-    project's cost is split equally over all its approvers; ballot order.
-    Funded projects nobody approved contribute to nobody."""
-    election = compile_election(instance, profile)
-    weights, scale = election.effort_weights(election.funded(allocation))
-    denominator = election.cost_den * scale
-    return [Fraction(x, denominator) for x in election.per_voter(weights)]
-
-
-def happiness(profile: Profile, allocation: Allocation | AbstractSet[str]) -> Fraction:
-    """Fraction of voters with at least one approved project funded."""
-    chosen = _selected(allocation)
-    happy = sum(1 for ballot in profile.ballots if ballot.approved & chosen)
-    return Fraction(happy, profile.voter_count)
-
-
 def voter_category_share(profile: Profile, instance: Instance, label: str) -> Fraction:
     """Demand share of a category: the average, over voters whose ballot
     has positive total cost, of the cost fraction of their ballot that
     lies in the category."""
     shares, _ = compile_election(instance, profile).demand
     return shares.get(label, Fraction(0))
-
-
-def rule_category_share(
-    allocation: Allocation | AbstractSet[str], instance: Instance, label: str
-) -> Fraction | None:
-    """Supply share of a category: the cost fraction of the selection that
-    lies in the category; None for an empty selection."""
-    chosen = _selected(allocation)
-    if not chosen:
-        return None
-    members = frozenset(p.id for p in instance.projects if label in p.categories)
-    return total_cost(chosen & members, instance) / total_cost(chosen, instance)
 
 
 @dataclass(frozen=True)

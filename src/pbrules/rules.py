@@ -19,7 +19,6 @@ the money left over.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import json
 import math
@@ -32,7 +31,6 @@ from json.encoder import encode_basestring_ascii
 from typing import Collection
 
 from . import _mes_pure
-from ._mes_pure import STATUS_COMPLETE, STATUS_EXHAUSTED, STATUS_NEXT_INFEASIBLE
 from .model import (
     Allocation,
     Instance,
@@ -74,13 +72,7 @@ class RuleSpec:
     max_iterations: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.epsilon is not None:
-            eps = money(self.epsilon)
-            if eps <= 0:
-                raise ValueError("epsilon must be positive")
-            object.__setattr__(self, "epsilon", eps)
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        object.__setattr__(self, "epsilon", _star_options(self.epsilon, self.max_iterations))
 
     @classmethod
     def from_name(cls, name: str, **kwargs) -> "RuleSpec":
@@ -91,6 +83,20 @@ class RuleSpec:
                 f"unknown rule {name!r}; known rules: {', '.join(RULE_NAMES)}"
             ) from None
         return cls(variant=variant, **kwargs)
+
+
+def _star_options(epsilon: Money | None, max_iterations: int) -> Money | None:
+    """``epsilon`` as money, after checking that it is positive (None
+    stays None) and that ``max_iterations`` is an int of at least 1."""
+    if epsilon is not None:
+        epsilon = money(epsilon)
+        if epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+    if isinstance(max_iterations, bool) or not isinstance(max_iterations, int):
+        raise ValueError(f"max_iterations must be an int, not {max_iterations!r}")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+    return epsilon
 
 
 def default_epsilon(profile: Profile) -> Money:
@@ -215,9 +221,8 @@ class StarResult:
     original limit (the search then stops by definition, possibly leaving
     the result incomplete), or "exhausted" when ``max_iterations`` rounds
     were examined without either event.  ``rounds_run`` counts the
-    rounds whose selection was actually computed: the equal-shares
-    search skips rounds it proves select the same projects as the round
-    before, the generic search runs every round it examines.
+    rounds whose selection was actually computed: the search skips
+    rounds it proves select the same projects as the round before.
     """
 
     allocation: Allocation
@@ -345,65 +350,35 @@ def complete_with_secondary(base: Allocation, instance: Instance, profile: Profi
 
 
 def complete_star(
-    rule,
     instance: Instance,
     profile: Profile,
     epsilon: Money | None = None,
     max_iterations: int = 10_000,
 ) -> StarResult:
-    """Complete a rule by rerunning it at limit, limit + eps, limit + 2*eps,
-    ... and returning the first round whose outcome is complete and still
-    feasible for the *original* limit.
+    """Complete equal shares by rerunning it at limit, limit + eps,
+    limit + 2*eps, ... and returning the first round whose selection is
+    complete and still feasible for the *original* limit.
 
     A round that overshoots the original limit ends the search with the
-    previous round's outcome (which may be incomplete); running out of
-    rounds returns the last feasible outcome with status "exhausted".
-    ``rule`` is either :func:`mes` or any callable (Instance, Profile) ->
-    Allocation, run at every round.  The equal-shares rule takes a fast
-    path inside this function: one engine runs the rounds and skips
-    those it proves select what the round before selected (see
-    ``MesEngine.run_star``), then replays the chosen round for the
-    ledger.  A callable runs each round; both paths report the same
-    status, chosen round and rounds examined; ``rounds_run`` tells them
-    apart.
+    previous round's selection (which may be incomplete); running out of
+    rounds returns the last feasible selection with status "exhausted".
+    One engine runs the rounds and skips those it proves select what the
+    round before selected (see ``MesEngine.run_star``), then replays the
+    chosen round for the ledger.
     """
-    if not callable(rule):
-        raise ValueError(f"not a rule: {rule!r}")
-    epsilon = default_epsilon(profile) if epsilon is None else money(epsilon)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be at least 1")
+    epsilon = _star_options(epsilon, max_iterations)
+    if epsilon is None:
+        epsilon = default_epsilon(profile)
     budget = instance.budget_limit
-    ledger = None
-
-    if rule is mes:
-        engine = _make_engine(instance, profile)
-        selected, chosen, examined, status, rounds_run = engine.run_star(
-            budget, epsilon, max_iterations
-        )
-        replay, ledger = _ledger_run(engine, instance, profile, budget + chosen * epsilon)
-        if replay != selected:
-            raise AssertionError("star replay diverged from the search run")
-        allocation = Allocation.of(ledger.selection_order, instance)
-    else:
-        allocation = Allocation(frozenset(), 0)
-        status, chosen = STATUS_EXHAUSTED, max_iterations - 1
-        for round_index in range(max_iterations):
-            trial = dataclasses.replace(instance, budget_limit=budget + round_index * epsilon)
-            outcome = rule(trial, profile)
-            if outcome.total_cost > budget:
-                status, chosen = STATUS_NEXT_INFEASIBLE, max(round_index - 1, 0)
-                break
-            allocation = Allocation.of(outcome.selected, instance)
-            if is_complete(allocation, instance):
-                status, chosen = STATUS_COMPLETE, round_index
-                break
-        # the round the search stopped at, the last one when none ended it
-        rounds_run = examined = round_index + 1
-
+    engine = _make_engine(instance, profile)
+    selected, chosen, examined, status, rounds_run = engine.run_star(
+        budget, epsilon, max_iterations
+    )
+    replay, ledger = _ledger_run(engine, instance, profile, budget + chosen * epsilon)
+    if replay != selected:
+        raise AssertionError("star replay diverged from the search run")
     return StarResult(
-        allocation=allocation,
+        allocation=Allocation.of(ledger.selection_order, instance),
         status=status,
         chosen_round=chosen,
         rounds_examined=examined,
@@ -422,7 +397,7 @@ def run_rule(spec: RuleSpec, instance: Instance, profile: Profile) -> RuleResult
         return RuleResult(name, greed_cost(instance, profile))
     star = None
     if spec.variant is Variant.MES_STAR_PLUS:
-        star = complete_star(mes, instance, profile, spec.epsilon, spec.max_iterations)
+        star = complete_star(instance, profile, spec.epsilon, spec.max_iterations)
         allocation, ledger = star.allocation, star.ledger
     else:
         allocation, ledger = mes(instance, profile)

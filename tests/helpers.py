@@ -1,12 +1,17 @@
-"""Seeded random instance builders shared across the test modules."""
+"""Seeded random instance builders and the star reference shared across
+the test modules."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
+import oracle
 from pbrules._mes_pure import payment_cap
-from pbrules.model import ApprovalBallot, Instance, Profile, Project
+from pbrules.model import Allocation, ApprovalBallot, Instance, Profile, Project
+from pbrules.rules import mes
+
+STAR_FIELDS = ("allocation", "status", "chosen_round", "rounds_examined", "budget_used")
 
 CATEGORY_POOL = ("roads", "parks", "schools", "culture")
 
@@ -124,3 +129,24 @@ def bloc_election(instance_id: str, overshoot: bool):
     ballots.append(ApprovalBallot(str(voters), frozenset({"3", "4"})))
     meta = {"description": f"Synthetic two-bloc election {instance_id}", "instance_id": instance_id}
     return Instance(tuple(projects), Fraction(budget), meta), Profile(tuple(ballots))
+
+
+def star_reference(instance: Instance, profile: Profile, epsilon: Fraction, max_rounds: int) -> dict:
+    """The round-by-round star completion, :func:`oracle.star_bruteforce`
+    over the engine's ``mes``, which reruns every round and skips none:
+    the :data:`STAR_FIELDS` of the ``StarResult`` it should match."""
+    selected, chosen, examined, status = oracle.star_bruteforce(
+        instance, profile, epsilon, max_rounds, select=lambda i, p: mes(i, p)[0].selected
+    )
+    return {
+        "allocation": Allocation.of(selected, instance),
+        "status": status,
+        "chosen_round": chosen,
+        "rounds_examined": examined,
+        "budget_used": instance.budget_limit + chosen * epsilon,
+    }
+
+
+def star_fields(result) -> dict:
+    """The :data:`STAR_FIELDS` of a ``StarResult``."""
+    return {name: getattr(result, name) for name in STAR_FIELDS}

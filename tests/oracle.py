@@ -103,8 +103,21 @@ def mes_bruteforce(instance: Instance, profile: Profile):
     return order, factors, payments, budgets
 
 
-def star_bruteforce(instance: Instance, profile: Profile, epsilon: Fraction, max_rounds: int):
-    """Definitional budget-increase completion over mes_bruteforce.
+def bruteforce_order(instance: Instance, profile: Profile) -> list[str]:
+    """The ids mes_bruteforce buys, in purchase order."""
+    return mes_bruteforce(instance, profile)[0]
+
+
+def star_bruteforce(
+    instance: Instance,
+    profile: Profile,
+    epsilon: Fraction,
+    max_rounds: int,
+    select=bruteforce_order,
+):
+    """Definitional budget-increase completion: ``select(instance,
+    profile)`` gives the ids a round buys, rerun from scratch at every
+    round (by default mes_bruteforce's order).
 
     Returns (selected ids, chosen_round, rounds_examined, status) with
     the same semantics as the engines' run_star.
@@ -113,7 +126,7 @@ def star_bruteforce(instance: Instance, profile: Profile, epsilon: Fraction, max
     previous: list[str] = []
     for r in range(max_rounds):
         trial = dataclasses.replace(instance, budget_limit=limit + r * epsilon)
-        order, _, _, _ = mes_bruteforce(trial, profile)
+        order = select(trial, profile)
         total = total_cost(order, instance)
         if total > limit:
             return previous, max(r - 1, 0), r + 1, "next_infeasible"

@@ -30,8 +30,8 @@ from pbrules.model import (
 from pbrules.pabulib import IngestFilter, ingest_directory, write_pabulib
 from pbrules.rules import (
     RuleSpec,
-    complete_star,
     complete_with_secondary,
+    default_epsilon,
     greed_cost,
     mes,
     run_rule,
@@ -869,7 +869,7 @@ def degenerate_election(case: str):
 
 class TestDegenerateStar:
     """Degenerate inputs to ``mes*+`` end in a reported state, with the
-    star fields of the generic round-by-round search."""
+    star fields of the round-by-round reference."""
 
     CASES = ("rivals", "single-voter", "unapproved", "below-every-cost")
 
@@ -882,12 +882,9 @@ class TestDegenerateStar:
         return request.param, root, instance, profile
 
     @staticmethod
-    def generic(instance, profile, max_iterations):
-        return complete_star(
-            lambda inst, prof: mes(inst, prof)[0],
-            instance,
-            profile,
-            max_iterations=max_iterations,
+    def reference(instance, profile, max_iterations):
+        return helpers.star_reference(
+            instance, profile, default_epsilon(profile), max_iterations
         )
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 40])
@@ -897,10 +894,17 @@ class TestDegenerateStar:
         assert cli_main(argv + ["--max-iterations", str(max_iterations)]) == EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         star = payload["star"]
-        expected = self.generic(instance, profile, max_iterations)
+        expected = self.reference(instance, profile, max_iterations)
         assert star["rounds_run"] <= star["rounds_examined"]
-        assert {**star, "rounds_run": expected.rounds_run} == expected.to_json_dict()
-        completed = complete_with_secondary(expected.allocation, instance, profile)
+        assert star == {
+            "status": expected["status"],
+            "chosen_round": expected["chosen_round"],
+            "rounds_examined": expected["rounds_examined"],
+            "rounds_run": star["rounds_run"],
+            "epsilon": format_money(default_epsilon(profile)),
+            "budget_used": format_money(expected["budget_used"]),
+        }
+        completed = complete_with_secondary(expected["allocation"], instance, profile)
         assert payload["selected"] == sorted(completed.selected)
         assert payload["complete"] is True
         if name == "below-every-cost":
@@ -915,11 +919,11 @@ class TestDegenerateStar:
 
     def test_rivals_overshoot_after_a_hundred_rounds(self, capsys):
         instance, profile = degenerate_election("rivals")
-        expected = self.generic(instance, profile, 10_000)
+        expected = self.reference(instance, profile, 10_000)
         result = run_rule(RuleSpec.from_name("mes*+"), instance, profile)
-        assert result.star.status == expected.status == "next_infeasible"
-        assert result.star.chosen_round == expected.chosen_round == 99
-        assert result.star.rounds_examined == expected.rounds_examined == 101
+        assert result.star.status == expected["status"] == "next_infeasible"
+        assert result.star.chosen_round == expected["chosen_round"] == 99
+        assert result.star.rounds_examined == expected["rounds_examined"] == 101
         assert result.star.rounds_run == 2
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 40])
@@ -929,8 +933,8 @@ class TestDegenerateStar:
         argv = ["compare", "--dir", str(root), "--rules", "greedcost,mes*+", "--raw-out", str(raw)]
         assert cli_main(argv + ["--max-iterations", str(max_iterations)]) == EXIT_OK
         baseline = greed_cost(instance, profile).selected
-        star = self.generic(instance, profile, max_iterations)
-        completed = complete_with_secondary(star.allocation, instance, profile)
+        star = self.reference(instance, profile, max_iterations)
+        completed = complete_with_secondary(star["allocation"], instance, profile)
         rows = list(csv.reader(io.StringIO(raw.read_text(encoding="utf-8"))))
         assert rows == [
             list(METRIC_COLUMNS),
@@ -943,8 +947,8 @@ class TestDegenerateStar:
         _, root, instance, profile = case
         argv = ["extremes", "--dir", str(root), "--max-iterations", str(max_iterations)]
         code = cli_main(argv)
-        star = self.generic(instance, profile, max_iterations)
-        completed = complete_with_secondary(star.allocation, instance, profile)
+        star = self.reference(instance, profile, max_iterations)
+        completed = complete_with_secondary(star["allocation"], instance, profile)
         expected = oracle.effect_report(
             instance, profile, greed_cost(instance, profile).selected, completed.selected
         )

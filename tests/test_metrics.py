@@ -9,18 +9,21 @@ import helpers
 from pbrules.metrics import (
     METRIC_COLUMNS,
     category_proportionality,
-    cost_satisfaction,
     effect_score,
-    effort,
     gini,
-    happiness,
     median_selected_cost,
     metric_row,
-    rule_category_share,
     similarity,
     voter_category_share,
 )
-from pbrules.model import ApprovalBallot, Instance, Profile, Project, total_cost
+from pbrules.model import (
+    ApprovalBallot,
+    Instance,
+    Profile,
+    Project,
+    compile_election,
+    total_cost,
+)
 
 
 def build(projects, budget, ballots, categories=None):
@@ -88,13 +91,10 @@ class TestSimilarity:
 
 class TestDistributions:
     def test_cost_satisfaction(self):
-        values = cost_satisfaction(PROFILE, {"a", "b"}, INSTANCE)
-        assert values == [
-            Fraction(10, 20),
-            Fraction(6, 20),
-            Fraction(0),
-            Fraction(0),
-        ]
+        # funded cost per voter, as ints over the common cost denominator
+        election = compile_election(INSTANCE, PROFILE)
+        assert election.cost_den == 1
+        assert election.voter_funding({"a", "b"}) == [10, 6, 0, 0]
 
     def test_gini_hand_values(self):
         assert gini([1, 1, 1]) == 0
@@ -123,10 +123,13 @@ class TestDistributions:
             assert gini(shuffled) == g
 
     def test_effort_split_and_conservation(self):
-        values = effort(PROFILE, {"a", "b"}, INSTANCE)
-        # a has one approver (v1), b has two (v1, v2).
-        assert values == [Fraction(4) + Fraction(3), Fraction(3), 0, 0]
-        assert sum(values) == 10
+        election = compile_election(INSTANCE, PROFILE)
+        weights, scale = election.effort_weights(election.funded({"a", "b"}))
+        values = election.per_voter(weights)
+        # a has one approver (v1), b has two (v1, v2): ints over cost_den * 2
+        assert (election.cost_den, scale) == (1, 2)
+        assert values == [2 * (4 + 3), 2 * 3, 0, 0]
+        assert sum(values) == 10 * scale
 
     def test_effort_ignores_unapproved_winners(self):
         instance, profile = build(
@@ -134,12 +137,17 @@ class TestDistributions:
             10,
             [("v1", {"a"})],
         )
-        assert effort(profile, {"a", "b"}, instance) == [Fraction(4)]
+        election = compile_election(instance, profile)
+        weights, _ = election.effort_weights(election.funded({"a", "b"}))
+        assert election.per_voter(weights) == [4]
 
     def test_happiness(self):
-        assert happiness(PROFILE, {"a"}) == Fraction(1, 4)
-        assert happiness(PROFILE, {"b"}) == Fraction(2, 4)
-        assert happiness(PROFILE, set()) == 0
+        def happiness(chosen):
+            return metric_row(INSTANCE, PROFILE, "mes", chosen, chosen)["happiness"]
+
+        assert happiness({"a"}) == Fraction(1, 4)
+        assert happiness({"b"}) == Fraction(2, 4)
+        assert happiness(set()) == 0
 
 
 class TestCategories:
@@ -179,8 +187,12 @@ class TestCategories:
             ]
 
     def test_rule_share(self):
-        assert rule_category_share({"a", "b"}, INSTANCE, "roads") == Fraction(6, 10)
-        assert rule_category_share(set(), INSTANCE, "roads") is None
+        report = category_proportionality(PROFILE, INSTANCE, {"a", "b"})
+        assert [(e.label, e.rule_share) for e in report.entries] == [
+            ("parks", Fraction(4, 10)),
+            ("roads", Fraction(6, 10)),
+        ]
+        assert category_proportionality(PROFILE, INSTANCE, set()) is None
 
     def test_report(self):
         report = category_proportionality(PROFILE, INSTANCE, {"a", "b"})
@@ -230,8 +242,9 @@ class TestEffectScore:
         score = effect_score(INSTANCE, PROFILE, greed, fair)
         greed_report = category_proportionality(PROFILE, INSTANCE, greed)
         fair_report = category_proportionality(PROFILE, INSTANCE, fair)
-        greed_gini = gini(cost_satisfaction(PROFILE, greed, INSTANCE))
-        fair_gini = gini(cost_satisfaction(PROFILE, fair, INSTANCE))
+        election = compile_election(INSTANCE, PROFILE)
+        greed_gini = gini(election.voter_funding(greed))
+        fair_gini = gini(election.voter_funding(fair))
         expected = 0.5 * (
             (fair_report.proportionality - greed_report.proportionality)
             + float(greed_gini)
@@ -262,9 +275,7 @@ class TestRows:
         assert row["winners"] == 2
         assert row["median_cost"] == 5
         assert row["avg_satisfaction"] == Fraction(1, 5)
-        assert row["gini_cost"] == gini(
-            cost_satisfaction(PROFILE, {"a", "b"}, INSTANCE)
-        )
+        assert row["gini_cost"] == gini([Fraction(10, 20), Fraction(6, 20), 0, 0])
         assert row["happiness"] == Fraction(1, 2)
 
     def test_metric_row_with_every_ballot_empty(self):

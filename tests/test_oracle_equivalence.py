@@ -31,12 +31,8 @@ from pbrules import _mes_pure
 from pbrules.analysis import _effect_worker, instance_stats
 from pbrules.metrics import (
     category_proportionality,
-    compile_election,
-    cost_satisfaction,
     effect_score,
-    effort,
     gini,
-    happiness,
     metric_row,
     voter_category_share,
 )
@@ -47,6 +43,7 @@ from pbrules.model import (
     Profile,
     Project,
     build_district_example,
+    compile_election,
     is_complete,
     total_cost,
 )
@@ -452,7 +449,7 @@ class TestStarOracle:
         for _ in range(120):
             instance, profile = helpers.random_instance(rng)
             eps = Fraction(rng.randint(1, 8), rng.choice((1, 2, 4)))
-            result = complete_star(mes, instance, profile, epsilon=eps, max_iterations=40)
+            result = complete_star(instance, profile, epsilon=eps, max_iterations=40)
             selected, chosen, examined, status = star_bruteforce(
                 instance, profile, eps, 40
             )
@@ -504,28 +501,20 @@ def grown_star_instance(rng, max_voters, max_projects=5):
     return dataclasses.replace(instance, budget_limit=grown), profile
 
 
-def assert_skipping_star_matches(instance, profile, epsilon, oracle_rounds, generic_rounds):
+def assert_skipping_star_matches(instance, profile, epsilon, oracle_rounds, reference_rounds):
     """The skipping search against star_bruteforce (with the chosen
     round's ledger against mes_bruteforce), unless ``oracle_rounds`` is
-    None, and against the generic round-by-round path."""
+    None, and against star_bruteforce over the engine's ``mes``."""
     if oracle_rounds is not None:
         assert_star_matches_bruteforce(instance, profile, epsilon, oracle_rounds)
-    fast = complete_star(mes, instance, profile, epsilon=epsilon, max_iterations=generic_rounds)
-    slow = complete_star(
-        lambda inst, prof: mes(inst, prof)[0],
-        instance,
-        profile,
-        epsilon=epsilon,
-        max_iterations=generic_rounds,
-    )
-    for name in ("allocation", "status", "chosen_round", "rounds_examined", "budget_used"):
-        assert getattr(fast, name) == getattr(slow, name), name
+    fast = complete_star(instance, profile, epsilon=epsilon, max_iterations=reference_rounds)
+    slow = helpers.star_reference(instance, profile, epsilon, reference_rounds)
+    assert helpers.star_fields(fast) == slow
     assert fast.rounds_run <= fast.rounds_examined
-    assert slow.rounds_run == slow.rounds_examined
 
 
 def assert_star_matches_bruteforce(instance, profile, epsilon, oracle_rounds):
-    fast = complete_star(mes, instance, profile, epsilon=epsilon, max_iterations=oracle_rounds)
+    fast = complete_star(instance, profile, epsilon=epsilon, max_iterations=oracle_rounds)
     selected, chosen, examined, status = star_bruteforce(
         instance, profile, epsilon, oracle_rounds
     )
@@ -605,7 +594,7 @@ class TestSkippingStarOracle:
     # before it is run; here that check must find a new purchase order
     @example(seed=11, cents=20)
     def test_larger_elections(self, seed, cents):
-        # too large for the brute-force oracle: the generic path only
+        # too large for mes_bruteforce: the star reference over the engine only
         instance, profile = star_instance(random.Random(seed), 40, 12)
         epsilon = Fraction(profile.voter_count * cents, 100)
         assert_skipping_star_matches(instance, profile, epsilon, None, 400)
@@ -997,14 +986,17 @@ class TestMetricsOracle:
         for column in ("similarity", "avg_satisfaction", "gini_cost", "gini_effort", "happiness"):
             assert type(row[column]) is Fraction
 
-        satisfaction = cost_satisfaction(profile, chosen, instance)
+        # the per-voter ints behind the rows, scaled back to fractions
+        election = compile_election(instance, profile)
+        funded = election.funded(chosen)
+        limit = instance.budget_limit * election.cost_den
+        satisfaction = [x / limit for x in election.per_voter(funded)]
         assert satisfaction == oracle.cost_satisfaction(profile, chosen, instance)
-        assert all(type(v) is Fraction for v in satisfaction)
-        efforts = effort(profile, chosen, instance)
+        weights, scale = election.effort_weights(funded)
+        efforts = [Fraction(x, election.cost_den * scale) for x in election.per_voter(weights)]
         assert efforts == oracle.effort(profile, chosen, instance)
         assert gini(satisfaction) == oracle.gini(satisfaction)
         assert gini(efforts) == oracle.gini(efforts)
-        assert happiness(profile, chosen) == oracle.happiness(profile, chosen)
 
         report = category_proportionality(profile, instance, chosen)
         expected_report = oracle.category_report(profile, instance, chosen)

@@ -12,6 +12,7 @@ import pytest
 import helpers
 import oracle
 from pbrules import _mes_pure, rules
+from pbrules._mes_pure import STATUS_COMPLETE, STATUS_EXHAUSTED, STATUS_NEXT_INFEASIBLE
 from pbrules.model import (
     Allocation,
     ApprovalBallot,
@@ -26,9 +27,6 @@ from pbrules.model import (
 )
 from pbrules.rules import (
     RULE_NAMES,
-    STATUS_COMPLETE,
-    STATUS_EXHAUSTED,
-    STATUS_NEXT_INFEASIBLE,
     RuleSpec,
     Variant,
     complete_star,
@@ -241,7 +239,7 @@ class TestCompletions:
 
     def test_star_hand_example(self):
         instance, profile = XY
-        result = complete_star(mes, instance, profile, epsilon=Fraction(2))
+        result = complete_star(instance, profile, epsilon=Fraction(2))
         assert result.allocation.selected == {"x", "y"}
         assert result.status == STATUS_COMPLETE
         assert result.chosen_round == 2
@@ -256,7 +254,7 @@ class TestCompletions:
             10,
             [("v1", {"x"}), ("v2", {"y"})],
         )
-        result = complete_star(mes, instance, profile, epsilon=Fraction(2))
+        result = complete_star(instance, profile, epsilon=Fraction(2))
         assert result.status == STATUS_NEXT_INFEASIBLE
         assert result.allocation.selected == frozenset()
         assert result.chosen_round == 0
@@ -269,7 +267,7 @@ class TestCompletions:
             10,
             [("v1", {"x"}), ("v2", {"y"})],
         )
-        result = complete_star(mes, instance, profile, epsilon=Fraction(1, 2), max_iterations=3)
+        result = complete_star(instance, profile, epsilon=Fraction(1, 2), max_iterations=3)
         assert result.status == STATUS_EXHAUSTED
         assert result.rounds_examined == 3
         assert result.chosen_round == 2
@@ -280,18 +278,9 @@ class TestCompletions:
         for _ in range(25):
             instance, profile = helpers.random_instance(rng)
             eps = Fraction(profile.voter_count, 100)
-            fast = complete_star(mes, instance, profile, epsilon=eps, max_iterations=60)
-            slow = complete_star(
-                lambda inst, prof: mes(inst, prof)[0],
-                instance,
-                profile,
-                epsilon=eps,
-                max_iterations=60,
-            )
-            assert fast.allocation.selected == slow.allocation.selected
-            assert fast.status == slow.status
-            assert fast.chosen_round == slow.chosen_round
-            assert fast.rounds_examined == slow.rounds_examined
+            fast = complete_star(instance, profile, epsilon=eps, max_iterations=60)
+            slow = helpers.star_reference(instance, profile, eps, 60)
+            assert helpers.star_fields(fast) == slow
 
     @pytest.mark.parametrize(
         "overshoot, status", [(False, STATUS_COMPLETE), (True, STATUS_NEXT_INFEASIBLE)]
@@ -300,21 +289,12 @@ class TestCompletions:
         # the selection changes once, at round 56: the search runs round 0
         # and round 56 and skips the 55 rounds between them
         instance, profile = helpers.bloc_election("401", overshoot)
-        fast = complete_star(mes, instance, profile)
-        slow = complete_star(lambda inst, prof: mes(inst, prof)[0], instance, profile)
-        assert fast.rounds_examined == slow.rounds_examined == 57
-        assert fast.status == slow.status == status
-        assert fast.chosen_round == slow.chosen_round
-        assert fast.allocation == slow.allocation
+        fast = complete_star(instance, profile)
+        slow = helpers.star_reference(instance, profile, default_epsilon(profile), 10_000)
+        assert fast.rounds_examined == slow["rounds_examined"] == 57
+        assert fast.status == slow["status"] == status
+        assert helpers.star_fields(fast) == slow
         assert fast.rounds_run <= 3
-        assert slow.rounds_run == slow.rounds_examined
-
-    def test_star_of_complete_rule_stops_at_round_zero(self):
-        instance, profile = XY
-        result = complete_star(greed_cost, instance, profile, epsilon=Fraction(1))
-        assert result.status == STATUS_COMPLETE
-        assert result.chosen_round == 0
-        assert result.allocation.selected == {"x", "y"}
 
     def test_engine_is_built_through_the_backend_binding(self, monkeypatch):
         # benchmark tracing wraps the engine by patching this one attribute
@@ -329,7 +309,7 @@ class TestCompletions:
         instance, profile = XY
         mes(instance, profile)
         assert len(built) == 1
-        complete_star(mes, instance, profile, epsilon=Fraction(2))
+        complete_star(instance, profile, epsilon=Fraction(2))
         assert len(built) > 1
 
     def test_star_replay_must_select_what_the_search_selected(self, monkeypatch):
@@ -342,7 +322,7 @@ class TestCompletions:
         monkeypatch.setattr(_mes_pure.MesEngine, "run_star", dropping_the_last_purchase)
         instance, profile = XY
         with pytest.raises(AssertionError, match="star replay diverged from the search run"):
-            complete_star(mes, instance, profile, epsilon=Fraction(2))
+            complete_star(instance, profile, epsilon=Fraction(2))
 
     def test_rules_run_unchanged_under_benchmark_tracing(self, monkeypatch):
         # the tracer's engine stand-in proxies only MesEngine.run and
@@ -365,11 +345,12 @@ class TestCompletions:
     def test_epsilon_validation(self):
         instance, profile = XY
         with pytest.raises(ValueError):
-            complete_star(mes, instance, profile, epsilon=Fraction(0))
+            complete_star(instance, profile, epsilon=Fraction(0))
         with pytest.raises(ValueError):
-            complete_star(mes, instance, profile, max_iterations=0)
-        with pytest.raises(ValueError):
-            complete_star("nonsense", instance, profile)
+            complete_star(instance, profile, max_iterations=0)
+        for rounds in (True, 2.5, "3"):
+            with pytest.raises(ValueError, match="max_iterations must be an int"):
+                complete_star(instance, profile, max_iterations=rounds)
 
 
 class TestRunRule:
@@ -384,6 +365,9 @@ class TestRunRule:
             RuleSpec(Variant.MES, epsilon=Fraction(-1))
         with pytest.raises(ValueError):
             RuleSpec(Variant.MES, max_iterations=0)
+        for rounds in (True, 2.5, "3"):
+            with pytest.raises(ValueError, match="max_iterations must be an int"):
+                RuleSpec(Variant.MES_STAR_PLUS, max_iterations=rounds)
 
     def test_dispatch_on_hand_example(self):
         instance, profile = XY
@@ -442,7 +426,7 @@ class TestRunRule:
         calls = [
             lambda: greed_cost(instance, bad),
             lambda: mes(instance, bad),
-            lambda: complete_star(mes, instance, bad),
+            lambda: complete_star(instance, bad),
         ]
         calls += [
             lambda name=name: run_rule(RuleSpec.from_name(name), instance, bad)
