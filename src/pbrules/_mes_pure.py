@@ -4,8 +4,8 @@ The one selection engine behind every equal-shares rule in ``rules``.
 The arithmetic is exact; inside a run, money is a Python ``int``
 counting units of ``1/L``, where ``L`` is the lcm of the cost
 denominators and the share's denominator.  ``fractions.Fraction``
-appears only at the edges: the arguments, and the factors, payments and
-wallets of a ledger run.
+appears only at the edges: the arguments and the affordability factors
+of a ledger run.
 
 A selection run keeps wallets per class, not per voter.  A payment
 depends only on the payer's wallet and the cap, and ties are broken over
@@ -17,10 +17,12 @@ whose wallet is the class wallet less ``min(wallet, cap)``; every voter
 who pays out a whole wallet joins the one shared empty class.  A
 purchase whose payment cap is not a whole number of units multiplies
 ``L``, the class wallets and the costs by the cap's reduced
-denominator, so every payment stays an integer.  A ledger run builds
-one ``Fraction`` per class amount and per class wallet, and expands them
-to the voters only with ``map`` and ``zip``, so no per-voter Python code
-runs for the ledger.
+denominator, so every payment stays an integer.  A ledger run hands back
+these classes as they are: per purchase the payers, each payer's class
+before it and one integer amount per class, and at the end each voter's
+class and one integer wallet per class.  It runs no per-voter Python
+code and builds no ``Fraction`` for a payment or a wallet; a
+``rules.MesLedger`` keeps the groups and renders from them.
 
 Affordability factors are dimensionless ``(num, den)`` integer pairs, so
 a rescale leaves them valid, and every decision compares them by
@@ -249,9 +251,8 @@ class MesEngine:
         """One full selection pass at the current wallets.
 
         Returns (selected, factors, payments); factors and payments are
-        filled only when ``record`` is set.  Each entry of payments is an
-        iterator over the purchase's ``(voter, amount)`` pairs in approver
-        order, omitting zero amounts, to be read once.
+        filled only when ``record`` is set, payments with one group per
+        purchase as :meth:`run` describes.
         """
         voter_class = self._class
         wallets = self._wallets
@@ -267,7 +268,7 @@ class MesEngine:
         fresh = True
         selected: list[int] = []
         factors: list[Fraction] = []
-        payments: list[list[tuple[int, Fraction]]] = []
+        payments: list[tuple[list[int], list[int], dict[int, int], int]] = []
         while True:
             candidates = [p for p in by_rank if alive[p]]
             if not candidates:
@@ -310,10 +311,9 @@ class MesEngine:
             if record:
                 # the approvers' classes before the purchase (class 0 pays
                 # nothing) and what each class pays: the cap, or the whole
-                # wallet of a class below it, one Fraction per class
+                # wallet of a class below it
                 paying = list(map(voter_class.__getitem__, buyers))
-                units = self._units
-                paid = [Fraction(cap, units)] * len(wallets)
+                paid = {}
             # child[c]: the class that c's payers move to, once made; the
             # slots this purchase appends are never looked up in it
             child = [-1] * len(wallets)
@@ -327,10 +327,12 @@ class MesEngine:
                     if wallet > cap:
                         d = len(wallets)
                         wallets.append(wallet - cap)
+                        if record:
+                            paid[c] = cap
                     else:
                         d = 0
-                        if record and wallet < cap:
-                            paid[c] = Fraction(wallet, units)
+                        if record:
+                            paid[c] = wallet
                     child[c] = d
                 voter_class[voter] = d
             fresh = False
@@ -338,8 +340,7 @@ class MesEngine:
             if record:
                 factors.append(Fraction(best_num, best_den))
                 payers = list(compress(buyers, paying))
-                amounts = list(map(paid.__getitem__, filter(None, paying)))
-                payments.append(zip(payers, amounts))
+                payments.append((payers, list(filter(None, paying)), paid, self._units))
         return selected, factors, payments
 
     def _certificate(
@@ -490,20 +491,29 @@ class MesEngine:
     def run(self, share: Fraction, want_ledger: bool = False):
         """Select at per-voter budget ``share``.
 
-        Returns (selected, factors, payments, final_budgets); the last
-        three are None unless ``want_ledger``.  ``payments`` holds one
-        iterator of ``(voter, amount)`` pairs per purchase, to be read
-        once: it yields pairs without keeping a tuple per payer alive.
+        Returns (selected, factors, payments, final); the last three are
+        None unless ``want_ledger``.  ``factors`` holds the affordability
+        factor of each purchase as a ``Fraction``.  Payments and wallets
+        come per wallet class, as integers in units of ``1/units``:
+
+        - ``payments`` holds one ``(payers, classes, amounts, units)`` per
+          purchase: the approvers who pay, in approver order; the class
+          of each payer before the purchase; and ``amounts[c]``, what
+          each payer of class ``c`` pays.  An approver with an empty
+          wallet pays nothing and is left out.
+        - ``final`` is ``(classes, wallets, units)``: the class of every
+          voter after the run, and ``wallets[c]`` the wallet of class
+          ``c``.  ``wallets`` also holds slots no voter is in.
+
+        ``units`` may differ between purchases, as purchases refine it.
+        The lists belong to the caller: the next run starts new ones.
         """
         share = Fraction(share)
         self._reset(*_share_units(share.numerator, share.denominator, self._cost_den))
         selected, factors, payments = self._select(record=want_ledger)
         if not want_ledger:
             return selected, None, None, None
-        # one Fraction per class still held by a voter
-        wallets = self._wallets
-        final = {c: Fraction(wallets[c], self._units) for c in set(self._class)}
-        return selected, factors, payments, list(map(final.__getitem__, self._class))
+        return selected, factors, payments, (self._class, self._wallets, self._units)
 
     def run_star(self, budget: Fraction, epsilon: Fraction, max_rounds: int):
         """Rerun selection at growing per-voter shares until the result is

@@ -22,13 +22,15 @@ from __future__ import annotations
 import enum
 import json
 import math
+import operator
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
+from itertools import accumulate, repeat
 from json.encoder import encode_basestring_ascii
-from typing import Collection
+from typing import Iterable
 
 from . import _mes_pure
 from .model import (
@@ -105,110 +107,240 @@ def default_epsilon(profile: Profile) -> Money:
     return Fraction(profile.voter_count, 100)
 
 
-@dataclass(frozen=True)
 class MesLedger:
     """Full account of one equal-shares run.
 
     ``payments`` maps each bought project to its positive per-voter
-    contributions (approvers with an empty wallet are omitted);
-    ``affordabilities`` holds the factor each project was bought at;
-    ``budgets`` the final wallets, in ballot order.
+    contributions, in ballot order (approvers with an empty wallet are
+    omitted); ``affordabilities`` holds the factor each project was
+    bought at; ``budgets`` the final wallets, in ballot order.
+
+    A ledger keeps payments and wallets grouped, as the engine computes
+    them (see ``MesEngine.run``): per purchase the payers, the class of
+    each and one integer amount per class, and at the end the class of
+    each voter and one integer wallet per class.  The ``payments`` and
+    ``budgets`` dicts are built from the groups on first read and then
+    kept.  A ledger built from the six fields groups each purchase's
+    payments and the wallets by value, and renders by the same path.
 
     :meth:`to_json` writes the JSON text itself, byte for byte what
     ``json.dumps(..., indent=2)`` writes for :meth:`to_json_dict`, with
-    every value exact (see :func:`~pbrules.model.format_money`).  Each
-    distinct money value is formatted once, each distinct money object
-    escaped once and each voter id escaped once; per payment and wallet
-    there are only lookups and joins done by ``map`` and ``str.join`` in
-    C, so the Python-level work grows with the distinct values and
-    voters, not with the payments.
+    every value exact (see :func:`~pbrules.model.format_money`).  It and
+    :func:`emit_trace` read the groups: each distinct value is formatted
+    once per ledger, and the per-payer and per-wallet work is lookups,
+    counts and joins done by ``map``, ``Counter`` and ``str.join`` in C.
     """
 
-    run_budget: Money
-    initial_share: Money
-    selection_order: tuple[str, ...]
-    affordabilities: dict[str, Money]
-    payments: dict[str, dict[str, Money]]
-    budgets: dict[str, Money]
+    def __init__(
+        self,
+        run_budget: Money,
+        initial_share: Money,
+        selection_order: tuple[str, ...],
+        affordabilities: dict[str, Money],
+        payments: dict[str, dict[str, Money]],
+        budgets: dict[str, Money],
+    ):
+        # voter ids, the voters with a wallet first
+        index = dict(zip(budgets, range(len(budgets))))
+        for pays in payments.values():
+            for vid in pays:
+                index.setdefault(vid, len(index))
+        purchases = {
+            pid: (list(map(index.__getitem__, pays)), *_by_value(pays.values()))
+            for pid, pays in payments.items()
+        }
+        self._hold(
+            run_budget, initial_share, selection_order, affordabilities,
+            list(index), purchases, _by_value(budgets.values()),
+        )
+        self.__dict__.update(payments=payments, budgets=budgets)
+
+    @classmethod
+    def _grouped(cls, *fields) -> "MesLedger":
+        """The ledger of the engine's groups; ``fields`` as :meth:`_hold`
+        takes them."""
+        return cls.__new__(cls)._hold(*fields)
+
+    def _hold(self, run_budget, initial_share, selection_order, affordabilities,
+              voters, purchases, final) -> "MesLedger":
+        """Keep the groups: ``voters`` names each voter index,
+        ``purchases`` maps each bought project to its ``(payers, classes,
+        amounts, units)`` and ``final`` is ``(classes, wallets, units)``."""
+        self.__dict__.update(
+            run_budget=run_budget,
+            initial_share=initial_share,
+            selection_order=selection_order,
+            affordabilities=affordabilities,
+            _voters=voters,
+            _purchases=purchases,
+            _final=final,
+            _values={},  # (num, den) -> text
+            _tails={},  # den -> "/den", or "" for a finite decimal
+            _amounts={},  # units -> {amount: text}
+        )
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MesLedger is read-only: cannot set {name!r}")
+
+    @cached_property
+    def payments(self) -> dict[str, dict[str, Money]]:
+        voters = self._voters
+        payments = {}
+        for pid, (payers, classes, amounts, units) in self._purchases.items():
+            paid = {c: Fraction(amount, units) for c, amount in amounts.items()}
+            payments[pid] = dict(zip(map(voters.__getitem__, payers), map(paid.__getitem__, classes)))
+        return payments
+
+    @cached_property
+    def budgets(self) -> dict[str, Money]:
+        classes, wallets, units = self._final
+        held = {c: Fraction(wallets[c], units) for c in set(classes)}
+        return dict(zip(self._voters, map(held.__getitem__, classes)))
+
+    _FIELDS = ("run_budget", "initial_share", "selection_order", "affordabilities", "payments", "budgets")
+
+    def _fields(self) -> dict:
+        return {name: getattr(self, name) for name in self._FIELDS}
+
+    def __eq__(self, other):
+        if not isinstance(other, MesLedger):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return "MesLedger(" + ", ".join(f"{k}={v!r}" for k, v in self._fields().items()) + ")"
+
+    def _format(self, num: int, den: int) -> str:
+        """:func:`~pbrules.model.format_money` of the reduced fraction
+        ``num / den``.  Each distinct value is formatted once per ledger,
+        and each distinct denominator tested once for a finite decimal
+        form."""
+        text = self._values.get((num, den))
+        if text is None:
+            tail = self._tails.get(den)
+            if tail is None:
+                tail = self._tails[den] = "" if decimal_places(den) is not None else f"/{den}"
+            text = f"{num}{tail}" if tail else format_money(Fraction(num, den))
+            self._values[num, den] = text
+        return text
+
+    def _money(self, value: Money) -> str:
+        return self._format(*value.as_integer_ratio())
+
+    def _texts(self, amounts: Iterable[int], units: int) -> dict[int, str]:
+        """The text of ``amount / units`` for each of ``amounts``, and of
+        the amounts of earlier calls with the same ``units``.
+
+        The amounts are large ints, and a gcd costs more than a lookup:
+        each distinct amount is reduced once per ledger, by gcds taken in
+        one ``map``."""
+        texts = self._amounts.setdefault(units, {})
+        new = list(set(amounts).difference(texts))
+        gcds = list(map(math.gcd, new, repeat(units)))
+        nums = map(operator.floordiv, new, gcds)
+        dens = map(operator.floordiv, repeat(units), gcds)
+        texts.update(zip(new, map(self._format, nums, dens)))
+        return texts
 
     def to_json_dict(self) -> dict:
         return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        literal = _money_literals(
-            (self.run_budget, self.initial_share),
-            self.affordabilities.values(),
-            *(pays.values() for pays in self.payments.values()),
-            self.budgets.values(),
-        ).__getitem__
-        # every voter id has a wallet: escape them all in one pass
-        key = _JsonKeys(zip(self.budgets, map(encode_basestring_ascii, self.budgets))).__getitem__
-
-        def block(amounts: dict[str, Money], depth: int, sort: bool = False) -> str:
-            names = sorted(amounts) if sort else amounts
-            values = map(amounts.__getitem__, names) if sort else amounts.values()
-            return _json_block(
-                "{}", list(map(key, names)), list(map(literal, map(id, values))), depth
-            )
-
+        voters = list(map(encode_basestring_ascii, self._voters))
+        classes, wallets, units = self._final
+        text = self._texts(map(wallets.__getitem__, set(classes)), units)
         fields = {
-            "run_budget": literal(id(self.run_budget)),
-            "initial_share": literal(id(self.initial_share)),
+            "run_budget": [f'"{self._money(self.run_budget)}"'],
+            "initial_share": [f'"{self._money(self.initial_share)}"'],
             "selection_order": _json_block(
                 "[]", None, list(map(encode_basestring_ascii, self.selection_order)), 1
             ),
-            "affordabilities": block(self.affordabilities, 1),
-            "payments": _json_block(
+            "affordabilities": _json_block(
                 "{}",
-                list(map(key, self.payments)),
-                [block(pays, 2, sort=True) for pays in self.payments.values()],
+                list(map(encode_basestring_ascii, self.affordabilities)),
+                list(map(self._money, self.affordabilities.values())),
                 1,
+                quote='"',
             ),
-            "budgets": block(self.budgets, 1),
+            "payments": _json_nest(
+                "{}", list(map(encode_basestring_ascii, self._purchases)), self._paid(voters), 1
+            ),
+            "budgets": _json_block(
+                "{}",
+                voters[: len(classes)],
+                list(map(text.__getitem__, map(wallets.__getitem__, classes))),
+                1,
+                quote='"',
+            ),
         }
-        return _json_block("{}", list(map(key, fields)), list(fields.values()), 0)
+        return "".join(_json_nest("{}", list(map(encode_basestring_ascii, fields)), list(fields.values()), 0))
+
+    def _paid(self, voters: list[str]) -> list[list[str]]:
+        """The JSON pieces of each purchase's payments, payers by voter
+        id, with ``voters`` the JSON string of each voter id."""
+        # sort the ids once; each purchase sorts its payers by rank
+        order = sorted(range(len(voters)), key=self._voters.__getitem__)
+        rank = sorted(range(len(voters)), key=order.__getitem__)
+        ranked = list(map(voters.__getitem__, order))
+        blocks = []
+        for payers, classes, amounts, units in self._purchases.values():
+            text = self._texts(amounts.values(), units)
+            text = dict(zip(amounts, map(text.__getitem__, amounts.values())))
+            ranks = list(map(rank.__getitem__, payers))
+            by_id = sorted(range(len(ranks)), key=ranks.__getitem__)
+            names = list(map(ranked.__getitem__, map(ranks.__getitem__, by_id)))
+            values = list(map(text.__getitem__, map(classes.__getitem__, by_id)))
+            blocks.append(_json_block("{}", names, values, 2, quote='"'))
+        return blocks
 
 
-class _JsonKeys(dict):
-    """JSON strings of object keys, each escaped on its first lookup."""
+def _by_value(values: Iterable[Money]) -> tuple[list[int], dict[int, int], int]:
+    """``values`` as the engine groups money: ``(classes, amounts,
+    units)`` with one class per distinct value, the class of each value
+    in order, and each class's amount in units of ``1/units``."""
+    index: dict[tuple[int, int], int] = {}
+    classes = [index.setdefault(value.as_integer_ratio(), len(index)) for value in values]
+    units = math.lcm(*(den for _, den in index))
+    return classes, {c: num * (units // den) for c, (num, den) in enumerate(index)}, units
 
-    def __missing__(self, name: str) -> str:
-        text = self[name] = encode_basestring_ascii(name)
-        return text
 
-
-def _json_block(brackets: str, keys: list[str] | None, values: list[str], depth: int) -> str:
-    """One JSON object or array, ``depth`` levels deep, as
-    ``json.dumps(..., indent=2)`` writes it: ``values`` are JSON texts,
-    each after its key string from ``keys`` in an object and alone when
-    ``keys`` is None."""
+def _json_block(
+    brackets: str, keys: list[str] | None, values: list[str], depth: int, quote: str = ""
+) -> list[str]:
+    """The pieces of one JSON object or array, ``depth`` levels deep, as
+    ``json.dumps(..., indent=2)`` writes it: each of ``values`` is a JSON
+    text once put between two ``quote``, after its key string from
+    ``keys`` in an object and alone when ``keys`` is None."""
     if not values:
-        return brackets
+        return [brackets]
     pad = "\n" + "  " * (depth + 1)
-    first, sep, last = brackets[0] + pad, "," + pad, "\n" + "  " * depth + brackets[1]
+    first, sep, last = brackets[0] + pad, quote + "," + pad, quote + "\n" + "  " * depth + brackets[1]
     if keys is None:
-        return first + sep.join(values) + last
-    pieces = [sep, "", ": ", ""] * len(values)
+        return [first + quote, (sep + quote).join(values), last]
+    pieces = [sep, "", ": " + quote, ""] * len(values)
     pieces[0] = first
     pieces[1::4] = keys
     pieces[3::4] = values
     pieces.append(last)
-    return "".join(pieces)
+    return pieces
 
 
-def _money_literals(*groups: Collection[Money]) -> dict[int, str]:
-    """The JSON string of each money object in ``groups``, keyed by ``id``.
-
-    Each distinct object is looked up and escaped once, and each
-    distinct value formatted once (see :func:`_money_text`).  The ids
-    are valid while the caller keeps the objects alive, as a ledger does
-    during its rendering.
-    """
-    objects: dict[int, Money] = {}
-    for values in groups:
-        objects.update(zip(map(id, values), values))
-    text = _money_text()
-    return {key: encode_basestring_ascii(text(value)) for key, value in objects.items()}
+def _json_nest(brackets: str, keys: list[str], blocks: list[list[str]], depth: int) -> list[str]:
+    """The pieces of one JSON object of nested values, as
+    :func:`_json_block` writes it, with ``blocks`` the pieces of each
+    value: one list of pieces to join, so the text is copied once."""
+    if not blocks:
+        return [brackets]
+    pad = "\n" + "  " * (depth + 1)
+    pieces = [brackets[0]]
+    sep = pad
+    for key, block in zip(keys, blocks):
+        pieces += (sep, key, ": ")
+        pieces += block
+        sep = "," + pad
+    pieces.append("\n" + "  " * depth + brackets[1])
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -304,19 +436,16 @@ def _make_engine(instance: Instance, profile: Profile):
 def _ledger_run(engine, instance: Instance, profile: Profile, run_budget: Money):
     """Run ``engine`` at an equal split of ``run_budget``; its selection and ledger."""
     share = Fraction(run_budget, profile.voter_count)
-    selected, factors, payments, final_budgets = engine.run(share, want_ledger=True)
-    pids = compile_election(instance, profile).ids
-    vids = profile.voter_ids
-    return selected, MesLedger(
-        run_budget=run_budget,
-        initial_share=share,
-        selection_order=tuple(pids[p] for p in selected),
-        affordabilities={pids[p]: f for p, f in zip(selected, factors)},
-        payments={
-            pids[p]: {vids[v]: amount for v, amount in pays}
-            for p, pays in zip(selected, payments)
-        },
-        budgets=dict(zip(vids, final_budgets)),
+    selected, factors, purchases, final = engine.run(share, want_ledger=True)
+    bought = tuple(map(compile_election(instance, profile).ids.__getitem__, selected))
+    return selected, MesLedger._grouped(
+        run_budget,
+        share,
+        bought,
+        dict(zip(bought, factors)),
+        profile.voter_ids,
+        dict(zip(bought, purchases)),
+        final,
     )
 
 
@@ -406,81 +535,24 @@ def run_rule(spec: RuleSpec, instance: Instance, profile: Profile) -> RuleResult
     return RuleResult(name, allocation, ledger=ledger, star=star)
 
 
-def _money_text():
-    """A :func:`format_money` that formats each distinct value once.
-
-    Values are keyed by their ``(numerator, denominator)`` pair: hashing
-    a ``Fraction`` computes a modular inverse of its denominator.  Each
-    distinct denominator is tested for a finite decimal form and, when
-    it has none, written once.
-    """
-    seen: dict[tuple[int, int], str] = {}
-    tails: dict[int, str] = {}  # "/den", or "" for a finite decimal
-
-    def text(value: Money) -> str:
-        key = value.as_integer_ratio()
-        found = seen.get(key)
-        if found is None:
-            num, den = key
-            tail = tails.get(den)
-            if tail is None:
-                tail = tails[den] = "" if decimal_places(den) is not None else f"/{den}"
-            found = seen[key] = f"{num}{tail}" if tail else format_money(value)
-        return found
-
-    return text
+def _by_amount(classes: list[int], amounts) -> list[tuple[int, int]]:
+    """The distinct amounts ``amounts[c]`` over ``classes``, ascending,
+    each with how many entries of ``classes`` hold it."""
+    return sorted(Counter(map(amounts.__getitem__, classes)).items())
 
 
-def _tally(values: Collection[Money]) -> tuple[int, list[tuple[int, Money, int]]]:
-    """The distinct values ascending, each as ``(value * unit, value,
-    count)``, with ``unit`` the lcm of their denominators.
-
-    The objects are counted by ``id`` in C, which is valid because
-    ``values`` holds them, and then merged by ``(numerator,
-    denominator)`` once per distinct object.
-    """
-    counts = Counter(map(id, values))
-    objects = dict(zip(map(id, values), values))
-    merged: dict[tuple[int, int], list] = {}
-    for key, count in counts.items():
-        value = objects[key]
-        ratio = value.as_integer_ratio()
-        entry = merged.get(ratio)
-        if entry is None:
-            merged[ratio] = [value, count]
-        else:
-            entry[1] += count
-    dens = {den for _, den in merged}
-    unit = math.lcm(*dens)
-    scale = {den: unit // den for den in dens}
-    return unit, sorted(
-        (num * scale[den], value, count) for (num, den), (value, count) in merged.items()
-    )
-
-
-def _wallet_summary(wallets: Collection[Money]) -> tuple[Money, Money, Money, Money]:
-    """(min, median, max, total) of the wallets.
-
-    The distinct values (see :func:`_tally`) are summed and ranked as
-    ints over the lcm of their denominators; one ``Fraction`` is built
-    per result.  For an even count the median is the exact mean of the
-    two middle wallets.
-    """
-    unit, tally = _tally(wallets)
-    ends = list(accumulate(count for *_, count in tally))
+def _wallet_summary(tally: list[tuple[int, int]]) -> tuple[int, int, int, int]:
+    """(min, twice the median, max, total) of the wallets counted in
+    ``tally`` (see :func:`_by_amount`).  For an even count the median is
+    the mean of the two middle wallets."""
+    ends = list(accumulate(count for _, count in tally))
 
     def ranked(rank: int) -> int:  # the wallet at 0-based ``rank``, ascending
         return tally[bisect_right(ends, rank)][0]
 
     n = ends[-1]
-    middle = ranked((n - 1) // 2) + ranked(n // 2)
-    total = sum(value * count for value, _, count in tally)
-    return (
-        Fraction(tally[0][0], unit),
-        Fraction(middle, 2 * unit),
-        Fraction(tally[-1][0], unit),
-        Fraction(total, unit),
-    )
+    total = sum(wallet * count for wallet, count in tally)
+    return tally[0][0], ranked((n - 1) // 2) + ranked(n // 2), tally[-1][0], total
 
 
 def emit_trace(ledger: MesLedger, instance: Instance) -> str:
@@ -488,49 +560,55 @@ def emit_trace(ledger: MesLedger, instance: Instance) -> str:
     each purchase with its affordability factor and payments, and the
     final wallets.
 
-    Every number is exact.  Each distinct money value is formatted once.
-    The payments of a purchase and the final wallets are counted per
-    object with ``Counter(map(id, ...))`` in C, the distinct objects
-    merged by ``(numerator, denominator)``, and groups and the wallet
-    summary (min, median, max, total left) computed as ints over the lcm
-    of the distinct denominators; only a purchase of at most 8 payers,
-    whose trace names them, and a ledger of at most 12 voters, whose
-    wallets it lists, run Python code per voter.
+    Every number is exact.  The trace reads the ledger's groups (see
+    :class:`MesLedger`) and shares its formatted values with
+    :meth:`MesLedger.to_json`.  A purchase's payers and the final
+    wallets are counted per amount with ``Counter`` in C, and the groups
+    and the wallet summary (min, median, max, total left) computed from
+    those counts as ints; only a purchase of at most 8 payers, whose
+    trace names them, and a ledger of at most 12 voters, whose wallets
+    it lists, run Python code per voter.
     """
-    text = _money_text()
-    n = len(ledger.budgets)
+    money = ledger._money
+    voters = ledger._voters
+    classes, wallets, units = ledger._final
+    n = len(classes)
     lines = [
-        f"Budget {text(ledger.run_budget)} split equally: "
-        f"{n} voters, {text(ledger.initial_share)} each."
+        f"Budget {money(ledger.run_budget)} split equally: "
+        f"{n} voters, {money(ledger.initial_share)} each."
     ]
     for step, pid in enumerate(ledger.selection_order, start=1):
         project = instance.project(pid)
-        pays = ledger.payments[pid]
-        factor = ledger.affordabilities[pid]
+        payers, paid, amounts, scale = ledger._purchases[pid]
+        text = ledger._texts(amounts.values(), scale)
         label = f"{pid} ({project.name})" if project.name else pid
-        head = f"{step}. buy {label}, cost {text(project.cost)}, alpha = {text(factor)}: "
-        _, groups = _tally(pays.values())
+        head = f"{step}. buy {label}, cost {money(project.cost)}, "
+        head += f"alpha = {money(ledger.affordabilities[pid])}: "
+        groups = _by_amount(paid, amounts)
         if len(groups) == 1:
-            _, amount, count = groups[0]
-            detail = f"{count} payer{'s' if count != 1 else ''}, each pays {text(amount)}."
-        elif len(pays) <= 8:
-            named = {amount.as_integer_ratio(): [] for _, amount, _ in groups}
-            for vid in sorted(pays):
-                named[pays[vid].as_integer_ratio()].append(vid)
+            amount, count = groups[0]
+            detail = f"{count} payer{'s' if count != 1 else ''}, each pays {text[amount]}."
+        elif len(payers) <= 8:
+            named: dict[int, list[str]] = {amount: [] for amount, _ in groups}
+            for vid, c in sorted(zip(map(voters.__getitem__, payers), paid)):
+                named[amounts[c]].append(vid)
             detail = "; ".join(
-                f"{', '.join(voters)} pay{'s' if len(voters) == 1 else ''} {text(pays[voters[0]])}"
-                for voters in named.values()
+                f"{', '.join(names)} pay{'s' if len(names) == 1 else ''} {text[amount]}"
+                for amount, names in named.items()
             ) + "."
         else:
-            detail = "; ".join(f"{count} pay {text(amount)}" for _, amount, count in groups) + "."
+            detail = "; ".join(f"{count} pay {text[amount]}" for amount, count in groups) + "."
         lines.append(head + detail)
     if n <= 12:
-        listing = ", ".join(f"{vid}={text(b)}" for vid, b in ledger.budgets.items())
+        text = ledger._texts(map(wallets.__getitem__, classes), units)
+        listing = ", ".join(f"{vid}={text[wallets[c]]}" for vid, c in zip(voters, classes))
         lines.append(f"Final wallets: {listing}.")
     else:
-        low, median, high, total = _wallet_summary(ledger.budgets.values())
+        low, middle, high, total = _wallet_summary(_by_amount(classes, wallets))
+        text = ledger._texts((low, high, total), units)
         lines.append(
-            f"Final wallets: min {text(low)}, median {text(median)}, "
-            f"max {text(high)}; total left {text(total)}."
+            f"Final wallets: min {text[low]}, "
+            f"median {ledger._texts((middle,), 2 * units)[middle]}, "
+            f"max {text[high]}; total left {text[total]}."
         )
     return "\n".join(lines)

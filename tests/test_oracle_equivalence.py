@@ -176,6 +176,27 @@ def odd_money_instance(rng, n, thirds):
     return instance, Profile(ballots=tuple(ballots))
 
 
+def cent_election(rng, n):
+    """An election of ``n`` voters with costs in cents.  Each project
+    costs 30% to 90% of what its approvers hold, and 15% to 80% of the
+    voters approve it, so most projects have ``MesEngine._count_from``
+    approvers or more, payment caps refine the unit, and voters who
+    bought before pay less than the cap."""
+    share = Fraction(rng.randint(50, 150), 100)
+    projects, ballots = [], [set() for _ in range(n)]
+    for j in range(rng.randint(6, 12)):
+        pid = f"p{j + 1}"
+        rate = rng.choice((0.15, 0.3, 0.5, 0.8))
+        voters = [i for i in range(n) if rng.random() < rate] or [rng.randrange(n)]
+        for i in voters:
+            ballots[i].add(pid)
+        cost = len(voters) * share * Fraction(rng.randint(30, 90), 100)
+        projects.append(Project(id=pid, cost=Fraction(math.ceil(cost * 100), 100)))
+    instance = Instance(projects=tuple(projects), budget_limit=share * n, meta={"instance_id": "cents"})
+    profile = Profile(tuple(ApprovalBallot(f"v{i + 1}", frozenset(b)) for i, b in enumerate(ballots)))
+    return instance, profile
+
+
 def pure_engine(instance, profile):
     """The pure engine on the compiled arrays of ``instance`` and
     ``profile``, with the default tie order."""
@@ -199,14 +220,17 @@ def pure_engine_ledger(instance, profile, counted=False):
     if counted:
         engine._count_from = 0
     share = Fraction(instance.budget_limit, profile.voter_count)
-    selected, factors, payments, wallets = engine.run(share, want_ledger=True)
+    selected, factors, payments, (classes, wallets, units) = engine.run(share, want_ledger=True)
     pids = [p.id for p in instance.projects]
     vids = [b.voter_id for b in profile.ballots]
     return engine, (
         [pids[p] for p in selected],
         {pids[p]: f for p, f in zip(selected, factors)},
-        {pids[p]: {vids[v]: a for v, a in pays} for p, pays in zip(selected, payments)},
-        {vids[i]: w for i, w in enumerate(wallets)},
+        {
+            pids[p]: {vids[v]: Fraction(amounts[c], scale) for v, c in zip(payers, paid)}
+            for p, (payers, paid, amounts, scale) in zip(selected, payments)
+        },
+        {vids[i]: Fraction(wallets[c], units) for i, c in enumerate(classes)},
     )
 
 
@@ -916,6 +940,74 @@ class TestRenderingOracle:
                 assert_renderings_match(run_rule(spec, instance, profile).ledger, instance)
                 cases += profile.voter_count > 12
         assert cases >= 40
+
+    def test_large_engine_ledgers_match(self):
+        # the groups of 100 to 400 voters: counted waterfills, refined
+        # units, purchases of many payers paying mixed amounts and the
+        # wallet summary; half the ledgers render the trace first
+        rng = random.Random(32)
+        specs = (RuleSpec(Variant.MES), RuleSpec(Variant.MES_STAR_PLUS, max_iterations=20))
+        counted = refined = mixed = 0
+        for k in range(24):
+            instance, profile = cent_election(rng, rng.randint(100, 400))
+            approvers = compile_election(instance, profile).approvers
+            index = {p.id: j for j, p in enumerate(instance.projects)}
+            for spec in specs:
+                ledger = run_rule(spec, instance, profile).ledger
+                if k % 2:
+                    trace = emit_trace(ledger, instance)
+                    text = ledger.to_json()
+                else:
+                    text = ledger.to_json()
+                    trace = emit_trace(ledger, instance)
+                assert text == json.dumps(ledger_json_dict(ledger), indent=2)
+                assert trace == trace_text(ledger, instance)
+                groups = [ledger._purchases[pid] for pid in ledger.selection_order]
+                counted += any(
+                    len(approvers[index[pid]]) >= _mes_pure.MesEngine._count_from
+                    for pid in ledger.selection_order[1:]
+                )
+                refined += len({units for *_, units in groups}) > 1
+                mixed += any(
+                    len(payers) > 8 and len(set(amounts.values())) > 1
+                    for payers, _, amounts, _ in groups
+                )
+        assert counted >= 25
+        assert refined >= 30
+        assert mixed >= 25
+
+    def test_grouped_ledger_equals_its_keyword_twin(self):
+        # one ledger type, one behaviour: the engine's grouped ledger and
+        # a ledger built from its own dicts compare equal and render the
+        # same bytes, however often and in whatever order the dicts are read
+        rng = random.Random(33)
+        for k in range(40):
+            if k % 2:
+                instance, profile = cent_election(rng, rng.randint(100, 200))
+            else:
+                instance, profile = helpers.random_instance(rng, max_voters=30, max_projects=8)
+            _, first = mes(instance, profile)
+            text, trace = first.to_json(), emit_trace(first, instance)
+            _, ledger = mes(instance, profile)
+            twin = MesLedger(
+                run_budget=ledger.run_budget,
+                initial_share=ledger.initial_share,
+                selection_order=ledger.selection_order,
+                affordabilities=ledger.affordabilities,
+                payments=ledger.payments,
+                budgets=ledger.budgets,
+            )
+            assert ledger == twin and twin == ledger
+            assert twin.to_json() == text and emit_trace(twin, instance) == trace
+            assert ledger.payments is ledger.payments and ledger.budgets is ledger.budgets
+            assert ledger.to_json() == text and emit_trace(ledger, instance) == trace
+            assert ledger.to_json() == text and emit_trace(ledger, instance) == trace
+            _, other = mes(instance, profile)
+            assert emit_trace(other, instance) == trace and other.to_json() == text
+            assert other.budgets == twin.budgets and other == twin
+        assert ledger != MesLedger(ledger.run_budget, ledger.initial_share, (), {}, {}, ledger.budgets)
+        with pytest.raises(AttributeError):
+            ledger.budgets = {}
 
 
 ORPHAN = "p0"
