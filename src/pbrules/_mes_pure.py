@@ -21,8 +21,8 @@ denominator, so every payment stays an integer.  A ledger run hands back
 these classes as they are: per purchase the payers, each payer's class
 before it and one integer amount per class, and at the end each voter's
 class and one integer wallet per class.  It runs no per-voter Python
-code and builds no ``Fraction`` for a payment or a wallet; a
-``rules.MesLedger`` keeps the groups and renders from them.
+code and builds no ``Fraction`` for a payment or a wallet;
+``rules.MesLedger`` is built from these groups.
 
 Affordability factors are dimensionless ``(num, den)`` integer pairs, so
 a rescale leaves them valid, and every decision compares them by
@@ -505,8 +505,9 @@ class MesEngine:
           voter after the run, and ``wallets[c]`` the wallet of class
           ``c``.  ``wallets`` also holds slots no voter is in.
 
-        ``units`` may differ between purchases, as purchases refine it.
-        The lists belong to the caller: the next run starts new ones.
+        ``units`` may differ between purchases, which refine it.
+        ``rules.MesLedger`` is built from these lists; the next run
+        starts new ones.
         """
         share = Fraction(share)
         self._reset(*_share_units(share.numerator, share.denominator, self._cost_den))

@@ -249,7 +249,7 @@ def _ingest(args) -> tuple:
     )
     try:
         result = ingest_directory(directory, ingest_filter)
-    except (FileNotFoundError, NotADirectoryError, OSError) as exc:
+    except OSError as exc:
         raise _DataError(str(exc)) from None
     if args.skip_report:
         Path(args.skip_report).write_text(

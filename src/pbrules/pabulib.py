@@ -313,6 +313,7 @@ def write_pabulib(
     - a cost or budget with no finite decimal form;
     - any value containing ';' or a line break;
     - a project id or category label containing ',';
+    - a vote for a project the instance lacks;
     - an empty or padded project, voter or instance id, project name,
       category label, META key or column name (one with leading or
       trailing whitespace).
@@ -365,7 +366,11 @@ def write_pabulib(
 
     lines.append("VOTES")
     lines.append("voter_id;vote")
+    ids = frozenset(project.id for project in instance.projects)
     for ballot in profile.ballots:
+        if not ballot.approved <= ids:
+            unknown = min(ballot.approved - ids, key=id_sort_key)
+            raise ValueError(f"voter {ballot.voter_id!r} approves unknown project {unknown!r}")
         vote = ",".join(sorted(ballot.approved, key=id_sort_key))
         lines.append(f"{_field(ballot.voter_id, 'voter id')};{vote}")
     return "\n".join(lines) + "\n"
@@ -411,17 +416,17 @@ def _skip_reason(exc: PabulibParseError) -> str:
 def ingest_directory(path: str | Path, ingest_filter: IngestFilter = IngestFilter()) -> IngestResult:
     """Load every ``*.pb`` file under ``path`` (non-recursive).
 
-    Files that fail to parse or fail the filter are recorded with a
-    reason instead of aborting the run; a file with no vote rows can never
-    produce a Profile, so it is always skipped.  Accepted instances are
-    sorted by instance id (numeric ids first, numerically) so downstream
-    reports are deterministic.
+    Files that fail to parse or the filter, or repeat the instance id of
+    a file accepted before them in name order, are skipped with a
+    reason; the run goes on.  Accepted instances are sorted by instance
+    id (numeric ids first, numerically) so reports are deterministic.
     """
     root = Path(path)
     if not root.is_dir():
         raise FileNotFoundError(f"not a directory: {root}")
     accepted: list[tuple[Instance, Profile]] = []
     skipped: list[SkippedFile] = []
+    first: dict[str, str] = {}  # instance id -> the file it was accepted from
     for file in sorted(root.glob("*.pb")):
         try:
             text = file.read_text(encoding="utf-8")
@@ -440,6 +445,11 @@ def ingest_directory(path: str | Path, ingest_filter: IngestFilter = IngestFilte
         if m < ingest_filter.min_projects:
             skipped.append(SkippedFile(file.name, f"too few projects ({m} < {ingest_filter.min_projects})"))
             continue
+        iid = instance.instance_id
+        if iid in first:
+            skipped.append(SkippedFile(file.name, f"instance id {iid!r} already read from {first[iid]}"))
+            continue
+        first[iid] = file.name
         accepted.append((instance, profile))
     accepted.sort(key=lambda pair: id_sort_key(pair[0].instance_id))
     return IngestResult(tuple(accepted), tuple(skipped))

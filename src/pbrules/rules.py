@@ -25,7 +25,7 @@ import math
 import operator
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -107,21 +107,22 @@ def default_epsilon(profile: Profile) -> Money:
     return Fraction(profile.voter_count, 100)
 
 
+@dataclass(frozen=True, eq=False)
 class MesLedger:
-    """Full account of one equal-shares run.
+    """Full account of one equal-shares run, built from the engine's
+    wallet-class groups (see ``MesEngine.run``) by :func:`mes` and
+    :func:`run_rule`.
 
-    ``payments`` maps each bought project to its positive per-voter
-    contributions, in ballot order (approvers with an empty wallet are
-    omitted); ``affordabilities`` holds the factor each project was
-    bought at; ``budgets`` the final wallets, in ballot order.
-
-    A ledger keeps payments and wallets grouped, as the engine computes
-    them (see ``MesEngine.run``): per purchase the payers, the class of
-    each and one integer amount per class, and at the end the class of
-    each voter and one integer wallet per class.  The ``payments`` and
-    ``budgets`` dicts are built from the groups on first read and then
-    kept.  A ledger built from the six fields groups each purchase's
-    payments and the wallets by value, and renders by the same path.
+    ``affordabilities`` holds the factor each project was bought at.
+    ``voters`` names each voter index; ``purchases`` maps each bought
+    project to its ``(payers, classes, amounts, units)``: the paying
+    voter indices, the class of each and one integer amount per class,
+    in units of ``1/units``; ``final`` is ``(classes, wallets, units)``,
+    the class of each voter and one integer wallet per class.  The
+    ``payments`` dicts (each project's positive per-voter contributions,
+    in ballot order) and ``budgets`` (the final wallets, in ballot
+    order) are built from the groups on first read and then kept; ``==``
+    compares them and the first four fields.
 
     :meth:`to_json` writes the JSON text itself, byte for byte what
     ``json.dumps(..., indent=2)`` writes for :meth:`to_json_dict`, with
@@ -131,85 +132,39 @@ class MesLedger:
     counts and joins done by ``map``, ``Counter`` and ``str.join`` in C.
     """
 
-    def __init__(
-        self,
-        run_budget: Money,
-        initial_share: Money,
-        selection_order: tuple[str, ...],
-        affordabilities: dict[str, Money],
-        payments: dict[str, dict[str, Money]],
-        budgets: dict[str, Money],
-    ):
-        # voter ids, the voters with a wallet first
-        index = dict(zip(budgets, range(len(budgets))))
-        for pays in payments.values():
-            for vid in pays:
-                index.setdefault(vid, len(index))
-        purchases = {
-            pid: (list(map(index.__getitem__, pays)), *_by_value(pays.values()))
-            for pid, pays in payments.items()
-        }
-        self._hold(
-            run_budget, initial_share, selection_order, affordabilities,
-            list(index), purchases, _by_value(budgets.values()),
-        )
-        self.__dict__.update(payments=payments, budgets=budgets)
-
-    @classmethod
-    def _grouped(cls, *fields) -> "MesLedger":
-        """The ledger of the engine's groups; ``fields`` as :meth:`_hold`
-        takes them."""
-        return cls.__new__(cls)._hold(*fields)
-
-    def _hold(self, run_budget, initial_share, selection_order, affordabilities,
-              voters, purchases, final) -> "MesLedger":
-        """Keep the groups: ``voters`` names each voter index,
-        ``purchases`` maps each bought project to its ``(payers, classes,
-        amounts, units)`` and ``final`` is ``(classes, wallets, units)``."""
-        self.__dict__.update(
-            run_budget=run_budget,
-            initial_share=initial_share,
-            selection_order=selection_order,
-            affordabilities=affordabilities,
-            _voters=voters,
-            _purchases=purchases,
-            _final=final,
-            _values={},  # (num, den) -> text
-            _tails={},  # den -> "/den", or "" for a finite decimal
-            _amounts={},  # units -> {amount: text}
-        )
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"MesLedger is read-only: cannot set {name!r}")
+    run_budget: Money
+    initial_share: Money
+    selection_order: tuple[str, ...]
+    affordabilities: dict[str, Money]
+    voters: tuple[str, ...]
+    purchases: dict[str, tuple[list[int], list[int], dict[int, int], int]]
+    final: tuple[list[int], list[int], int]
+    _values: dict = field(default_factory=dict, init=False, repr=False)  # (num, den) -> text
+    _tails: dict = field(default_factory=dict, init=False, repr=False)  # den -> "/den", or ""
+    _amounts: dict = field(default_factory=dict, init=False, repr=False)  # units -> {amount: text}
 
     @cached_property
     def payments(self) -> dict[str, dict[str, Money]]:
-        voters = self._voters
+        voters = self.voters
         payments = {}
-        for pid, (payers, classes, amounts, units) in self._purchases.items():
+        for pid, (payers, classes, amounts, units) in self.purchases.items():
             paid = {c: Fraction(amount, units) for c, amount in amounts.items()}
             payments[pid] = dict(zip(map(voters.__getitem__, payers), map(paid.__getitem__, classes)))
         return payments
 
     @cached_property
     def budgets(self) -> dict[str, Money]:
-        classes, wallets, units = self._final
+        classes, wallets, units = self.final
         held = {c: Fraction(wallets[c], units) for c in set(classes)}
-        return dict(zip(self._voters, map(held.__getitem__, classes)))
-
-    _FIELDS = ("run_budget", "initial_share", "selection_order", "affordabilities", "payments", "budgets")
-
-    def _fields(self) -> dict:
-        return {name: getattr(self, name) for name in self._FIELDS}
+        return dict(zip(self.voters, map(held.__getitem__, classes)))
 
     def __eq__(self, other):
         if not isinstance(other, MesLedger):
             return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        return "MesLedger(" + ", ".join(f"{k}={v!r}" for k, v in self._fields().items()) + ")"
+        view = operator.attrgetter(
+            "run_budget", "initial_share", "selection_order", "affordabilities", "payments", "budgets"
+        )
+        return view(self) == view(other)
 
     def _format(self, num: int, den: int) -> str:
         """:func:`~pbrules.model.format_money` of the reduced fraction
@@ -247,8 +202,8 @@ class MesLedger:
         return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        voters = list(map(encode_basestring_ascii, self._voters))
-        classes, wallets, units = self._final
+        names = list(map(encode_basestring_ascii, self.voters))
+        classes, wallets, units = self.final
         text = self._texts(map(wallets.__getitem__, set(classes)), units)
         fields = {
             "run_budget": [f'"{self._money(self.run_budget)}"'],
@@ -264,11 +219,11 @@ class MesLedger:
                 quote='"',
             ),
             "payments": _json_nest(
-                "{}", list(map(encode_basestring_ascii, self._purchases)), self._paid(voters), 1
+                "{}", list(map(encode_basestring_ascii, self.purchases)), self._paid(names), 1
             ),
             "budgets": _json_block(
                 "{}",
-                voters[: len(classes)],
+                names,
                 list(map(text.__getitem__, map(wallets.__getitem__, classes))),
                 1,
                 quote='"',
@@ -276,15 +231,15 @@ class MesLedger:
         }
         return "".join(_json_nest("{}", list(map(encode_basestring_ascii, fields)), list(fields.values()), 0))
 
-    def _paid(self, voters: list[str]) -> list[list[str]]:
+    def _paid(self, names: list[str]) -> list[list[str]]:
         """The JSON pieces of each purchase's payments, payers by voter
-        id, with ``voters`` the JSON string of each voter id."""
+        id, with ``names`` the JSON string of each voter id."""
         # sort the ids once; each purchase sorts its payers by rank
-        order = sorted(range(len(voters)), key=self._voters.__getitem__)
-        rank = sorted(range(len(voters)), key=order.__getitem__)
-        ranked = list(map(voters.__getitem__, order))
+        order = sorted(range(len(names)), key=self.voters.__getitem__)
+        rank = sorted(range(len(names)), key=order.__getitem__)
+        ranked = list(map(names.__getitem__, order))
         blocks = []
-        for payers, classes, amounts, units in self._purchases.values():
+        for payers, classes, amounts, units in self.purchases.values():
             text = self._texts(amounts.values(), units)
             text = dict(zip(amounts, map(text.__getitem__, amounts.values())))
             ranks = list(map(rank.__getitem__, payers))
@@ -293,16 +248,6 @@ class MesLedger:
             values = list(map(text.__getitem__, map(classes.__getitem__, by_id)))
             blocks.append(_json_block("{}", names, values, 2, quote='"'))
         return blocks
-
-
-def _by_value(values: Iterable[Money]) -> tuple[list[int], dict[int, int], int]:
-    """``values`` as the engine groups money: ``(classes, amounts,
-    units)`` with one class per distinct value, the class of each value
-    in order, and each class's amount in units of ``1/units``."""
-    index: dict[tuple[int, int], int] = {}
-    classes = [index.setdefault(value.as_integer_ratio(), len(index)) for value in values]
-    units = math.lcm(*(den for _, den in index))
-    return classes, {c: num * (units // den) for c, (num, den) in enumerate(index)}, units
 
 
 def _json_block(
@@ -438,7 +383,7 @@ def _ledger_run(engine, instance: Instance, profile: Profile, run_budget: Money)
     share = Fraction(run_budget, profile.voter_count)
     selected, factors, purchases, final = engine.run(share, want_ledger=True)
     bought = tuple(map(compile_election(instance, profile).ids.__getitem__, selected))
-    return selected, MesLedger._grouped(
+    return selected, MesLedger(
         run_budget,
         share,
         bought,
@@ -570,8 +515,8 @@ def emit_trace(ledger: MesLedger, instance: Instance) -> str:
     it lists, run Python code per voter.
     """
     money = ledger._money
-    voters = ledger._voters
-    classes, wallets, units = ledger._final
+    voters = ledger.voters
+    classes, wallets, units = ledger.final
     n = len(classes)
     lines = [
         f"Budget {money(ledger.run_budget)} split equally: "
@@ -579,7 +524,7 @@ def emit_trace(ledger: MesLedger, instance: Instance) -> str:
     ]
     for step, pid in enumerate(ledger.selection_order, start=1):
         project = instance.project(pid)
-        payers, paid, amounts, scale = ledger._purchases[pid]
+        payers, paid, amounts, scale = ledger.purchases[pid]
         text = ledger._texts(amounts.values(), scale)
         label = f"{pid} ({project.name})" if project.name else pid
         head = f"{step}. buy {label}, cost {money(project.cost)}, "

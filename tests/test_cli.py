@@ -188,6 +188,15 @@ class TestStats:
             {"file": "city_1.pb", "reason": "too few voters (5 < 6)"}
         ]
 
+    def test_repeated_instance_id_in_skip_report(self, corpus, tmp_path, capsys):
+        (corpus / "town_2.pb").write_bytes((corpus / "city_2.pb").read_bytes())
+        report = tmp_path / "skipped.jsonl"
+        assert cli_main(["stats", "--dir", str(corpus), "--skip-report", str(report)]) == EXIT_OK
+        assert "accepted 3 instances, skipped 1 files" in capsys.readouterr().err
+        assert [json.loads(line) for line in report.read_text(encoding="utf-8").splitlines()] == [
+            {"file": "town_2.pb", "reason": "instance id '2' already read from city_2.pb"}
+        ]
+
     def test_filter_defaults_skip_everything(self, corpus, capsys):
         assert cli_main(["stats", "--dir", str(corpus), "--filter-defaults"]) == EXIT_DATA
 

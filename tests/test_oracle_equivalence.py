@@ -816,18 +816,24 @@ DECIMAL_DENOMS = (1, 2, 4, 5, 8, 20, 100, 2**30 * 5**2)
 HUGE_DENOMS = (3**500, 7**300 * 2**9, 11**250 * 5**4 * 3)
 
 
-def random_rendering_case(rng, n, huge, sharing, group_sizes, split_middle, escaped=False):
-    """A hand-built ledger and a matching instance for the renderers.
+def random_rendering_case(rng, n, huge, group_sizes, split_middle, escaped=False):
+    """A ledger built from hand-made wallet-class groups, and a matching
+    instance, for the renderers.
 
-    Money comes from a small pool of values; ``sharing`` says whether
-    equal values are one shared object ("shared"), distinct equal
-    objects ("distinct") or either ("mixed").  ``group_sizes`` gives one
-    project per entry with 1, "few" (2 to 8) or "many" (more than 8)
-    payers; with none, nothing is bought and the instance holds one
-    project.  With ``split_middle`` the lower half of the wallets comes
-    from strictly smaller values than the upper half, so for an even
-    ``n`` the two middle wallets differ.  With ``escaped`` every voter
-    and project id holds characters from ``helpers.ESCAPED``.
+    ``group_sizes`` gives one purchase per entry with 1, "few" (2 to 8)
+    or "many" (more than 8) payers; with none, nothing is bought and the
+    instance holds one project.  Each purchase takes its unit from a
+    small pool, so purchases share units or differ in them, and its
+    amounts from one pool of ints that every unit draws from, so one
+    amount appears under two units.  Units and amounts are often
+    multiples of 2 and 3, so ``_texts`` must reduce them, and two
+    classes, of a purchase or of the final wallets, often hold the same
+    amount.  ``huge`` adds denominators of hundreds of digits, none of
+    them a finite decimal.  With ``split_middle`` the lower half of the
+    voters sit in classes with strictly smaller wallets than the upper
+    half, so for an even ``n`` the two middle wallets differ.  With
+    ``escaped`` every voter and project id holds characters from
+    ``helpers.ESCAPED``.
     """
 
     def ident(prefix, i):
@@ -835,28 +841,17 @@ def random_rendering_case(rng, n, huge, sharing, group_sizes, split_middle, esca
             return f"{prefix}{i}"
         return f"{prefix}{''.join(rng.choices(helpers.ESCAPED, k=rng.randint(1, 3)))}{i}"
 
+    def amount(unit):
+        return rng.randint(0, 40 * unit) * rng.choice((1, 6))
+
     dens = DECIMAL_DENOMS + (HUGE_DENOMS if huge else ())
     pool = [Fraction(rng.randint(0, 40 * d), d) for d in rng.choices(dens, k=rng.randint(1, 6))]
-
-    def take(values):
-        value = rng.choice(values)
-        fresh = sharing == "distinct" or (sharing == "mixed" and rng.random() < 0.5)
-        return Fraction(value.numerator, value.denominator) if fresh else value
-
+    units = [d * rng.choice((1, 2, 3, 12)) for d in rng.choices(dens, k=rng.randint(1, 3))]
+    amounts = [amount(u) + 1 for u in rng.choices(units, k=rng.randint(1, 6))]
     voters = [ident("v", i + 1) for i in range(n)]
     rng.shuffle(voters)
-    if split_middle:
-        values = sorted(set(pool))
-        if len(values) == 1:
-            values.append(values[0] + 1)
-        cut = rng.randint(1, len(values) - 1)
-        low, high = values[:cut], values[cut:]
-        wallets = [take(low) for _ in range(n // 2)] + [take(high) for _ in range(n - n // 2)]
-        rng.shuffle(wallets)
-    else:
-        wallets = [take(pool) for _ in range(n)]
 
-    projects, payments, factors = [], {}, {}
+    projects, purchases, factors = [], {}, {}
     for j, size in enumerate(group_sizes):
         pid = ident("p", j + 1)
         if size == "many" and n > 8:
@@ -865,22 +860,39 @@ def random_rendering_case(rng, n, huge, sharing, group_sizes, split_middle, esca
             k = 1
         else:
             k = rng.randint(min(2, n), min(8, n))
-        payers = sorted(rng.sample(range(n), k))
-        amounts = [rng.choice(pool)] if rng.random() < 0.3 else pool
-        payments[pid] = {voters[i]: take(amounts) for i in payers}
-        factors[pid] = take(pool)
+        classes = rng.choices(rng.sample(range(50), rng.randint(1, 4)), k=k)
+        paid = [rng.choice(amounts)] if rng.random() < 0.3 else amounts
+        paid = {c: rng.choice(paid) for c in dict.fromkeys(classes)}
+        purchases[pid] = (sorted(rng.sample(range(n), k)), classes, paid, rng.choice(units))
+        factors[pid] = rng.choice(pool)
         name = f"Project {j + 1}" if rng.random() < 0.5 else None
-        projects.append(Project(id=pid, cost=take(pool) + 1, name=name))
+        projects.append(Project(id=pid, cost=rng.choice(pool) + 1, name=name))
     if not projects:
-        projects.append(Project(id=ident("p", 1), cost=take(pool) + 1))
-    instance = Instance(projects=tuple(projects), budget_limit=take(pool) + 1)
+        projects.append(Project(id=ident("p", 1), cost=rng.choice(pool) + 1))
+    instance = Instance(projects=tuple(projects), budget_limit=rng.choice(pool) + 1)
+
+    unit = rng.choice(units)
+    wallets = rng.choices([amount(unit) for _ in range(rng.randint(1, 4))], k=rng.randint(1, 6))
+    if split_middle:
+        values = sorted(set(wallets))
+        if len(values) == 1:
+            wallets.append(values[0] + 1)
+            values.append(values[0] + 1)
+        cut = values[rng.randint(1, len(values) - 1)]
+        low = [c for c, wallet in enumerate(wallets) if wallet < cut]
+        high = [c for c, wallet in enumerate(wallets) if wallet >= cut]
+        classes = rng.choices(low, k=n // 2) + rng.choices(high, k=n - n // 2)
+        rng.shuffle(classes)
+    else:
+        classes = rng.choices(range(len(wallets)), k=n)
     ledger = MesLedger(
-        run_budget=take(pool),
-        initial_share=take(pool),
-        selection_order=tuple(rng.sample(list(payments), len(payments))),
+        run_budget=rng.choice(pool),
+        initial_share=rng.choice(pool),
+        selection_order=tuple(rng.sample(list(purchases), len(purchases))),
         affordabilities=factors,
-        payments=payments,
-        budgets=dict(zip(voters, wallets)),
+        voters=tuple(voters),
+        purchases=purchases,
+        final=(classes, wallets, unit),
     )
     return ledger, instance
 
@@ -898,24 +910,42 @@ class TestRenderingOracle:
         seed=st.integers(0, 2**32 - 1),
         n=st.one_of(st.integers(1, 12), st.integers(13, 40)),
         huge=st.booleans(),
-        sharing=st.sampled_from(("shared", "distinct", "mixed")),
         group_sizes=st.lists(st.sampled_from((1, "few", "many")), max_size=5),
         split_middle=st.booleans(),
         escaped=st.booleans(),
     )
-    @example(
-        seed=0, n=3, huge=False, sharing="shared", group_sizes=[], split_middle=False, escaped=True
-    )
-    def test_matches_per_value_rendering(
-        self, seed, n, huge, sharing, group_sizes, split_middle, escaped
-    ):
+    @example(seed=0, n=3, huge=False, group_sizes=[], split_middle=False, escaped=True)
+    def test_matches_per_value_rendering(self, seed, n, huge, group_sizes, split_middle, escaped):
         ledger, instance = random_rendering_case(
-            random.Random(seed), n, huge, sharing, group_sizes, split_middle, escaped
+            random.Random(seed), n, huge, group_sizes, split_middle, escaped
         )
         if split_middle and n % 2 == 0:
             wallets = sorted(ledger.budgets.values())
             assert wallets[n // 2 - 1] < wallets[n // 2]
         assert_renderings_match(ledger, instance)
+
+    def test_cases_cover_the_group_shapes(self):
+        # each shape of group the renderers meet, in many of the cases:
+        # two classes paying the same amount, an amount to reduce,
+        # purchases in different units and one amount under two units
+        rng = random.Random(34)
+        equal = reduced = units_differ = one_amount_two_units = 0
+        for k in range(200):
+            sizes = rng.choices((1, "few", "many"), k=rng.randint(1, 5))
+            ledger, instance = random_rendering_case(
+                rng, rng.randint(1, 40), k % 4 == 0, sizes, rng.random() < 0.5, k % 3 == 0
+            )
+            assert_renderings_match(ledger, instance)
+            groups = list(ledger.purchases.values())
+            units_of = {}
+            for _, _, amounts, units in groups:
+                equal += len(set(amounts.values())) < len(amounts)
+                reduced += any(math.gcd(amount, units) > 1 for amount in amounts.values())
+                for amount in amounts.values():
+                    units_of.setdefault(amount, set()).add(units)
+            units_differ += len({units for *_, units in groups}) > 1
+            one_amount_two_units += any(len(units) > 1 for units in units_of.values())
+        assert min(equal, reduced, units_differ, one_amount_two_units) >= 40
 
     def test_ledger_without_purchases(self):
         # no project is affordable: the engine's ledger buys nothing
@@ -962,7 +992,7 @@ class TestRenderingOracle:
                     trace = emit_trace(ledger, instance)
                 assert text == json.dumps(ledger_json_dict(ledger), indent=2)
                 assert trace == trace_text(ledger, instance)
-                groups = [ledger._purchases[pid] for pid in ledger.selection_order]
+                groups = [ledger.purchases[pid] for pid in ledger.selection_order]
                 counted += any(
                     len(approvers[index[pid]]) >= _mes_pure.MesEngine._count_from
                     for pid in ledger.selection_order[1:]
@@ -976,10 +1006,10 @@ class TestRenderingOracle:
         assert refined >= 30
         assert mixed >= 25
 
-    def test_grouped_ledger_equals_its_keyword_twin(self):
-        # one ledger type, one behaviour: the engine's grouped ledger and
-        # a ledger built from its own dicts compare equal and render the
-        # same bytes, however often and in whatever order the dicts are read
+    def test_reads_are_cached_and_renderings_repeat(self):
+        # the dicts are built once; the trace or the JSON first, or
+        # either twice, gives the same bytes; ledgers compare by their
+        # public fields, have no hash and cannot be assigned to
         rng = random.Random(33)
         for k in range(40):
             if k % 2:
@@ -988,26 +1018,22 @@ class TestRenderingOracle:
                 instance, profile = helpers.random_instance(rng, max_voters=30, max_projects=8)
             _, first = mes(instance, profile)
             text, trace = first.to_json(), emit_trace(first, instance)
+            assert first.to_json() == text and emit_trace(first, instance) == trace
             _, ledger = mes(instance, profile)
-            twin = MesLedger(
-                run_budget=ledger.run_budget,
-                initial_share=ledger.initial_share,
-                selection_order=ledger.selection_order,
-                affordabilities=ledger.affordabilities,
-                payments=ledger.payments,
-                budgets=ledger.budgets,
-            )
-            assert ledger == twin and twin == ledger
-            assert twin.to_json() == text and emit_trace(twin, instance) == trace
+            assert emit_trace(ledger, instance) == trace and ledger.to_json() == text
+            assert emit_trace(ledger, instance) == trace and ledger.to_json() == text
             assert ledger.payments is ledger.payments and ledger.budgets is ledger.budgets
-            assert ledger.to_json() == text and emit_trace(ledger, instance) == trace
-            assert ledger.to_json() == text and emit_trace(ledger, instance) == trace
-            _, other = mes(instance, profile)
-            assert emit_trace(other, instance) == trace and other.to_json() == text
-            assert other.budgets == twin.budgets and other == twin
-        assert ledger != MesLedger(ledger.run_budget, ledger.initial_share, (), {}, {}, ledger.budgets)
+            assert ledger == first and first == ledger
+            classes, wallets, units = ledger.final
+            poorer = dataclasses.replace(ledger, final=(classes, [w + 1 for w in wallets], units))
+            assert ledger != poorer and poorer != ledger
+            assert ledger != dataclasses.replace(ledger, run_budget=ledger.run_budget + 1)
+        with pytest.raises(TypeError):
+            hash(ledger)
         with pytest.raises(AttributeError):
             ledger.budgets = {}
+        with pytest.raises(AttributeError):
+            ledger.voters = ()
 
 
 ORPHAN = "p0"

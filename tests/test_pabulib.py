@@ -317,6 +317,7 @@ class TestWriting:
             ({"meta": {"instance_id": " 7 "}}, "META 'instance_id' value ' 7 ' has leading"),
             ({"name": ""}, "project 'a' name is empty"),
             ({"label": ""}, "project 'a' category is empty"),
+            ({"approved": "z"}, "voter '1' approves unknown project 'z'"),
         ],
     )
     def test_rejects_values_it_cannot_read_back(self, change, message):
@@ -332,7 +333,9 @@ class TestWriting:
         )
         profile = Profile(
             (
-                ApprovalBallot(change.get("voter", "1"), frozenset({pid, "b"})),
+                ApprovalBallot(
+                    change.get("voter", "1"), frozenset({pid, "b", change.get("approved", pid)})
+                ),
                 ApprovalBallot("2", frozenset({"b"})),
             )
         )
@@ -491,6 +494,19 @@ class TestIngest:
         (tmp_path / "city_3.pb").write_text(MINIMAL, encoding="utf-8")
         result = ingest_directory(tmp_path, IngestFilter(min_voters=1, min_projects=1))
         assert [inst.instance_id for inst, _ in result.accepted] == ["3", "city²"]
+
+    def test_repeated_instance_id_keeps_the_first_accepted_file(self, tmp_path):
+        # all three names derive the id 5; a_5.pb fails the filter, so
+        # north_5.pb is the first accepted and south_5.pb is skipped
+        _write_corpus_file(tmp_path / "a_5.pb", "5", 1, 2)
+        (tmp_path / "north_5.pb").write_text(MINIMAL, encoding="utf-8")
+        (tmp_path / "south_5.pb").write_text(MINIMAL.replace("a;60", "a;70"), encoding="utf-8")
+        result = ingest_directory(tmp_path, IngestFilter(min_voters=2, min_projects=1))
+        assert [inst.projects[0].cost for inst, _ in result.accepted] == [60]
+        assert [(s.file, s.reason) for s in result.skipped] == [
+            ("a_5.pb", "too few voters (1 < 2)"),
+            ("south_5.pb", "instance id '5' already read from north_5.pb"),
+        ]
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
