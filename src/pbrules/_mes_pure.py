@@ -66,13 +66,12 @@ replay of the run bounds how far the share can grow before a deciding
 comparison can reach equality.  The certificate invariant: every share
 in [s0, s*) selects what s0 selects, with s* = s0 only when a deciding
 comparison is tied at s0.  The search then computes the first round
-whose share is at least s*, never one it has already passed.  When s*
-comes from a peel event, where an approver who paid a whole wallet
-below a cap reaches it, how the run pays changes but rarely what it
-buys: the replay of the last selection at the new share, checked
-against the definition of equal shares, then stands in for running the
-round, and only a failed check runs it.  Certificates and checks are
-computed in exact integers; no float decides a skip.
+whose share is at least s*, never one it has already passed, and
+checks the selection the certificate expects there: the same after a
+peel event (an approver who paid a whole wallet below a cap reaches
+it), or one project more when its approvers reach its cost first.  The
+checked replay stands in for running the round; only a failed check
+runs it.  Certificates and checks are exact integers.
 """
 
 from __future__ import annotations
@@ -352,44 +351,47 @@ class MesEngine:
         limit_den: int,
         by_count: list[int],
         hint: int = 1,
-    ) -> tuple[int, int, bool, int] | None:
+    ) -> tuple[int, int, list[int] | None, int] | None:
         """Check what equal shares buys at a share s0 and bound how far
         the share can grow before that can change.
 
-        Replays buying ``selected`` in order with every wallet starting
-        at ``wallet / units`` (the share s0), and returns None unless
-        that is what equal shares does at s0.  Each wallet is kept as an
-        affine form of the share s: its value at s0 and its slope, in
-        units of ``1/units`` refined so every cap and cap slope is whole.
-        With the purchases and who pays below the cap fixed, the cap of
-        each purchase is affine too, and the run buys the same projects
-        in the same order until one of these reaches equality:
+        Replays buying ``selected`` in order from wallets of ``wallet /
+        units`` (the share s0); None unless equal shares does that at
+        s0.  Each wallet is an affine form of the share s: its value at
+        s0 and its slope, in units of ``1/units`` refined so every cap
+        and cap slope is whole.  With the purchases and who pays below
+        the cap fixed, each cap is affine too, and the run buys the same
+        until one of these reaches equality:
 
-        - a voter who paid a whole wallet below a cap reaches the cap, a
-          peel event (voters who paid the cap only get further above it:
-          wallets never fall and caps never rise as s grows);
-        - an unbought project q at some purchase of b: with
-          g_q(s) = sum over q's approvers of min(wallet, f_b(s) * c_q)
-          - c_q, q loses to b while g_q < 0, or while g_q = 0 and q is
-          later in the tie order.  g_q is concave, so the root of its
-          right tangent at s0 is an early, hence safe, event;
+        - a peel event: a voter who paid a whole wallet below a cap
+          reaches it (the others only get further above it: wallets
+          never fall, caps never rise as s grows);
+        - an unbought q at a purchase of b: with g_q(s) = sum over q's
+          approvers of min(wallet, f_b(s) * c_q) - c_q, q loses to b
+          while g_q < 0, or g_q = 0 and q is later in the tie order.
+          g_q is concave, so the root of its right tangent at s0 is an
+          early, hence safe, event;
         - after the last purchase, an unbought project's approvers
           reach its cost.
 
-        Returns ``(num, den, peel, payers)``: the first event is at s0 +
-        num / den, or beyond s0 + limit_num / limit_den when that is
-        returned, ``peel`` tells whether it is a peel event, and
-        ``payers`` is the product of the purchases' payer counts.  Every
-        share in [s0, s0 + num / den) buys what s0 buys; an equality at
-        s0 itself gives 0.  ``by_count`` lists the projects by approver
-        count, descending.  Every value is an exact integer, so no
-        rounding decides a skip.
+        A project whose approvers hold less than its cost at s0, and at
+        most its cost at the bound so far, is settled: dropped from the
+        replay.  Up to the bound each purchase takes min(wallet, cap) >=
+        0 from each payer (slopes never go negative, and a cap stays
+        above the wallets peeled below it until their peel event, which
+        the bound counts), so what they hold only falls while the bound
+        only shrinks: it can neither fail a later check nor set an
+        earlier event.
 
-        The replay starts in units ``hint`` times smaller.  When ``hint``
-        is the ``payers`` of a replay with the same payer counts, the
-        starting slope carries them all, and no purchase has to refine
-        the unit (an O(n) rescale); any other hint only costs
-        refinements.
+        Returns ``(num, den, guess, payers)``, all exact: shares in
+        [s0, s0 + num / den) buy what s0 buys, and the first event is
+        there, or past ``limit_num / limit_den``.  ``guess``, what the
+        next round should buy, is ``selected`` after a peel event,
+        ``selected + [q]`` when q's approvers reach its cost, else None;
+        ``payers`` multiplies the payer counts.  ``by_count`` lists the
+        projects by approver count, descending.  The replay starts in
+        units ``hint`` times smaller: the ``payers`` of a replay with
+        the same payer counts spare every O(n) refinement.
         """
         approvers = self.approvers
         tie_rank = self.tie_rank
@@ -398,9 +400,10 @@ class MesEngine:
         # a wallet grows by ``units`` units per unit of share
         slope = [units] * self.n
         costs = [c * (units // self._cost_den) for c in self._cost_units]
-        best_num, best_den, peel = limit_num, limit_den, False
+        best_num, best_den, guess = limit_num, limit_den, None
         payers = 1
-        bought = bytearray(self.m)
+        # the unbought projects not settled yet, by approver count
+        live = list(by_count)
         for b in selected:
             order = sorted(approvers[b], key=val.__getitem__)
             found = payment_cap(val, order, costs[b])
@@ -427,23 +430,23 @@ class MesEngine:
                 if rate > 0:
                     num = cap - val[i]
                     if num * best_den < best_num * rate:
-                        best_num, best_den, peel = num, rate, True
-            bought[b] = 1
+                        best_num, best_den, guess = num, rate, selected
+            live.remove(b)
             cost_b = costs[b]
-            for q in by_count:
+            settled = set()
+            for q in live:
                 voters = approvers[q]
                 if len(voters) * cap < cost_b:
                     # here and for every q after it, even all of q's
                     # approvers paying at b's factor fall short of its cost
                     break
-                if bought[q]:
-                    continue
                 cost_q = costs[q]
                 total = sum(map(val.__getitem__, voters))
                 if total < cost_q:
                     # q cannot tie b before its approvers reach its cost
                     rate = sum(map(slope.__getitem__, voters))
                     if not rate or (cost_q - total) * best_den >= best_num * rate:
+                        settled.add(q)
                         continue
                 # x = cap * cost_q / cost_b is what an approver pays at b's
                 # factor; total and rate below are scaled by cost_b
@@ -467,7 +470,9 @@ class MesEngine:
                 for i in tied:
                     rate += min(slope[i] * cost_b, x_slope)
                 if rate > 0 and -total * best_den < best_num * rate:
-                    best_num, best_den, peel = -total, rate, False
+                    best_num, best_den, guess = -total, rate, None
+            if settled:
+                live = [q for q in live if q not in settled]
             for i in order[:cut]:
                 val[i] = 0
                 slope[i] = 0
@@ -476,17 +481,15 @@ class MesEngine:
                 slope[i] -= cap_slope
         # after the last purchase every unbought project is unaffordable
         # until its approvers reach its cost; a wallet with slope 0 is 0
-        for q in range(self.m):
-            if bought[q]:
-                continue
+        for q in live:
             rate = sum(map(slope.__getitem__, approvers[q]))
             if rate > 0:
                 num = costs[q] - sum(map(val.__getitem__, approvers[q]))
                 if num <= 0:
                     return None
                 if num * best_den < best_num * rate:
-                    best_num, best_den, peel = num, rate, False
-        return best_num, best_den, peel, payers
+                    best_num, best_den, guess = num, rate, selected + [q]
+        return best_num, best_den, guess, payers
 
     def run(self, share: Fraction, want_ledger: bool = False):
         """Select at per-voter budget ``share``.
@@ -532,9 +535,9 @@ class MesEngine:
         least s*.  A skipped round selects what round r selected, so it
         is neither complete nor overshooting: ``chosen_round``,
         ``rounds_examined``, ``status`` and the selection are those of
-        running every round.  After a peel event the next round first
-        checks the last selection at its share and runs the engine only
-        when that check fails; either way the round counts as run.
+        running every round.  A round whose selection the certificate
+        guesses checks it by replay and runs the engine only if that
+        fails; either way it counts as run and meets the same tests.
 
         Returns (selected, chosen_round, rounds_examined, status,
         rounds_run) with status one of "complete", "next_infeasible",
@@ -552,7 +555,7 @@ class MesEngine:
         base = budget.numerator * epsilon.denominator
         step = epsilon.numerator * budget.denominator
         previous: list[int] = []
-        peel = False
+        guess = None
         hint = 1
         r = rounds_run = 0
         while r < max_rounds:
@@ -561,22 +564,25 @@ class MesEngine:
             # one past the last round is as far as a certificate needs to look
             limit = (max_rounds - r) * step
             found = None
-            if peel:
-                # a peel event changes how the last selection is paid
-                # for, rarely what it buys: check it before running
-                found = self._certificate(previous, wallet, units, limit, den, by_count, hint)
-            if found is None:
+            if guess is not None:
+                # the certificate expects this round to buy ``guess``: a
+                # replay checks that before the engine runs
+                found = self._certificate(guess, wallet, units, limit, den, by_count, hint)
+            if found is not None:
+                selected = guess
+            else:
                 self._reset(wallet, units)
                 selected, _, _ = self._select(record=False)
-                leftover = budget_units - sum(costs[p] for p in selected)
-                if leftover < 0:
-                    return previous, max(r - 1, 0), r + 1, STATUS_NEXT_INFEASIBLE, rounds_run
-                cheapest = next((p for p in by_cost if p not in selected), None)
-                if cheapest is None or costs[cheapest] > leftover:
-                    return selected, r, r + 1, STATUS_COMPLETE, rounds_run
-                previous = selected
+            leftover = budget_units - sum(costs[p] for p in selected)
+            if leftover < 0:
+                return previous, max(r - 1, 0), r + 1, STATUS_NEXT_INFEASIBLE, rounds_run
+            cheapest = next((p for p in by_cost if p not in selected), None)
+            if cheapest is None or costs[cheapest] > leftover:
+                return selected, r, r + 1, STATUS_COMPLETE, rounds_run
+            previous = selected
+            if found is None:
                 found = self._certificate(selected, wallet, units, limit, den, by_count, hint)
             # go on at the first round at or past the certificate
-            num, cert_den, peel, hint = found
+            num, cert_den, guess, hint = found
             r += max(1, -(-num * den // (cert_den * step)))
         return previous, max_rounds - 1, max_rounds, STATUS_EXHAUSTED, rounds_run

@@ -151,14 +151,23 @@ def _check_config(
             sub.error(str(exc))
 
 
-def _jobs(value: str) -> int:
-    try:
-        jobs = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(f"--jobs must be at least 1, got {jobs}")
-    return jobs
+def _at_least(floor: int, flag: str):
+    """An argparse type: an int of at least ``floor``, named ``flag`` in
+    the error."""
+
+    def convert(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {value!r}") from None
+        if number < floor:
+            raise argparse.ArgumentTypeError(f"{flag} must be at least {floor}, got {number}")
+        return number
+
+    return convert
+
+
+_jobs = _at_least(1, "--jobs")
 
 
 def _money(value: str) -> Money:
@@ -178,8 +187,8 @@ def _build_parser() -> _Parser:
 
     def add_dir(p):
         p.add_argument("--dir", help="corpus directory of .pb files (default: $PB_DATA_DIR)")
-        p.add_argument("--min-voters", type=int, help="skip files with fewer voters")
-        p.add_argument("--min-projects", type=int, help="skip files with fewer projects")
+        for flag, what in (("--min-voters", "voters"), ("--min-projects", "projects")):
+            p.add_argument(flag, type=_at_least(0, flag), help=f"skip files with fewer {what}")
         p.add_argument(
             "--filter-defaults",
             action="store_true",

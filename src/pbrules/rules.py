@@ -298,8 +298,9 @@ class StarResult:
     original limit (the search then stops by definition, possibly leaving
     the result incomplete), or "exhausted" when ``max_iterations`` rounds
     were examined without either event.  ``rounds_run`` counts the
-    rounds whose selection was actually computed: the search skips
-    rounds it proves select the same projects as the round before.
+    rounds run, by the engine or by a checked guess of what they buy:
+    the search skips rounds it proves select the same projects as the
+    round before.
     """
 
     allocation: Allocation

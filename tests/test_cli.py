@@ -671,6 +671,19 @@ class TestConfig:
         assert capsys.readouterr() == from_config
         assert "accepted 2 instances, skipped 1 files" in from_config.err
 
+    @pytest.mark.parametrize("flag", ["--min-voters", "--min-projects"])
+    def test_negative_count_is_usage_error(self, corpus, tmp_path, capsys, flag):
+        # from a flag and from a config file alike; 0 keeps every file
+        argv = ["stats", "--dir", str(corpus)]
+        assert cli_main(argv + [flag, "-5"]) == EXIT_USAGE
+        assert f"{flag} must be at least 0, got -5" in capsys.readouterr().err
+        cfg = tmp_path / "pb.cfg"
+        cfg.write_text(f"{flag[2:]} = -1\n", encoding="utf-8")
+        assert cli_main(argv + ["--config", str(cfg)]) == EXIT_USAGE
+        assert f"{flag} must be at least 0, got -1" in capsys.readouterr().err
+        assert cli_main(argv + [flag, "0"]) == EXIT_OK
+        assert "accepted 3 instances, skipped 0 files" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "line, message",
         [

@@ -6,12 +6,15 @@ from the definitions at every step, in ``Fraction``s.  Observable
 behaviour must match exactly, Fraction for Fraction.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
 import pickle
 import random
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -537,6 +540,38 @@ def assert_skipping_star_matches(instance, profile, epsilon, oracle_rounds, refe
     assert fast.rounds_run <= fast.rounds_examined
 
 
+@contextlib.contextmanager
+def counting_guesses():
+    """Count, by wrapping ``MesEngine._certificate`` and ``_select``, the
+    star rounds checked on a guess that appends a project to the last
+    selection: ``proven`` when the replay holds, ``refuted`` when it
+    fails, and a refuted guess must run the engine before the next
+    replay."""
+    certificate = _mes_pure.MesEngine._certificate
+    select = _mes_pure.MesEngine._select
+    counts = SimpleNamespace(proven=0, refuted=0, last=None, pending=False)
+
+    def checked_certificate(engine, selected, *args):
+        assert not counts.pending, "a refuted guess was not followed by the engine"
+        found = certificate(engine, selected, *args)
+        last = counts.last
+        if last and last[1] and selected is last[1][2] and len(selected) > len(last[0]):
+            counts.proven += found is not None
+            counts.refuted += found is None
+            counts.pending = found is None
+        counts.last = (selected, found)
+        return found
+
+    def counted_select(engine, record):
+        counts.pending = False
+        return select(engine, record)
+
+    with mock.patch.object(_mes_pure.MesEngine, "_certificate", checked_certificate):
+        with mock.patch.object(_mes_pure.MesEngine, "_select", counted_select):
+            yield counts
+    assert not counts.pending
+
+
 def assert_star_matches_bruteforce(instance, profile, epsilon, oracle_rounds):
     fast = complete_star(instance, profile, epsilon=epsilon, max_iterations=oracle_rounds)
     selected, chosen, examined, status = star_bruteforce(
@@ -622,6 +657,82 @@ class TestSkippingStarOracle:
         instance, profile = star_instance(random.Random(seed), 40, 12)
         epsilon = Fraction(profile.voter_count * cents, 100)
         assert_skipping_star_matches(instance, profile, epsilon, None, 400)
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), cents=st.integers(1, 100), copies=st.integers(1, 2))
+    def test_appended_guesses_match_the_reference(self, seed, cents, copies):
+        # a round expected to buy one project more than the last is first
+        # checked by replay; a refuted check runs the engine
+        instance, profile = star_instance(random.Random(seed), 40, 12)
+        profile = repeated(profile, copies)
+        epsilon = Fraction(profile.voter_count * cents, 100)
+        with counting_guesses():
+            fast = complete_star(instance, profile, epsilon=epsilon, max_iterations=400)
+        assert helpers.star_fields(fast) == helpers.star_reference(instance, profile, epsilon, 400)
+        assert fast.rounds_run <= fast.rounds_examined
+
+    def test_appended_guesses_are_proven_and_refuted(self):
+        # the cases of the test above do prove rounds by an appended
+        # guess, and do refute some such guesses
+        rng = random.Random(33)
+        proven = refuted = 0
+        for _ in range(200):
+            instance, profile = star_instance(rng, 40, 12)
+            profile = repeated(profile, rng.randint(1, 2))
+            epsilon = Fraction(profile.voter_count * rng.randint(1, 100), 100)
+            with counting_guesses() as checks:
+                fast = complete_star(instance, profile, epsilon=epsilon, max_iterations=400)
+            slow = helpers.star_reference(instance, profile, epsilon, 400)
+            assert helpers.star_fields(fast) == slow
+            proven += checks.proven
+            refuted += checks.refuted
+        assert proven >= 40
+        assert refuted >= 20
+
+    def test_projects_reaching_their_cost_together_refute_the_guess(self):
+        # v1 approves a (cost 1), v2 and v3 approve b (cost 2), v4 nothing:
+        # at round 0's share of 3/4 neither is affordable, and both become
+        # affordable at a share of 1, first reached by round 4.  The
+        # certificate guesses one project more, b; the check finds a
+        # affordable too, so the engine runs and buys both, which
+        # completes the limit of 3.
+        instance = Instance(
+            projects=(Project(id="a", cost=Fraction(1)), Project(id="b", cost=Fraction(2))),
+            budget_limit=Fraction(3),
+            meta={},
+        )
+        approved = ({"a"}, {"b"}, {"b"}, set())
+        profile = Profile(
+            tuple(ApprovalBallot(f"v{i + 1}", frozenset(a)) for i, a in enumerate(approved))
+        )
+        epsilon = Fraction(3, 10)
+        with counting_guesses() as checks:
+            fast = complete_star(instance, profile, epsilon=epsilon, max_iterations=100)
+        assert (checks.proven, checks.refuted) == (0, 1)
+        assert helpers.star_fields(fast) == helpers.star_reference(instance, profile, epsilon, 100)
+        assert (fast.status, fast.chosen_round, fast.rounds_run) == ("complete", 4, 2)
+        assert fast.allocation.selected == {"a", "b"}
+
+    def test_pinned_search_beyond_the_oracle(self):
+        # 300 voters and 19 projects, one cent more per round: too large
+        # for the references, so the outcome and the rounds run are
+        # pinned; the search examines 2533 rounds and runs 154
+        rng = random.Random(10)
+        instance, profile = helpers.random_instance(
+            rng, max_voters=300, max_projects=24, approval_rate=0.2, min_voters=300
+        )
+        total = sum(p.cost for p in instance.projects)
+        instance = dataclasses.replace(instance, budget_limit=total * rng.randint(2, 5) / 10)
+        fast = complete_star(instance, profile, epsilon=Fraction(1, 100))
+        assert (fast.status, fast.chosen_round, fast.rounds_examined, fast.rounds_run) == (
+            "complete",
+            2532,
+            2533,
+            154,
+        )
+        assert sorted(fast.allocation.selected, key=lambda pid: int(pid[1:])) == [
+            f"p{j}" for j in (1, 3, 4, 5, 6, 8, 9, 10, 11, 12, 14, 15, 16, 17, 18)
+        ]
 
     @pytest.mark.parametrize("limit", [2, 3])
     def test_certificate_checks_what_equal_shares_buys(self, limit):
