@@ -3,7 +3,8 @@
 Subcommands: ``stats`` (corpus descriptives), ``run`` (one rule on one
 file), ``compare`` (aggregate rule comparison), ``extremes`` (largest and
 smallest rule effects).  Exit codes: 0 on success, 1 for usage errors,
-2 for data errors (unreadable or ill-formed files, empty corpus).
+2 for data errors (unreadable, undecodable or ill-formed input files,
+unwritable output paths, empty corpus).
 
 ``--dir`` defaults to the PB_DATA_DIR environment variable.  ``--config``
 names a flat key=value file whose keys mirror the long option names;
@@ -33,7 +34,7 @@ from .analysis import (
     stats_json,
 )
 from .model import Money, parse_money
-from .pabulib import IngestFilter, PabulibParseError, ingest_directory, parse_pabulib
+from .pabulib import IngestFilter, PabulibParseError, ingest_directory, read_pabulib
 from .rules import (
     RULE_NAMES,
     RuleSpec,
@@ -66,22 +67,12 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
-    """Each subcommand's parser, by command name."""
-    return {
-        name: sub
-        for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-        for name, sub in action.choices.items()
-    }
-
-
-def _config_keys(parser: argparse.ArgumentParser) -> dict[str, bool]:
+def _config_keys(subcommands: dict[str, argparse.ArgumentParser]) -> dict[str, bool]:
     """Dests of the subcommands' long options, minus config and help,
     each mapped to whether it is an on/off flag."""
     return {
         action.dest: isinstance(action, argparse._StoreTrueAction)
-        for sub in _subparsers(parser).values()
+        for sub in subcommands.values()
         for action in sub._actions
         if action.dest not in ("config", "help")
         and any(option.startswith("--") for option in action.option_strings)
@@ -94,7 +85,7 @@ def _load_config(path: str, keys: dict[str, bool]) -> dict[str, str | bool]:
     mapping: dict[str, str | bool] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config {path!r}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -120,24 +111,15 @@ def _load_config(path: str, keys: dict[str, bool]) -> dict[str, str | bool]:
     return mapping
 
 
-def _apply_config(parser: argparse.ArgumentParser, mapping: dict[str, str | bool]) -> None:
-    # set_defaults keeps explicit flags winning, and argparse passes a
-    # string default through the option's type as it does a flag value;
-    # subparsers parse into a fresh namespace, so each one needs the defaults
-    for sub in _subparsers(parser).values():
-        sub.set_defaults(**mapping)
-
-
 def _check_config(
-    parser: argparse.ArgumentParser, args, mapping: dict[str, str | bool]
+    subcommands: dict[str, argparse.ArgumentParser], args, mapping: dict[str, str | bool]
 ) -> None:
     # argparse checks choices for command-line values only, and passes a
     # config value through a type only for an option of the chosen
     # subcommand: check every config value here with the flag's own message
-    subs = _subparsers(parser)
-    sub = subs[args.command]
+    sub = subcommands[args.command]
     own = {action.dest: action for action in sub._actions}
-    other = {action.dest: action for each in subs.values() for action in each._actions}
+    other = {action.dest: action for each in subcommands.values() for action in each._actions}
     for dest, value in mapping.items():
         try:
             if dest in own:  # typed already; a flag's value wins
@@ -177,7 +159,7 @@ def _money(value: str) -> Money:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _build_parser() -> _Parser:
+def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="flat key=value config file")
 
@@ -235,16 +217,19 @@ def _build_parser() -> _Parser:
     p_extremes.add_argument("--jobs", type=_jobs, default=1, help="parallel worker processes")
     p_extremes.add_argument("--out", metavar="FILE", help="write the JSON report here")
 
-    return parser
+    return parser, sub.choices
 
 
 def _write_out(text: str, path: str | None) -> None:
-    if path:
-        Path(path).write_text(text, encoding="utf-8")
-    else:
+    if not path:
         sys.stdout.write(text)
         if not text.endswith("\n"):
             sys.stdout.write("\n")
+        return
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise _DataError(f"cannot write {path}: {exc}") from None
 
 
 def _ingest(args) -> tuple:
@@ -261,10 +246,8 @@ def _ingest(args) -> tuple:
     except OSError as exc:
         raise _DataError(str(exc)) from None
     if args.skip_report:
-        Path(args.skip_report).write_text(
-            "\n".join(result.skip_report_lines()) + ("\n" if result.skipped else ""),
-            encoding="utf-8",
-        )
+        lines = result.skip_report_lines()
+        _write_out("\n".join(lines) + ("\n" if lines else ""), args.skip_report)
     print(
         f"accepted {len(result.accepted)} instances, skipped {len(result.skipped)} files",
         file=sys.stderr,
@@ -298,19 +281,15 @@ def _cmd_run(args) -> int:
     if spec.variant is Variant.GREED_COST and (args.ledger_out or args.trace):
         kept = "payment ledger" if args.ledger_out else "purchase trace"
         raise _UsageError(f"rule {spec.variant.value} produces no {kept}")
-    path = Path(args.file)
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise _DataError(f"cannot read {path}: {exc}") from None
-    try:
-        instance, profile = parse_pabulib(text, source=path.name)
+        instance, profile = read_pabulib(args.file)
     except PabulibParseError as exc:
-        raise _DataError(f"{path}: {exc}") from None
+        prefix = "cannot read " if exc.code == "unreadable" else ""
+        raise _DataError(f"{prefix}{Path(args.file)}: {exc}") from None
     result = run_rule(spec, instance, profile)
     _write_out(json.dumps(result.to_json_dict(instance), indent=2), args.out)
     if args.ledger_out:
-        Path(args.ledger_out).write_text(result.ledger.to_json(), encoding="utf-8")
+        _write_out(result.ledger.to_json(), args.ledger_out)
     if args.trace:
         print(emit_trace(result.ledger, instance))
     return EXIT_OK
@@ -327,7 +306,7 @@ def _cmd_compare(args) -> int:
     report = compare_rules(_ingest(args), specs, jobs=args.jobs)
     _write_out(report.to_json() if args.format == "json" else report.to_csv(), args.out)
     if args.raw_out:
-        Path(args.raw_out).write_text(report.raw_csv(), encoding="utf-8")
+        _write_out(report.raw_csv(), args.raw_out)
     return EXIT_OK
 
 
@@ -357,14 +336,18 @@ def cli_main(argv=None) -> int:
     probe.add_argument("--config")
     try:
         known, _ = probe.parse_known_args(argv)
-        parser = _build_parser()
-        mapping = _load_config(known.config, _config_keys(parser)) if known.config else {}
-        _apply_config(parser, mapping)
+        parser, subcommands = _build_parser()
+        mapping = _load_config(known.config, _config_keys(subcommands)) if known.config else {}
+        # set_defaults keeps explicit flags winning, and argparse passes a
+        # string default through the option's type as it does a flag value;
+        # subparsers parse into a fresh namespace, so each one needs the defaults
+        for sub in subcommands.values():
+            sub.set_defaults(**mapping)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help / --version
             return int(exc.code or 0)
-        _check_config(parser, args, mapping)
+        _check_config(subcommands, args, mapping)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

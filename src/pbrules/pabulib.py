@@ -14,7 +14,7 @@ rejected: extra project columns round-trip through :attr:`Project.extra`.
 Each vote row is kept as its voter id and its project indices in the
 instance's project order, the form :func:`pbrules.model.compile_election`
 adopts; the profile builds ``ApprovalBallot`` objects only when asked
-for them.
+for them.  Files are read by :func:`read_pabulib`.
 """
 
 from __future__ import annotations
@@ -281,6 +281,16 @@ def parse_pabulib(text: str, source: str | None = None) -> tuple[Instance, Profi
     return instance, Profile._indexed(tuple(voter_ids), ids, tuple(rows))
 
 
+def read_pabulib(path: str | Path) -> tuple[Instance, Profile]:
+    """Parse the UTF-8 file at ``path``; failing to read or decode it is ``unreadable``."""
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise PabulibParseError(str(exc), None, "unreadable") from None
+    return parse_pabulib(text, source=path.name)
+
+
 def _field(text: str, what: str, comma: bool = True, padded: bool = False) -> str:
     """``text`` unchanged, or ValueError naming ``what`` when the parser
     would not read it back as written."""
@@ -314,6 +324,7 @@ def write_pabulib(
     - any value containing ';' or a line break;
     - a project id or category label containing ',';
     - a vote for a project the instance lacks;
+    - an extra project column named project_id, cost, name or category;
     - an empty or padded project, voter or instance id, project name,
       category label, META key or column name (one with leading or
       trailing whitespace).
@@ -333,6 +344,9 @@ def write_pabulib(
         lines.append(f"{_field(key, 'META key')};{value}")
 
     extra_columns = sorted({col for project in instance.projects for col in project.extra})
+    for col in extra_columns:
+        if col in _PROJECT_COLUMNS:
+            raise ValueError(f"extra project column {col!r} is a reserved column")
     if allocation is not None and "selected" in extra_columns:
         extra_columns.remove("selected")
 
@@ -406,6 +420,8 @@ class IngestResult:
 
 
 def _skip_reason(exc: PabulibParseError) -> str:
+    if exc.code == "unreadable":
+        return f"unreadable: {exc}"
     if exc.code == "missing-cost":
         return "missing cost"
     if exc.code == "missing-votes":
@@ -429,12 +445,7 @@ def ingest_directory(path: str | Path, ingest_filter: IngestFilter = IngestFilte
     first: dict[str, str] = {}  # instance id -> the file it was accepted from
     for file in sorted(root.glob("*.pb")):
         try:
-            text = file.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            skipped.append(SkippedFile(file.name, f"unreadable: {exc}"))
-            continue
-        try:
-            instance, profile = parse_pabulib(text, source=file.name)
+            instance, profile = read_pabulib(file)
         except PabulibParseError as exc:
             skipped.append(SkippedFile(file.name, _skip_reason(exc)))
             continue

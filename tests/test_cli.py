@@ -1,6 +1,5 @@
 """Command line behaviour: exit codes, outputs, config precedence."""
 
-import argparse
 import csv
 import io
 import json
@@ -365,10 +364,17 @@ class TestRun:
         assert cli_main(["run", "--file", str(one_file)]) == EXIT_USAGE
 
     def test_unreadable_file_is_data_error(self, tmp_path, capsys):
-        assert (
-            cli_main(["run", "--file", str(tmp_path / "ghost.pb"), "--rule", "mes"])
-            == EXIT_DATA
-        )
+        ghost = tmp_path / "ghost.pb"
+        assert cli_main(["run", "--file", str(ghost), "--rule", "mes"]) == EXIT_DATA
+        assert capsys.readouterr().err.startswith(f"pbrules: data error: cannot read {ghost}: ")
+
+    def test_undecodable_file_is_data_error(self, tmp_path, capsys):
+        binary = tmp_path / "binary.pb"
+        binary.write_bytes(b"\xff\xfe\x00junk")
+        assert cli_main(["run", "--file", str(binary), "--rule", "mes"]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"pbrules: data error: cannot read {binary}: 'utf-8' codec")
+        assert err.count("\n") == 1
 
     def test_malformed_file_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.pb"
@@ -453,6 +459,34 @@ class TestCompare:
         assert not (tmp_path / "raw.csv").exists()
         # checked before the corpus is read
         assert cli_main(argv + ["--dir", str(tmp_path / "missing")]) == EXIT_USAGE
+
+
+class TestUnwritableOutput:
+    """An output path in a directory that does not exist is a data error
+    reported in one line, for every option that writes a file."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("stats", "--out"),
+            ("stats", "--skip-report"),
+            ("run", "--out"),
+            ("run", "--ledger-out"),
+            ("compare", "--out"),
+            ("compare", "--raw-out"),
+            ("extremes", "--out"),
+        ],
+    )
+    def test_is_data_error(self, corpus, tmp_path, capsys, command, flag):
+        target = tmp_path / "missing" / "out.txt"
+        if command == "run":
+            argv = ["run", "--file", str(corpus / "city_1.pb"), "--rule", "mes"]
+        else:
+            argv = [command, "--dir", str(corpus)]
+        assert cli_main([*argv, flag, str(target)]) == EXIT_DATA
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"pbrules: data error: cannot write {target}: ")
+        assert not target.parent.exists()
 
 
 class TestEmptyBallots:
@@ -562,11 +596,7 @@ class TestConfig:
 
     def test_every_subcommand_option_is_a_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "pb.cfg"
-        (subcommands,) = [
-            action.choices
-            for action in _build_parser()._actions
-            if isinstance(action, argparse._SubParsersAction)
-        ]
+        _, subcommands = _build_parser()
         checked = 0
         for command, sub in subcommands.items():
             for action in sub._actions:
@@ -594,6 +624,14 @@ class TestConfig:
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         assert cli_main(["stats", "--config", str(tmp_path / "none.cfg")]) == EXIT_USAGE
+
+    def test_undecodable_config_is_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "pb.cfg"
+        cfg.write_bytes(b"dir = \xff\n")
+        assert cli_main(["stats", "--config", str(cfg)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot read config {str(cfg)!r}: 'utf-8' codec")
+        assert err.count("\n") == 1
 
     def test_flag_values_are_booleans(self, one_file, tmp_path, capsys):
         cfg = tmp_path / "pb.cfg"

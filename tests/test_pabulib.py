@@ -18,6 +18,7 @@ from pbrules.pabulib import (
     PabulibParseError,
     ingest_directory,
     parse_pabulib,
+    read_pabulib,
     write_pabulib,
 )
 
@@ -62,6 +63,25 @@ class TestParsing:
                 text = text.replace("key;value\n", f"key;value\n{meta_line}\n")
             instance, _ = parse_pabulib(text, source="netherlands_amsterdam_644.pb")
             assert instance.instance_id == expected, meta_line
+
+    @pytest.mark.parametrize("name, instance_id", [("basic.pb", "101"), ("minimal.pb", "minimal")])
+    def test_read_file_is_the_parse_of_its_text(self, name, instance_id):
+        instance, profile = read_pabulib(DATA / name)
+        assert (instance, profile) == parse_pabulib(read_fixture(name), source=name)
+        assert instance.instance_id == instance_id
+        assert read_pabulib(str(DATA / name)) == (instance, profile)
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "binary"])
+    def test_unreadable_file(self, tmp_path, kind):
+        path = tmp_path / "city_1.pb"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "binary":
+            path.write_bytes(b"\xff\xfe\x00junk")
+        with pytest.raises(PabulibParseError) as info:
+            read_pabulib(path)
+        assert info.value.code == "unreadable"
+        assert info.value.line is None
 
     def test_bom_and_crlf_tolerated(self):
         text = "﻿" + read_fixture("minimal.pb").replace("\n", "\r\n")
@@ -343,6 +363,16 @@ class TestWriting:
             write_pabulib(instance, profile)
         assert str(info.value).startswith(message)
 
+    @pytest.mark.parametrize("column", ["project_id", "cost", "name", "category"])
+    def test_rejects_an_extra_column_with_a_reserved_name(self, column):
+        # written as an extra column, each would come back as a duplicate
+        # column, a wider row or a Project field, not as the extra value
+        instance, profile = parse_pabulib(read_fixture("minimal.pb"))
+        projects = (dataclasses.replace(instance.projects[0], extra={column: "x"}),)
+        instance = dataclasses.replace(instance, projects=projects + instance.projects[1:])
+        with pytest.raises(ValueError, match=f"extra project column '{column}' is a reserved"):
+            write_pabulib(instance, profile)
+
     @given(st.integers(0, 2**32 - 1))
     def test_round_trip_random(self, seed):
         import random
@@ -460,25 +490,28 @@ class TestIngest:
             encoding="utf-8",
         )
         (tmp_path / "garbage.pb").write_text("what;ever\n", encoding="utf-8")
-        (tmp_path / "binary.pb").write_bytes(b"\xff\xfe\x00junk")
+        binary = b"\xff\xfe\x00junk"
+        (tmp_path / "binary.pb").write_bytes(binary)
         (tmp_path / "ignored.txt").write_text("not a pb file", encoding="utf-8")
 
         result = ingest_directory(tmp_path, IngestFilter(min_voters=3, min_projects=2))
         ids = [inst.instance_id for inst, _ in result.accepted]
         assert ids == ["2", "10", "x"]
 
-        reasons = {s.file: s.reason for s in result.skipped}
-        assert reasons["costless.pb"] == "missing cost"
-        assert reasons["novotes.pb"] == "missing votes"
-        assert reasons["garbage.pb"].startswith("parse error: line 1:")
-        assert reasons["binary.pb"].startswith("unreadable:")
-        assert reasons["small_votes.pb"] == "too few voters (2 < 3)"
-        assert reasons["small_projects.pb"] == "too few projects (1 < 2)"
-
-        lines = result.skip_report_lines()
-        assert len(lines) == 6
-        parsed = [json.loads(line) for line in lines]
-        assert all(set(entry) == {"file", "reason"} for entry in parsed)
+        with pytest.raises(UnicodeDecodeError) as decoding:
+            binary.decode("utf-8")
+        reasons = {
+            "binary.pb": f"unreadable: {decoding.value}",
+            "costless.pb": "missing cost",
+            "garbage.pb": "parse error: line 1: data before any section header",
+            "novotes.pb": "missing votes",
+            "small_projects.pb": "too few projects (1 < 2)",
+            "small_votes.pb": "too few voters (2 < 3)",
+        }
+        assert result.skip_report_lines() == [
+            json.dumps({"file": file, "reason": reason}, sort_keys=True)
+            for file, reason in reasons.items()
+        ]
 
     def test_empty_projects_section_is_a_parse_error(self, tmp_path):
         (tmp_path / "empty.pb").write_text(NO_PROJECTS, encoding="utf-8")
