@@ -17,7 +17,6 @@ import io
 import json
 import operator
 import statistics
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -179,6 +178,8 @@ def _map_jobs(worker, work: list, jobs: int) -> list:
     workers = min(jobs, len(work))
     if workers <= 1:
         return [worker(item) for item in work]
+    from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, work))
 

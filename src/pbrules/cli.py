@@ -232,6 +232,14 @@ def _write_out(text: str, path: str | None) -> None:
         raise _DataError(f"cannot write {path}: {exc}") from None
 
 
+def _check_outputs(args) -> None:
+    """Report an output directory that does not exist before any input is read."""
+    for dest in ("out", "raw_out", "ledger_out", "skip_report"):
+        path = getattr(args, dest, None)
+        if path and not Path(path).parent.is_dir():
+            raise _DataError(f"cannot write {path}: no such directory: {Path(path).parent}")
+
+
 def _ingest(args) -> tuple:
     directory = args.dir or os.environ.get("PB_DATA_DIR")
     if not directory:
@@ -348,6 +356,7 @@ def cli_main(argv=None) -> int:
         except SystemExit as exc:  # --help / --version
             return int(exc.code or 0)
         _check_config(subcommands, args, mapping)
+        _check_outputs(args)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

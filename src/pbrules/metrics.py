@@ -8,8 +8,7 @@ scale-invariant, needs no per-voter fraction.
 Results stay exact: each reported number is one
 :class:`fractions.Fraction`, built at the end.  Only the proportionality
 index, an exponential of a root mean square, is a float.  Functions
-taking an allocation accept either an :class:`Allocation` or a plain set
-of project ids.
+taking an allocation take the :class:`Allocation` a rule returns.
 """
 
 from __future__ import annotations
@@ -19,31 +18,25 @@ import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import AbstractSet, Sequence
+from typing import Sequence
 
 from .model import (
     Allocation,
     Instance,
     Money,
     Profile,
-    _selected,
     compile_election,
     total_cost,
 )
 
 
-def similarity(
-    first: Allocation | AbstractSet[str],
-    second: Allocation | AbstractSet[str],
-    instance: Instance,
-) -> Fraction:
+def similarity(first: Allocation, second: Allocation, instance: Instance) -> Fraction:
     """Cost-weighted overlap: cost of the intersection over the mean cost
     of the two selections.  1 when both are empty, and 1 iff equal sets."""
-    a, b = _selected(first), _selected(second)
-    denominator = total_cost(a, instance) + total_cost(b, instance)
+    denominator = first.total_cost + second.total_cost
     if denominator == 0:
         return Fraction(1)
-    return Fraction(2) * total_cost(a & b, instance) / denominator
+    return Fraction(2) * total_cost(first.selected & second.selected, instance) / denominator
 
 
 def gini(values: Sequence[Fraction | int]) -> Fraction:
@@ -109,18 +102,17 @@ class CategoryReport:
 def category_proportionality(
     profile: Profile,
     instance: Instance,
-    allocation: Allocation | AbstractSet[str],
+    allocation: Allocation,
 ) -> CategoryReport | None:
     """Build the :class:`CategoryReport`, or None when the instance has no
     category labels or the allocation is empty (supply shares undefined).
     The demand shares are computed once per compiled election."""
-    labels = instance.category_labels
-    chosen = _selected(allocation)
-    if not labels or not chosen:
-        return None
     election = compile_election(instance, profile)
+    labels = election.labels
+    if not labels or not allocation:
+        return None
     voter_shares, excluded = election.demand
-    funded = election.funded(chosen)
+    funded = election.funded(allocation)
     supply = sum(funded)
     entries = []
     gap_squares = 0.0
@@ -141,8 +133,8 @@ def category_proportionality(
 def effect_score(
     instance: Instance,
     profile: Profile,
-    greed_allocation: Allocation | AbstractSet[str],
-    mes_allocation: Allocation | AbstractSet[str],
+    greed_allocation: Allocation,
+    mes_allocation: Allocation,
 ) -> float | None:
     """How much switching from the greedy rule to equal shares helps:
     the mean of the proportionality gain and the satisfaction-Gini drop.
@@ -190,21 +182,18 @@ METRIC_COLUMNS = (
 )
 
 
-def median_selected_cost(
-    allocation: Allocation | AbstractSet[str], instance: Instance
-) -> Money | None:
-    chosen = _selected(allocation)
-    if not chosen:
+def median_selected_cost(allocation: Allocation, instance: Instance) -> Money | None:
+    if not allocation:
         return None
-    return statistics.median(instance.cost_of(pid) for pid in chosen)
+    return statistics.median(instance.cost_of(pid) for pid in allocation.selected)
 
 
 def metric_row(
     instance: Instance,
     profile: Profile,
     rule_name: str,
-    allocation: Allocation | AbstractSet[str],
-    baseline: Allocation | AbstractSet[str],
+    allocation: Allocation,
+    baseline: Allocation,
 ) -> dict:
     """One per-instance result row, keyed exactly by METRIC_COLUMNS.
     ``baseline`` is the allocation similarity is measured against (the
@@ -219,7 +208,7 @@ def metric_row(
         "instance_id": instance.instance_id,
         "rule": rule_name,
         "similarity": similarity(allocation, baseline, instance),
-        "winners": len(_selected(allocation)),
+        "winners": len(allocation),
         "median_cost": median_selected_cost(allocation, instance),
         "proportionality": report.proportionality if report else None,
         "avg_satisfaction": Fraction(sum(funding), election.cost_den * n)

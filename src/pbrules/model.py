@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Money = Fraction
 
@@ -330,12 +330,6 @@ def is_complete(allocation: Allocation, instance: Instance) -> bool:
     )
 
 
-def _selected(allocation: Allocation | AbstractSet[str]) -> frozenset[str]:
-    if isinstance(allocation, Allocation):
-        return allocation.selected
-    return frozenset(allocation)
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledElection:
     """An instance and its profile in integers, shared by every layer.
@@ -364,9 +358,9 @@ class CompiledElection:
     labels: tuple[str, ...]
     members: dict[str, tuple[int, ...]]
 
-    def funded(self, allocation: Allocation | AbstractSet[str]) -> list[int]:
+    def funded(self, allocation: Allocation) -> list[int]:
         """Per project, its int cost when ``allocation`` funds it, else 0."""
-        chosen = _selected(allocation)
+        chosen = allocation.selected
         return [cost if pid in chosen else 0 for pid, cost in zip(self.ids, self.costs)]
 
     def per_voter(self, weights: Sequence[int]) -> list[int]:
@@ -375,7 +369,7 @@ class CompiledElection:
         weight = weights.__getitem__
         return [sum(map(weight, ballot)) for ballot in self.ballots]
 
-    def voter_funding(self, allocation: Allocation | AbstractSet[str]) -> list[int]:
+    def voter_funding(self, allocation: Allocation) -> list[int]:
         """Per voter, the funded cost of their approved projects as an int
         over ``cost_den``; ballot order."""
         return self.per_voter(self.funded(allocation))

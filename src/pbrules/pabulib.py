@@ -25,7 +25,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from .model import (
-    Allocation,
     Instance,
     Profile,
     Project,
@@ -305,17 +304,14 @@ def _field(text: str, what: str, comma: bool = True, padded: bool = False) -> st
     return text
 
 
-def write_pabulib(
-    instance: Instance,
-    profile: Profile,
-    allocation: Allocation | None = None,
-) -> str:
+def write_pabulib(instance: Instance, profile: Profile) -> str:
     """Serialize back to PaBuLib text.
 
-    The META counts and budget are regenerated from the objects; when
-    ``allocation`` is given a trailing ``selected`` column marks winners
-    with 1 and losers with 0.  Output parses back to equal objects, so
-    this is the round-trip inverse of :func:`parse_pabulib`.
+    The META counts and budget are regenerated from the objects.  Output
+    parses back to equal objects, so this is the round-trip inverse of
+    :func:`parse_pabulib`.  A ``selected`` column, like any other extra
+    column, is written from :attr:`Project.extra`; to mark winners, set
+    it on each project first, e.g. with ``dataclasses.replace``.
 
     Values the parser would not read back raise ValueError naming the
     project, voter or META key:
@@ -347,8 +343,6 @@ def write_pabulib(
     for col in extra_columns:
         if col in _PROJECT_COLUMNS:
             raise ValueError(f"extra project column {col!r} is a reserved column")
-    if allocation is not None and "selected" in extra_columns:
-        extra_columns.remove("selected")
 
     columns = ["project_id", "cost"]
     if any(p.name is not None for p in instance.projects):
@@ -356,8 +350,6 @@ def write_pabulib(
     if any(p.categories for p in instance.projects):
         columns.append("category")
     columns.extend(_field(col, "project column") for col in extra_columns)
-    if allocation is not None:
-        columns.append("selected")
 
     lines.append("PROJECTS")
     lines.append(";".join(columns))
@@ -374,8 +366,6 @@ def write_pabulib(
             row.append(",".join(_field(label, f"{what} category", comma=False) for label in labels))
         for col in extra_columns:
             row.append(_field(project.extra.get(col, ""), f"{what} {col!r} value", padded=True))
-        if allocation is not None:
-            row.append("1" if project.id in allocation.selected else "0")
         lines.append(";".join(row))
 
     lines.append("VOTES")

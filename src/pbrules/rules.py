@@ -20,7 +20,6 @@ the money left over.
 from __future__ import annotations
 
 import enum
-import json
 import math
 import operator
 from bisect import bisect_right
@@ -125,7 +124,7 @@ class MesLedger:
     compares them and the first four fields.
 
     :meth:`to_json` writes the JSON text itself, byte for byte what
-    ``json.dumps(..., indent=2)`` writes for :meth:`to_json_dict`, with
+    ``json.dumps(..., indent=2)`` writes for the fields ``==`` compares,
     every value exact (see :func:`~pbrules.model.format_money`).  It and
     :func:`emit_trace` read the groups: each distinct value is formatted
     once per ledger, and the per-payer and per-wallet work is lookups,
@@ -197,9 +196,6 @@ class MesLedger:
         dens = map(operator.floordiv, repeat(units), gcds)
         texts.update(zip(new, map(self._format, nums, dens)))
         return texts
-
-    def to_json_dict(self) -> dict:
-        return json.loads(self.to_json())
 
     def to_json(self) -> str:
         names = list(map(encode_basestring_ascii, self.voters))

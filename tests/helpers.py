@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import oracle
 from pbrules._mes_pure import payment_cap
-from pbrules.model import Allocation, ApprovalBallot, Instance, Profile, Project
+from pbrules.model import Allocation, ApprovalBallot, Instance, Profile, Project, total_cost
 from pbrules.rules import mes
 
 STAR_FIELDS = ("allocation", "status", "chosen_round", "rounds_examined", "budget_used")
@@ -22,6 +22,13 @@ ANY_DENOMS = DECIMAL_DENOMS + (3, 7)
 # Characters that JSON escapes in an id: a quote, a backslash, a control
 # character, a non-ASCII one and one outside the BMP (a surrogate pair).
 ESCAPED = ('"', "\\", "\t", "\u00e9", "\U0001f600")
+
+
+def allocation_of(ids, instance: Instance) -> Allocation:
+    """The :class:`Allocation` of the project ``ids`` with its exact
+    total, feasible or not: the metric functions take no plain sets."""
+    chosen = frozenset(ids)
+    return Allocation(chosen, total_cost(chosen, instance))
 
 
 def random_instance(

@@ -165,8 +165,8 @@ def topup_bruteforce(base_ids, instance: Instance, profile: Profile):
 
 
 def ledger_json_dict(ledger):
-    """``MesLedger.to_json_dict`` by definition: every money value is
-    formatted on its own."""
+    """The dict ``MesLedger.to_json`` renders, by definition: every money
+    value is formatted on its own."""
     return {
         "run_budget": format_money(ledger.run_budget),
         "initial_share": format_money(ledger.initial_share),

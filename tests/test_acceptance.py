@@ -546,8 +546,8 @@ def _invariant_failures(count: int) -> list[str]:
 
         instance, _ = helpers.random_instance(rng, tag=f"inv-{k}")
         ids = sorted(instance.project_ids)
-        left = frozenset(p for p in ids if rng.random() < 0.5)
-        right = frozenset(p for p in ids if rng.random() < 0.5)
+        left = helpers.allocation_of((p for p in ids if rng.random() < 0.5), instance)
+        right = helpers.allocation_of((p for p in ids if rng.random() < 0.5), instance)
         s = similarity(left, right, instance)
         if not (0 <= s <= 1):
             failures.append(f"similarity out of range: {s}")
@@ -555,8 +555,8 @@ def _invariant_failures(count: int) -> list[str]:
         if similarity(right, left, instance) != s:
             failures.append("similarity not symmetric")
             break
-        if (s == 1) != (left == right):
-            failures.append(f"similarity 1 on unequal sets: {left} vs {right}")
+        if (s == 1) != (left.selected == right.selected):
+            failures.append(f"similarity 1 on unequal sets: {left.selected} vs {right.selected}")
             break
     return failures
 

@@ -1,5 +1,6 @@
 """Corpus analysis: descriptive stats, rule comparison, quadrants, extremes."""
 
+import concurrent.futures
 import csv
 import io
 import json
@@ -8,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from pbrules import analysis, rules
+from pbrules import rules
 from pbrules.analysis import (
     AGGREGATE_METRICS,
     QUADRANT_LABELS,
@@ -141,7 +142,7 @@ class TestCompareRules:
             def map(self, worker, work):
                 return map(worker, work)
 
-        monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         dataset = categorized_dataset(43, 2)
         specs = self.make_specs()
         assert compare_rules(dataset, specs, jobs=500) == compare_rules(dataset, specs)

@@ -15,6 +15,7 @@ import pytest
 
 import helpers
 import oracle
+from pbrules import cli
 from pbrules.analysis import STAT_COLUMNS, _render
 from pbrules.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, _build_parser, cli_main
 from pbrules.metrics import METRIC_COLUMNS
@@ -461,32 +462,49 @@ class TestCompare:
         assert cli_main(argv + ["--dir", str(tmp_path / "missing")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("stats", "--out"),
+        ("stats", "--skip-report"),
+        ("run", "--out"),
+        ("run", "--ledger-out"),
+        ("compare", "--out"),
+        ("compare", "--raw-out"),
+        ("extremes", "--out"),
+    ],
+)
 class TestUnwritableOutput:
-    """An output path in a directory that does not exist is a data error
-    reported in one line, for every option that writes a file."""
+    """An output path that cannot be written is a data error reported in
+    one line, for every option that writes a file; one in a directory
+    that does not exist is reported before any input is read."""
 
-    @pytest.mark.parametrize(
-        "command, flag",
-        [
-            ("stats", "--out"),
-            ("stats", "--skip-report"),
-            ("run", "--out"),
-            ("run", "--ledger-out"),
-            ("compare", "--out"),
-            ("compare", "--raw-out"),
-            ("extremes", "--out"),
-        ],
-    )
-    def test_is_data_error(self, corpus, tmp_path, capsys, command, flag):
-        target = tmp_path / "missing" / "out.txt"
+    @staticmethod
+    def argv(command, corpus):
         if command == "run":
-            argv = ["run", "--file", str(corpus / "city_1.pb"), "--rule", "mes"]
-        else:
-            argv = [command, "--dir", str(corpus)]
-        assert cli_main([*argv, flag, str(target)]) == EXIT_DATA
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith(f"pbrules: data error: cannot write {target}: ")
+            return ["run", "--file", str(corpus / "city_1.pb"), "--rule", "mes"]
+        return [command, "--dir", str(corpus)]
+
+    def test_is_data_error(self, corpus, tmp_path, capsys, monkeypatch, command, flag):
+        def unread(*args):
+            raise AssertionError("an input was read before the outputs were checked")
+
+        monkeypatch.setattr(cli, "read_pabulib", unread)
+        monkeypatch.setattr(cli, "ingest_directory", unread)
+        target = tmp_path / "missing" / "out.txt"
+        assert cli_main([*self.argv(command, corpus), flag, str(target)]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"pbrules: data error: cannot write {target}: no such directory: {target.parent}"
+        ]
         assert not target.parent.exists()
+
+    def test_directory_as_output_is_data_error(self, corpus, tmp_path, capsys, command, flag):
+        # the directory exists, so only the write itself fails
+        assert cli_main([*self.argv(command, corpus), flag, str(tmp_path)]) == EXIT_DATA
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"pbrules: data error: cannot write {tmp_path}: ")
 
 
 class TestEmptyBallots:

@@ -1,6 +1,9 @@
 """The public names of the package, and the names each module imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pbrules
@@ -37,3 +40,20 @@ def test_no_module_imports_a_name_it_does_not_use():
                     if bound not in used:
                         unused.append(f"{path.name}: {bound}")
     assert unused == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # multiprocessing is imported only when --jobs starts a pool
+    source = str(Path(pbrules.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, pbrules, pbrules.cli;"
+            " print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))",
+        ],
+        env={**os.environ, "PYTHONPATH": source},
+        capture_output=True, text=True, encoding="utf-8", timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -58,6 +58,11 @@ INSTANCE, PROFILE = build(
 )
 
 
+def chosen(*ids, instance=INSTANCE):
+    """The allocation of project ``ids`` on ``instance``."""
+    return helpers.allocation_of(ids, instance)
+
+
 # every ballot is empty: no voter has a demand share to average
 EMPTY_BALLOTS = build(
     [("a", 5), ("b", 3)],
@@ -70,23 +75,23 @@ EMPTY_BALLOTS = build(
 class TestSimilarity:
     def test_hand_values(self):
         # costs: {a,b} = 10, {b,c} = 16, intersection {b} = 6.
-        assert similarity({"a", "b"}, {"b", "c"}, INSTANCE) == Fraction(12, 26)
-        assert similarity({"a"}, {"a"}, INSTANCE) == 1
-        assert similarity({"a"}, {"c"}, INSTANCE) == 0
-        assert similarity(set(), set(), INSTANCE) == 1
-        assert similarity(set(), {"a"}, INSTANCE) == 0
+        assert similarity(chosen("a", "b"), chosen("b", "c"), INSTANCE) == Fraction(12, 26)
+        assert similarity(chosen("a"), chosen("a"), INSTANCE) == 1
+        assert similarity(chosen("a"), chosen("c"), INSTANCE) == 0
+        assert similarity(chosen(), chosen(), INSTANCE) == 1
+        assert similarity(chosen(), chosen("a"), INSTANCE) == 0
 
     def test_invariants(self):
         rng = random.Random(31)
         for _ in range(120):
             instance, _ = helpers.random_instance(rng)
             ids = sorted(instance.project_ids)
-            first = {pid for pid in ids if rng.random() < 0.5}
-            second = {pid for pid in ids if rng.random() < 0.5}
+            first = chosen(*(pid for pid in ids if rng.random() < 0.5), instance=instance)
+            second = chosen(*(pid for pid in ids if rng.random() < 0.5), instance=instance)
             value = similarity(first, second, instance)
             assert 0 <= value <= 1
             assert value == similarity(second, first, instance)
-            assert (value == 1) == (first == second)
+            assert (value == 1) == (first.selected == second.selected)
 
 
 class TestDistributions:
@@ -94,7 +99,7 @@ class TestDistributions:
         # funded cost per voter, as ints over the common cost denominator
         election = compile_election(INSTANCE, PROFILE)
         assert election.cost_den == 1
-        assert election.voter_funding({"a", "b"}) == [10, 6, 0, 0]
+        assert election.voter_funding(chosen("a", "b")) == [10, 6, 0, 0]
 
     def test_gini_hand_values(self):
         assert gini([1, 1, 1]) == 0
@@ -124,7 +129,7 @@ class TestDistributions:
 
     def test_effort_split_and_conservation(self):
         election = compile_election(INSTANCE, PROFILE)
-        weights, scale = election.effort_weights(election.funded({"a", "b"}))
+        weights, scale = election.effort_weights(election.funded(chosen("a", "b")))
         values = election.per_voter(weights)
         # a has one approver (v1), b has two (v1, v2): ints over cost_den * 2
         assert (election.cost_den, scale) == (1, 2)
@@ -138,16 +143,17 @@ class TestDistributions:
             [("v1", {"a"})],
         )
         election = compile_election(instance, profile)
-        weights, _ = election.effort_weights(election.funded({"a", "b"}))
+        weights, _ = election.effort_weights(election.funded(chosen("a", "b", instance=instance)))
         assert election.per_voter(weights) == [4]
 
     def test_happiness(self):
-        def happiness(chosen):
-            return metric_row(INSTANCE, PROFILE, "mes", chosen, chosen)["happiness"]
+        def happiness(*ids):
+            allocation = chosen(*ids)
+            return metric_row(INSTANCE, PROFILE, "mes", allocation, allocation)["happiness"]
 
-        assert happiness({"a"}) == Fraction(1, 4)
-        assert happiness({"b"}) == Fraction(2, 4)
-        assert happiness(set()) == 0
+        assert happiness("a") == Fraction(1, 4)
+        assert happiness("b") == Fraction(2, 4)
+        assert happiness() == 0
 
 
 class TestCategories:
@@ -177,7 +183,8 @@ class TestCategories:
                 ]
                 expected = sum(shares, Fraction(0)) / len(shares) if shares else 0
                 assert voter_category_share(profile, instance, label) == expected
-            report = category_proportionality(profile, instance, instance.project_ids)
+            everything = chosen(*instance.project_ids, instance=instance)
+            report = category_proportionality(profile, instance, everything)
             if report is None:
                 assert not labels
                 continue
@@ -187,15 +194,15 @@ class TestCategories:
             ]
 
     def test_rule_share(self):
-        report = category_proportionality(PROFILE, INSTANCE, {"a", "b"})
+        report = category_proportionality(PROFILE, INSTANCE, chosen("a", "b"))
         assert [(e.label, e.rule_share) for e in report.entries] == [
             ("parks", Fraction(4, 10)),
             ("roads", Fraction(6, 10)),
         ]
-        assert category_proportionality(PROFILE, INSTANCE, set()) is None
+        assert category_proportionality(PROFILE, INSTANCE, chosen()) is None
 
     def test_report(self):
-        report = category_proportionality(PROFILE, INSTANCE, {"a", "b"})
+        report = category_proportionality(PROFILE, INSTANCE, chosen("a", "b"))
         assert report is not None
         assert [e.label for e in report.entries] == ["parks", "roads"]
         assert report.excluded_voters == 1
@@ -212,13 +219,13 @@ class TestCategories:
     def test_report_none_cases(self):
         # No categories at all.
         instance, profile = build([("a", 4)], 10, [("v1", {"a"})])
-        assert category_proportionality(profile, instance, {"a"}) is None
+        assert category_proportionality(profile, instance, chosen("a", instance=instance)) is None
         # Empty allocation.
-        assert category_proportionality(PROFILE, INSTANCE, set()) is None
+        assert category_proportionality(PROFILE, INSTANCE, chosen()) is None
 
     def test_every_ballot_empty(self):
         instance, profile = EMPTY_BALLOTS
-        report = category_proportionality(profile, instance, {"a"})
+        report = category_proportionality(profile, instance, chosen("a", instance=instance))
         assert [(e.label, e.voter_share) for e in report.entries] == [("parks", 0), ("roads", 0)]
         assert report.excluded_voters == profile.voter_count == 2
 
@@ -229,7 +236,7 @@ class TestCategories:
             [("v1", {"a"}), ("v2", {"b"})],
             categories={"a": ("parks",), "b": ("roads",)},
         )
-        report = category_proportionality(profile, instance, {"a", "b"})
+        report = category_proportionality(profile, instance, chosen("a", "b", instance=instance))
         assert report.disproportionality == 0
         assert report.proportionality == 1.0
 
@@ -237,8 +244,8 @@ class TestCategories:
 class TestEffectScore:
     def test_positive_when_shares_rebalance(self):
         # Greedy funds only roads; the fairer selection matches demand.
-        greed = {"b", "c"}
-        fair = {"a", "b"}
+        greed = chosen("b", "c")
+        fair = chosen("a", "b")
         score = effect_score(INSTANCE, PROFILE, greed, fair)
         greed_report = category_proportionality(PROFILE, INSTANCE, greed)
         fair_report = category_proportionality(PROFILE, INSTANCE, fair)
@@ -253,22 +260,23 @@ class TestEffectScore:
         assert score == pytest.approx(expected)
 
     def test_none_when_undefined(self):
-        assert effect_score(INSTANCE, PROFILE, set(), {"a"}) is None
+        assert effect_score(INSTANCE, PROFILE, chosen(), chosen("a")) is None
         instance, profile = build([("a", 4)], 10, [("v1", {"a"})])
-        assert effect_score(instance, profile, {"a"}, {"a"}) is None
+        only = chosen("a", instance=instance)
+        assert effect_score(instance, profile, only, only) is None
 
     def test_zero_for_identical_allocations(self):
-        assert effect_score(INSTANCE, PROFILE, {"a", "b"}, {"a", "b"}) == 0.0
+        assert effect_score(INSTANCE, PROFILE, chosen("a", "b"), chosen("a", "b")) == 0.0
 
 
 class TestRows:
     def test_median_selected_cost(self):
-        assert median_selected_cost({"a", "b"}, INSTANCE) == 5
-        assert median_selected_cost({"a", "b", "c"}, INSTANCE) == 6
-        assert median_selected_cost(set(), INSTANCE) is None
+        assert median_selected_cost(chosen("a", "b"), INSTANCE) == 5
+        assert median_selected_cost(chosen("a", "b", "c"), INSTANCE) == 6
+        assert median_selected_cost(chosen(), INSTANCE) is None
 
     def test_metric_row_keys_and_values(self):
-        row = metric_row(INSTANCE, PROFILE, "mes+", {"a", "b"}, {"b", "c"})
+        row = metric_row(INSTANCE, PROFILE, "mes+", chosen("a", "b"), chosen("b", "c"))
         assert tuple(row) == METRIC_COLUMNS
         assert row["rule"] == "mes+"
         assert row["similarity"] == Fraction(12, 26)
@@ -280,13 +288,14 @@ class TestRows:
 
     def test_metric_row_with_every_ballot_empty(self):
         instance, profile = EMPTY_BALLOTS
-        row = metric_row(instance, profile, "mes", {"a"}, {"a"})
+        only = chosen("a", instance=instance)
+        row = metric_row(instance, profile, "mes", only, only)
         assert row["proportionality"] is not None
         assert row["happiness"] == 0
         assert row["gini_cost"] == 0
 
     def test_metric_row_handles_empty_allocation(self):
-        row = metric_row(INSTANCE, PROFILE, "mes", set(), {"a"})
+        row = metric_row(INSTANCE, PROFILE, "mes", chosen(), chosen("a"))
         assert row["winners"] == 0
         assert row["median_cost"] is None
         assert row["proportionality"] is None

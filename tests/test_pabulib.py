@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from pbrules.model import Allocation, ApprovalBallot, Instance, Profile, Project, compile_election
+from pbrules.model import ApprovalBallot, Instance, Profile, Project, compile_election
 from pbrules.pabulib import (
     IngestFilter,
     PabulibParseError,
@@ -270,33 +270,32 @@ class TestWriting:
         assert write_pabulib(again_instance, again_profile) == text
 
     def test_selected_column(self):
+        # a selected column is an extra column like any other: written from
+        # Project.extra in sorted column order and read back unchanged
         instance, profile = parse_pabulib(read_fixture("minimal.pb"))
-        allocation = Allocation.of({"a"}, instance)
-        text = write_pabulib(instance, profile, allocation)
-        lines = text.splitlines()
-        header = lines[lines.index("PROJECTS") + 1]
-        assert header.endswith(";selected")
-        rows = {r.split(";")[0]: r.split(";")[-1] for r in lines[lines.index("PROJECTS") + 2 : lines.index("VOTES")]}
-        assert rows == {"a": "1", "b": "0"}
-        # a selected column the projects already carry gives way to the allocation's
+        winners = {"a"}
         marked = Instance(
             projects=tuple(
-                dataclasses.replace(p, extra={"note": p.id, "selected": "1"})
+                dataclasses.replace(
+                    p, extra={"selected": "1" if p.id in winners else "0", "note": p.id}
+                )
                 for p in instance.projects
             ),
             budget_limit=instance.budget_limit,
             meta=instance.meta,
         )
-        text = write_pabulib(marked, profile, Allocation.of({"a"}, marked))
+        text = write_pabulib(marked, profile)
         lines = text.splitlines()
         assert lines[lines.index("PROJECTS") + 1].split(";") == [
             "project_id", "cost", "note", "selected"
         ]
-        again, _ = parse_pabulib(text)
+        again, again_profile = parse_pabulib(text)
+        assert again == marked
         assert {p.id: p.extra for p in again.projects} == {
             "a": {"note": "a", "selected": "1"},
             "b": {"note": "b", "selected": "0"},
         }
+        assert write_pabulib(again, again_profile) == text
 
     def test_votes_sorted_numerically(self):
         instance = Instance(
