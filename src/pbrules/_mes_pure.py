@@ -170,6 +170,8 @@ class MesEngine:
         # the projects in tie order: sorting them by bound key alone, a
         # stable sort, orders them by (bound key, tie rank)
         self._by_rank = sorted(range(self.m), key=tie_rank.__getitem__)
+        # the projects by approver count, descending, for the certificate
+        self._by_count = sorted(range(self.m), key=lambda p: -len(approver_lists[p]))
         # per-run money in units of 1/_units.  Voter i holds the wallet
         # _wallets[_class[i]]; slot 0 is the empty class, shared by every
         # voter who has paid out a whole wallet, and a purchase appends
@@ -349,7 +351,6 @@ class MesEngine:
         units: int,
         limit_num: int,
         limit_den: int,
-        by_count: list[int],
         hint: int = 1,
     ) -> tuple[int, int, list[int] | None, int] | None:
         """Check what equal shares buys at a share s0 and bound how far
@@ -388,8 +389,7 @@ class MesEngine:
         there, or past ``limit_num / limit_den``.  ``guess``, what the
         next round should buy, is ``selected`` after a peel event,
         ``selected + [q]`` when q's approvers reach its cost, else None;
-        ``payers`` multiplies the payer counts.  ``by_count`` lists the
-        projects by approver count, descending.  The replay starts in
+        ``payers`` multiplies the payer counts.  The replay starts in
         units ``hint`` times smaller: the ``payers`` of a replay with
         the same payer counts spare every O(n) refinement.
         """
@@ -403,7 +403,7 @@ class MesEngine:
         best_num, best_den, guess = limit_num, limit_den, None
         payers = 1
         # the unbought projects not settled yet, by approver count
-        live = list(by_count)
+        live = list(self._by_count)
         for b in selected:
             order = sorted(approvers[b], key=val.__getitem__)
             found = payment_cap(val, order, costs[b])
@@ -549,7 +549,6 @@ class MesEngine:
         costs = [c * budget.denominator for c in self._cost_units]
         budget_units = budget.numerator * self._cost_den
         by_cost = sorted(range(self.m), key=costs.__getitem__)
-        by_count = sorted(range(self.m), key=lambda p: -len(self.approvers[p]))
         # round r shares (base + r * step) / den among the voters
         den = budget.denominator * epsilon.denominator * self.n
         base = budget.numerator * epsilon.denominator
@@ -567,7 +566,7 @@ class MesEngine:
             if guess is not None:
                 # the certificate expects this round to buy ``guess``: a
                 # replay checks that before the engine runs
-                found = self._certificate(guess, wallet, units, limit, den, by_count, hint)
+                found = self._certificate(guess, wallet, units, limit, den, hint)
             if found is not None:
                 selected = guess
             else:
@@ -581,7 +580,7 @@ class MesEngine:
                 return selected, r, r + 1, STATUS_COMPLETE, rounds_run
             previous = selected
             if found is None:
-                found = self._certificate(selected, wallet, units, limit, den, by_count, hint)
+                found = self._certificate(selected, wallet, units, limit, den, hint)
             # go on at the first round at or past the certificate
             num, cert_den, guess, hint = found
             r += max(1, -(-num * den // (cert_den * step)))

@@ -8,12 +8,13 @@ unwritable output paths, empty corpus).
 
 ``--dir`` defaults to the PB_DATA_DIR environment variable.  ``--config``
 names a flat key=value file whose keys mirror the long option names;
-explicit flags win over the config, the config wins over defaults.  A
+explicit flags win over the config, the config wins over defaults.  Every
 config value is converted and checked by its option's ``type`` and
 ``choices``, as a flag value is, before any command runs; that holds
-for a key whose option only another subcommand has too.  An on/off
-flag takes 1/true/yes/on or 0/false/no/off, in any case.  A key may
-appear once.
+for a value a flag overrides and for a key whose option only another
+subcommand has too, so ``epsilon`` must be positive and
+``max-iterations`` at least 1 for every command.  An on/off flag takes
+1/true/yes/on or 0/false/no/off, in any case.  A key may appear once.
 """
 
 from __future__ import annotations
@@ -67,11 +68,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _config_keys(subcommands: dict[str, argparse.ArgumentParser]) -> dict[str, bool]:
-    """Dests of the subcommands' long options, minus config and help,
-    each mapped to whether it is an on/off flag."""
+def _options(subcommands: dict[str, argparse.ArgumentParser]) -> dict[str, argparse.Action]:
+    """The subcommands' long options, minus config and help, by dest; a
+    dest shared by several subcommands has one type and one choices."""
     return {
-        action.dest: isinstance(action, argparse._StoreTrueAction)
+        action.dest: action
         for sub in subcommands.values()
         for action in sub._actions
         if action.dest not in ("config", "help")
@@ -79,7 +80,7 @@ def _config_keys(subcommands: dict[str, argparse.ArgumentParser]) -> dict[str, b
     }
 
 
-def _load_config(path: str, keys: dict[str, bool]) -> dict[str, str | bool]:
+def _load_config(path: str, options: dict[str, argparse.Action]) -> dict[str, str | bool]:
     """The values of the config file at ``path`` by option dest; an
     on/off flag's value becomes a bool."""
     mapping: dict[str, str | bool] = {}
@@ -96,11 +97,11 @@ def _load_config(path: str, keys: dict[str, bool]) -> dict[str, str | bool]:
             raise _UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = key.strip(), value.strip()
         dest = key.replace("-", "_")
-        if dest not in keys:
+        if dest not in options:
             raise _UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         if dest in mapping:
             raise _UsageError(f"{path}:{lineno}: duplicate config key {key!r}")
-        if keys[dest]:  # a store_true flag has no type to convert its value
+        if options[dest].nargs == 0:  # an on/off flag has no type to convert its value
             if value.lower() not in _ON + _OFF:
                 raise _UsageError(
                     f"{path}:{lineno}: config key {key!r} is on ({'/'.join(_ON)}) "
@@ -112,23 +113,15 @@ def _load_config(path: str, keys: dict[str, bool]) -> dict[str, str | bool]:
 
 
 def _check_config(
-    subcommands: dict[str, argparse.ArgumentParser], args, mapping: dict[str, str | bool]
+    sub: _Parser, options: dict[str, argparse.Action], mapping: dict[str, str | bool]
 ) -> None:
-    # argparse checks choices for command-line values only, and passes a
-    # config value through a type only for an option of the chosen
-    # subcommand: check every config value here with the flag's own message
-    sub = subcommands[args.command]
-    own = {action.dest: action for action in sub._actions}
-    other = {action.dest: action for each in subcommands.values() for action in each._actions}
+    # argparse checks choices for command-line values only, and converts
+    # a config value only for an option of the chosen subcommand that no
+    # flag overrides: convert and check every config value here, with the
+    # flag's own message
     for dest, value in mapping.items():
         try:
-            if dest in own:  # typed already; a flag's value wins
-                action, value = own[dest], getattr(args, dest)
-            else:
-                action = other[dest]
-                value = sub._get_value(action, value)
-            if action.choices is not None:
-                sub._check_value(action, value)
+            sub._check_value(options[dest], sub._get_value(options[dest], value))
         except argparse.ArgumentError as exc:
             sub.error(str(exc))
 
@@ -150,13 +143,17 @@ def _at_least(floor: int, flag: str):
 
 
 _jobs = _at_least(1, "--jobs")
+_rounds = _at_least(1, "--max-iterations")
 
 
-def _money(value: str) -> Money:
+def _epsilon(value: str) -> Money:
     try:
-        return parse_money(value)
+        amount = parse_money(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    if amount <= 0:
+        raise argparse.ArgumentTypeError(f"--epsilon must be positive, got {amount}")
+    return amount
 
 
 def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
@@ -181,9 +178,9 @@ def _build_parser() -> tuple[_Parser, dict[str, argparse.ArgumentParser]]:
 
     def add_star(p):
         p.add_argument(
-            "--epsilon", type=_money, help="budget increment per completion round (money)"
+            "--epsilon", type=_epsilon, help="budget increment per completion round (money)"
         )
-        p.add_argument("--max-iterations", type=int, help="cap on completion rounds")
+        p.add_argument("--max-iterations", type=_rounds, help="cap on completion rounds")
 
     p_stats = sub.add_parser("stats", parents=[common], help="per-instance corpus statistics")
     add_dir(p_stats)
@@ -345,7 +342,8 @@ def cli_main(argv=None) -> int:
     try:
         known, _ = probe.parse_known_args(argv)
         parser, subcommands = _build_parser()
-        mapping = _load_config(known.config, _config_keys(subcommands)) if known.config else {}
+        options = _options(subcommands)
+        mapping = _load_config(known.config, options) if known.config else {}
         # set_defaults keeps explicit flags winning, and argparse passes a
         # string default through the option's type as it does a flag value;
         # subparsers parse into a fresh namespace, so each one needs the defaults
@@ -355,7 +353,7 @@ def cli_main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help / --version
             return int(exc.code or 0)
-        _check_config(subcommands, args, mapping)
+        _check_config(subcommands[args.command], options, mapping)
         _check_outputs(args)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:

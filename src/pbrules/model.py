@@ -201,10 +201,10 @@ class Profile:
     """The full ballot profile.  Voter ids must be unique and there must
     be at least one ballot; individual approval sets may be empty.
 
-    A profile holds either its ballots or, as the PaBuLib reader builds
-    it, each voter's id and approved project indices into a project-id
-    order, the form :func:`compile_election` adopts.  It derives the other
-    form once, on first use, and keeps the election
+    A profile holds its voter ids and either its ballots or, as the
+    PaBuLib reader builds it, each voter's approved project indices into
+    a project-id order, the form :func:`compile_election` adopts.  It
+    derives the other form once, on first use, and keeps the election
     :func:`compile_election` last built for it.  Equality, hashing and
     repr go by the ballots; a pickle carries the indexed form when there
     is one, and never the election.
@@ -216,12 +216,14 @@ class Profile:
         ballots = tuple(ballots)
         if not ballots:
             raise ValueError("a profile needs at least one ballot")
-        seen: set[str] = set()
-        for ballot in ballots:
-            if ballot.voter_id in seen:
-                raise ValueError(f"duplicate voter id {ballot.voter_id!r}")
-            seen.add(ballot.voter_id)
-        self._hold(ballots, None, None, None)
+        voter_ids = tuple(ballot.voter_id for ballot in ballots)
+        if len(set(voter_ids)) < len(voter_ids):
+            seen: set[str] = set()
+            for voter_id in voter_ids:
+                if voter_id in seen:
+                    raise ValueError(f"duplicate voter id {voter_id!r}")
+                seen.add(voter_id)
+        self._hold(ballots, voter_ids, None, None)
 
     @classmethod
     def _indexed(
@@ -265,13 +267,11 @@ class Profile:
     @property
     def voter_ids(self) -> tuple[str, ...]:
         """Each ballot's voter id, in ballot order."""
-        if self._voter_ids is None:
-            object.__setattr__(self, "_voter_ids", tuple(b.voter_id for b in self._ballots))
         return self._voter_ids
 
     @property
     def voter_count(self) -> int:
-        return len(self._voter_ids if self._ballots is None else self._ballots)
+        return len(self._voter_ids)
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not self.__class__:

@@ -143,7 +143,6 @@ def parse_pabulib(text: str, source: str | None = None) -> tuple[Instance, Profi
     upcoming = list(_SECTIONS)
     section: str | None = None
     awaiting_header = False
-    project_rows = 0
     projects: list[Project] = []
     known: set[str] = set()
     voter_ids: list[str] = []
@@ -168,7 +167,7 @@ def parse_pabulib(text: str, source: str | None = None) -> tuple[Instance, Profi
             if stripped == "PROJECTS":
                 budget = _check_meta(meta)
             elif stripped == "VOTES":
-                _check_count(meta, "num_projects", project_rows)
+                _check_count(meta, "num_projects", len(projects))
                 if not projects:
                     raise PabulibParseError("no projects", None, "no-projects")
                 ids = tuple(project.id for project in projects)
@@ -215,7 +214,6 @@ def parse_pabulib(text: str, source: str | None = None) -> tuple[Instance, Profi
         fields += [""] * (len(columns) - len(fields))
 
         if section == "PROJECTS":
-            project_rows += 1
             row = dict(zip(columns, fields))
             pid = row["project_id"].strip()
             if not pid:

@@ -125,7 +125,10 @@ class MesLedger:
 
     :meth:`to_json` writes the JSON text itself, byte for byte what
     ``json.dumps(..., indent=2)`` writes for the fields ``==`` compares,
-    every value exact (see :func:`~pbrules.model.format_money`).  It and
+    every value exact (see :func:`~pbrules.model.format_money`), except
+    that it sorts each purchase's payers by voter id as plain strings:
+    with ballots ``b`` then ``a``, the ``payments`` keys are ``b, a`` and
+    the JSON keys ``a, b``; ``budgets`` keeps ballot order in both.  It and
     :func:`emit_trace` read the groups: each distinct value is formatted
     once per ledger, and the per-payer and per-wallet work is lookups,
     counts and joins done by ``map``, ``Counter`` and ``str.join`` in C.

@@ -557,7 +557,7 @@ class TestExtremes:
         "flag, value, message",
         [
             ("--epsilon", "0", "epsilon must be positive"),
-            ("--max-iterations", "0", "max_iterations must be at least 1"),
+            ("--max-iterations", "0", "--max-iterations must be at least 1, got 0"),
         ],
     )
     def test_invalid_star_option_is_usage_error(
@@ -808,6 +808,76 @@ class TestConfig:
         from_flag = capsys.readouterr().out
         assert cli_main(argv) == EXIT_OK
         assert capsys.readouterr().out == from_flag
+
+    @pytest.mark.parametrize(
+        "command, line, flag, message",
+        [
+            ("compare", "jobs = x", "--jobs", "argument --jobs: invalid int value: 'x'"),
+            ("stats", "format = xml", "--format", "argument --format: invalid choice: 'xml'"),
+        ],
+    )
+    def test_config_value_a_flag_overrides_is_still_checked(
+        self, corpus, tmp_path, capsys, command, line, flag, message
+    ):
+        cfg = tmp_path / "pb.cfg"
+        cfg.write_text(f"{line}\n", encoding="utf-8")
+        good = {"--jobs": "1", "--format": "csv"}[flag]
+        argv = [command, "--dir", str(corpus), flag, good, "--config", str(cfg)]
+        if command == "compare":
+            argv += ["--rules", "greedcost"]
+        assert cli_main(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert f"pbrules {command}: error: {message}" in out.err
+        assert "accepted" not in out.err
+        assert out.out == ""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("epsilon = 0", "argument --epsilon: --epsilon must be positive, got 0"),
+            (
+                "max-iterations = 0",
+                "argument --max-iterations: --max-iterations must be at least 1, got 0",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "argv",
+        [["stats", "--dir"], ["compare", "--dir"], ["extremes", "--dir"], ["run", "--file"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_star_value_is_checked_alike_by_every_command(
+        self, tmp_path, capsys, line, message, argv
+    ):
+        # a missing input would exit 2 once read: the value is rejected first
+        cfg = tmp_path / "pb.cfg"
+        cfg.write_text(f"{line}\n", encoding="utf-8")
+        argv = argv + [str(tmp_path / "missing"), "--config", str(cfg)]
+        if argv[0] == "run":
+            argv += ["--rule", "mes"]
+        assert cli_main(argv) == EXIT_USAGE
+        out = capsys.readouterr()
+        assert f"pbrules {argv[0]}: error: {message}" in out.err
+        assert out.out == ""
+
+    def test_shared_option_has_one_type_and_choices(self):
+        # the config check converts a value by one subcommand's action alone
+        def signature(action):
+            # a type built per subcommand, such as _at_least(0, flag),
+            # compares by its code and the values it captured
+            cells = getattr(action.type, "__closure__", None) or ()
+            kind = getattr(action.type, "__code__", action.type)
+            return action.nargs, kind, [c.cell_contents for c in cells], action.choices
+
+        _, subcommands = _build_parser()
+        by_dest = {}
+        for sub in subcommands.values():
+            for action in sub._actions:
+                by_dest.setdefault(action.dest, []).append(signature(action))
+        shared = {dest: found for dest, found in by_dest.items() if len(found) > 1}
+        assert {"jobs", "format", "epsilon", "max_iterations", "min_voters"} <= set(shared)
+        for dest, found in shared.items():
+            assert all(each == found[0] for each in found), dest
 
 
 class TestCorpusRun:

@@ -144,8 +144,12 @@ class TestValidation:
 
     def test_profile_rejects_duplicate_voters(self):
         b = ApprovalBallot("v", frozenset())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="duplicate voter id 'v'"):
             Profile(ballots=(b, b))
+        # the first ballot whose id came before, not the first id that repeats
+        ballots = [ApprovalBallot(vid, frozenset()) for vid in ("a", "b", "b", "a")]
+        with pytest.raises(ValueError, match="duplicate voter id 'b'"):
+            Profile(ballots=ballots)
         with pytest.raises(ValueError):
             Profile(ballots=())
 

@@ -499,8 +499,7 @@ def certify(instance, profile, selected=None, hint=1):
     if selected is None:
         engine._reset(wallet, units)
         selected, _, _ = engine._select(record=False)
-    by_count = sorted(range(engine.m), key=lambda p: -len(engine.approvers[p]))
-    return engine._certificate(selected, wallet, units, 10**6, 1, by_count, hint)
+    return engine._certificate(selected, wallet, units, 10**6, 1, hint)
 
 
 def round_zero_certificate(instance, profile):
