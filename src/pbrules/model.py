@@ -62,11 +62,8 @@ def parse_money(text: str) -> Money:
     match = _DECIMAL_RE.fullmatch(text.strip())
     if match is None:
         raise ValueError(f"not a decimal money amount: {text!r}")
-    whole, frac = match.group(1), match.group(2)
-    value = Fraction(int(whole))
-    if frac:
-        value += Fraction(int(frac), 10 ** len(frac))
-    return value
+    whole, frac = match.group(1), match.group(2) or ""
+    return Fraction(int(whole + frac), 10 ** len(frac))
 
 
 def decimal_places(den: int) -> int | None:

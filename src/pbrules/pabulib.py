@@ -9,7 +9,14 @@ labels in the ``category`` column, comma-separated.
 Parsing is strict and reads the file in one pass: each line is checked
 as it is read, the first error in file order is raised, and an error
 found in a line carries its number.  Unknown columns are preserved, not
-rejected: extra project columns round-trip through :attr:`Project.extra`.
+rejected: extra project columns round-trip through :attr:`Project.extra`;
+extra vote columns are ignored.
+
+Vote rows, most of a file, have a loop of their own: a row of the
+header's width goes straight to its voter id and tokens, and its tokens
+are stripped only when they do not already all name projects.  Any other
+line (blank, a section name, too wide or too short) is checked as a line
+of the earlier sections is.
 
 Each vote row is kept as its voter id and its project indices in the
 instance's project order, the form :func:`pbrules.model.compile_election`
@@ -77,6 +84,16 @@ def _header(fields: list[str], section: str, lineno: int) -> list[str]:
     return columns
 
 
+def _pad(fields: list[str], width: int, lineno: int) -> None:
+    """Pad the cells of a data row with empty ones up to the header's
+    ``width``; a row wider than the header is an error."""
+    if len(fields) > width:
+        raise PabulibParseError(
+            f"row has {len(fields)} fields but the header has {width}", lineno, "row-width"
+        )
+    fields += [""] * (width - len(fields))
+
+
 def _check_meta(meta: dict[str, str]) -> Fraction:
     """The budget, once the META keys and values are known to be usable."""
     for key in _REQUIRED_META:
@@ -138,6 +155,17 @@ def parse_pabulib(text: str, source: str | None = None) -> tuple[Instance, Profi
     checked when the PROJECTS line is reached, num_projects and the
     presence of a project when the VOTES line is reached,
     and num_votes, the sections and the presence of a vote at the end.
+
+    One loop reads META and PROJECTS up to the VOTES header line and a
+    second reads the vote rows from the same line iterator.  A vote row
+    with as many ';' fields as the header is split once and its voter id
+    and vote cell are read directly; the set of its raw tokens is kept
+    when every token is a project id, since project ids are stripped and
+    non-empty, and otherwise the tokens are stripped and blank ones
+    dropped.  Other lines keep the checks, codes and order of the first
+    loop: blank lines are skipped, a section name is an unexpected
+    section, a wider row is a row-width error and a shorter one is
+    padded with empty cells.
     """
     meta: dict[str, str] = {}
     upcoming = list(_SECTIONS)
@@ -148,8 +176,10 @@ def parse_pabulib(text: str, source: str | None = None) -> tuple[Instance, Profi
     voter_ids: list[str] = []
     rows: list[list[int]] = []
     voters: set[str] = set()
+    lines = enumerate(text.lstrip("\ufeff").split("\n"), start=1)
 
-    for lineno, raw in enumerate(text.lstrip("\ufeff").split("\n"), start=1):
+    # META and PROJECTS, up to and including the VOTES header line
+    for lineno, raw in lines:
         line = raw.rstrip("\r")
         stripped = line.strip()
         if not stripped:
@@ -194,6 +224,8 @@ def parse_pabulib(text: str, source: str | None = None) -> tuple[Instance, Profi
             else:
                 columns = _header(fields, section, lineno)
                 voter_column, vote_column = columns.index("voter_id"), columns.index("vote")
+                width = len(columns)
+                break
             continue
 
         if section == "META":
@@ -205,41 +237,45 @@ def parse_pabulib(text: str, source: str | None = None) -> tuple[Instance, Profi
             meta[key] = line.partition(";")[2]
             continue
 
-        if len(fields) > len(columns):
-            raise PabulibParseError(
-                f"row has {len(fields)} fields but the header has {len(columns)}",
-                lineno,
-                "row-width",
+        _pad(fields, len(columns), lineno)
+        row = dict(zip(columns, fields))
+        pid = row["project_id"].strip()
+        if not pid:
+            raise PabulibParseError("empty project_id", lineno, "bad-project")
+        if pid in known:
+            raise PabulibParseError(f"duplicate project id {pid!r}", lineno, "duplicate-project")
+        cost_text = row["cost"].strip()
+        if not cost_text:
+            raise PabulibParseError(f"project {pid!r} has no cost", lineno, "missing-cost")
+        try:
+            cost = parse_money(cost_text)
+        except ValueError as exc:
+            raise PabulibParseError(f"project {pid!r}: {exc}", lineno, "bad-money") from None
+        name = row.get("name", "").strip() or None
+        categories = frozenset(map(str.strip, row.get("category", "").split(","))) - {""}
+        extra = {col: row[col] for col in extra_columns}
+        try:
+            projects.append(
+                Project(id=pid, cost=cost, name=name, categories=categories, extra=extra)
             )
-        fields += [""] * (len(columns) - len(fields))
+        except ValueError as exc:
+            raise PabulibParseError(str(exc), lineno, "bad-money") from None
+        known.add(pid)
 
-        if section == "PROJECTS":
-            row = dict(zip(columns, fields))
-            pid = row["project_id"].strip()
-            if not pid:
-                raise PabulibParseError("empty project_id", lineno, "bad-project")
-            if pid in known:
+    # the vote rows: one of the header's width is read as it stands, its
+    # "\r" included, since only the stripped voter id and tokens are kept;
+    # any other line is checked as above: blank, section name, too wide
+    for lineno, raw in lines:
+        fields = raw.split(";")
+        if len(fields) != width:
+            stripped = raw.strip()
+            if not stripped:
+                continue
+            if stripped in _SECTIONS:
                 raise PabulibParseError(
-                    f"duplicate project id {pid!r}", lineno, "duplicate-project"
+                    f"unexpected section {stripped!r}", lineno, "unexpected-section"
                 )
-            cost_text = row["cost"].strip()
-            if not cost_text:
-                raise PabulibParseError(f"project {pid!r} has no cost", lineno, "missing-cost")
-            try:
-                cost = parse_money(cost_text)
-            except ValueError as exc:
-                raise PabulibParseError(f"project {pid!r}: {exc}", lineno, "bad-money") from None
-            name = row.get("name", "").strip() or None
-            categories = frozenset(map(str.strip, row.get("category", "").split(","))) - {""}
-            extra = {col: row[col] for col in extra_columns}
-            try:
-                projects.append(
-                    Project(id=pid, cost=cost, name=name, categories=categories, extra=extra)
-                )
-            except ValueError as exc:
-                raise PabulibParseError(str(exc), lineno, "bad-money") from None
-            known.add(pid)
-            continue
+            _pad(fields, width, lineno)
 
         vid = fields[voter_column].strip()
         if not vid:
@@ -248,8 +284,11 @@ def parse_pabulib(text: str, source: str | None = None) -> tuple[Instance, Profi
             raise PabulibParseError(f"duplicate voter id {vid!r}", lineno, "duplicate-voter")
         voters.add(vid)
         tokens = fields[vote_column].split(",")
-        approved = set(map(str.strip, tokens))
+        # every id in known is stripped and non-empty, so a set of the raw
+        # tokens inside known is the set of the stripped tokens less ""
+        approved = set(tokens)
         if not approved <= known:
+            approved = set(map(str.strip, tokens))
             approved.discard("")  # blank tokens name no project
             if not approved <= known:
                 unknown = approved - known

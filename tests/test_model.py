@@ -3,6 +3,7 @@
 import dataclasses
 import pickle
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -81,6 +82,18 @@ class TestMoney:
 
     def test_parse_whitespace_tolerant(self):
         assert parse_money(" 250000 ") == Fraction(250000)
+
+    def test_parse_is_the_decimal_value(self):
+        # leading zeros, 0-6 places, some of them trailing zeros
+        rng = random.Random(7)
+        for _ in range(2000):
+            text = "0" * rng.randint(0, 3) + str(rng.randint(0, 10 ** rng.randint(0, 9)))
+            places = rng.randint(0, 6)
+            if places:
+                zeros = rng.randint(0, places)
+                digits = "".join(rng.choice("0123456789") for _ in range(places - zeros))
+                text += "." + digits + "0" * zeros
+            assert parse_money(text) == Fraction(Decimal(text)), text
 
     def test_decimal_string_exact(self):
         assert decimal_string(Fraction(25, 2)) == "12.5"

@@ -240,6 +240,9 @@ class TestErrors:
             ([("num_projects;2", "num_projects;3"), ("2;b", "2;zzz")], "count-mismatch", None),
             # num_votes is checked at the end, after every vote row
             ([("num_votes;2", "num_votes;3"), ("2;b", "2;zzz")], "unknown-project", 14),
+            # inside VOTES, whichever row comes first fails the file
+            ([("num_votes;2", "num_votes;3"), ("2;b", "1;b\n3;zzz")], "duplicate-voter", 14),
+            ([("num_votes;2", "num_votes;3"), ("2;b", "2;b;x\n1;b")], "row-width", 14),
         ],
     )
     def test_first_error_in_file_order(self, changes, code, line):
@@ -247,6 +250,61 @@ class TestErrors:
         for old, new in changes:
             bad = bad.replace(old, new)
         _expect_error(bad, code, line)
+
+
+def _vary_votes(rng: random.Random, text: str) -> str:
+    """``text`` with its VOTES section rewritten in forms the parser
+    reads as the same rows: padded ids and tokens, blank and repeated
+    tokens, CRLF on some rows, blank and whitespace-only lines, and an
+    extra column that is ignored and may be left out of a row."""
+    head, votes = text.split("VOTES\nvoter_id;vote\n")
+    lines = [rng.choice(("voter_id;vote;age", "age;voter_id ; vote"))]
+    for row in votes.splitlines():
+        vid, vote = row.split(";")
+        tokens = vote.split(",") if vote else []
+        tokens += rng.sample(tokens, rng.randint(0, len(tokens)))  # repeated
+        tokens += [""] * rng.randint(0, 2)  # blank: "a,,b" and "a,"
+        rng.shuffle(tokens)
+        pads = [(rng.choice(("", " ", "\t")), rng.choice(("", "  "))) for _ in tokens]
+        vote = ",".join(left + token + right for token, (left, right) in zip(tokens, pads))
+        vid = rng.choice(("", " ")) + vid + rng.choice(("", "\t"))
+        age = str(rng.randint(18, 90))
+        if lines[0].startswith("age"):
+            row = f"{age};{vid};{vote}"
+        else:
+            row = rng.choice((f"{vid};{vote};{age}", f"{vid};{vote};", f"{vid};{vote}"))
+        if rng.random() < 0.3:
+            row += "\r"
+        lines += [rng.choice(("", " ", "\t", "\r", " \r")) for _ in range(rng.randint(0, 1))]
+        lines.append(row)
+    return head + "VOTES\n" + "\n".join(lines) + "\n"
+
+
+class TestVoteRows:
+    @pytest.mark.parametrize("name", ["META", " PROJECTS\r", "VOTES"])
+    def test_section_name_after_vote_rows(self, name):
+        error = _expect_error(MINIMAL + name + "\n", "unexpected-section", 15)
+        assert str(error) == f"line 15: unexpected section {name.strip()!r}"
+
+    def test_short_rows_are_padded(self):
+        text = MINIMAL.replace("num_votes;2", "num_votes;4")
+        text = text.replace("voter_id;vote", "voter_id;vote;age")
+        _, profile = parse_pabulib(text.replace("2;b\n", "2;b;41\n3;a\n4;b;\n"))
+        assert profile.voter_ids == ("1", "2", "3", "4")
+        assert [ballot.approved for ballot in profile.ballots] == [{"a", "b"}, {"b"}, {"a"}, {"b"}]
+
+    def test_equivalent_vote_rows_parse_alike(self):
+        rng = random.Random(3)
+        for seed in range(50):
+            instance, profile = helpers.random_instance(
+                random.Random(seed), decimal_money=True, tag=str(seed)
+            )
+            clean = write_pabulib(instance, profile)
+            varied = _vary_votes(rng, clean)
+            assert varied != clean
+            expected, got = parse_pabulib(clean)[1], parse_pabulib(varied)[1]
+            assert got.voter_ids == expected.voter_ids, seed
+            assert got.ballots == expected.ballots, seed
 
 
 class TestCostless:
