@@ -22,9 +22,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import stats
-from .metrics import METRIC_COLUMNS, category_proportionality, effect_value, metric_row
+from .metrics import METRIC_COLUMNS, category_proportionality, effect_value, instance_rows
 from .model import Instance, Money, Profile, compile_election, format_money
-from .rules import RuleSpec, Variant, complete_with_secondary, greed_cost, run_rule
+from .rules import RuleSpec, Variant, complete_with_secondary, greed_cost, mes_selection, run_rule
 
 Dataset = Sequence[tuple[Instance, Profile]]
 
@@ -186,13 +186,11 @@ def _map_jobs(worker, work: list, jobs: int) -> list:
 
 def _instance_comparison(args) -> list[dict]:
     """The metric rows of every rule on one instance.  ``mes`` and ``mes+``
-    share one equal-shares run."""
+    share one equal-shares run, which records no ledger."""
     (instance, profile), specs = args
     baseline = greed_cost(instance, profile)
-    mes_run = functools.cache(
-        lambda: run_rule(RuleSpec(Variant.MES), instance, profile).allocation
-    )
-    rows = []
+    mes_run = functools.cache(lambda: mes_selection(instance, profile))
+    outcomes = []
     for spec in specs:
         if spec.variant is Variant.GREED_COST:
             allocation = baseline
@@ -202,8 +200,8 @@ def _instance_comparison(args) -> list[dict]:
             allocation = complete_with_secondary(mes_run(), instance, profile)
         else:
             allocation = run_rule(spec, instance, profile).allocation
-        rows.append(metric_row(instance, profile, spec.variant.value, allocation, baseline))
-    return rows
+        outcomes.append((spec.variant.value, allocation))
+    return instance_rows(instance, profile, outcomes, baseline)
 
 
 def repeated_rules(specs: Sequence[RuleSpec]) -> list[str]:

@@ -5,10 +5,16 @@ the :class:`~pbrules.model.CompiledElection` of the instance, the one
 the rules read too: costs are ints over their common denominator, so a
 voter's funded cost is an int, and the Gini coefficient, being
 scale-invariant, needs no per-voter fraction.
+:func:`instance_rows` computes the rows of every rule of one instance
+from one pass over the ballots: each project carries all the rules'
+funded costs and effort weights packed into one int, in slots wide
+enough that no voter's sum carries into the next slot, and the
+per-voter sums are unpacked from the packed sums.
 Results stay exact: each reported number is one
 :class:`fractions.Fraction`, built at the end.  Only the proportionality
-index, an exponential of a root mean square, is a float.  Functions
-taking an allocation take the :class:`Allocation` a rule returns.
+index, an exponential of a root mean square, is a float, and its
+category gaps are correctly rounded int quotients.  Functions taking an
+allocation take the :class:`Allocation` a rule returns.
 """
 
 from __future__ import annotations
@@ -17,11 +23,13 @@ import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import Sequence
+from itertools import accumulate, repeat
+from operator import and_, mul, rshift
+from typing import Iterator, Sequence
 
 from .model import (
     Allocation,
+    CompiledElection,
     Instance,
     Money,
     Profile,
@@ -108,26 +116,42 @@ def category_proportionality(
     category labels or the allocation is empty (supply shares undefined).
     The demand shares are computed once per compiled election."""
     election = compile_election(instance, profile)
-    labels = election.labels
-    if not labels or not allocation:
+    if not election.labels or not allocation:
         return None
     voter_shares, excluded = election.demand
     funded = election.funded(allocation)
     supply = sum(funded)
-    entries = []
-    gap_squares = 0.0
-    for label in labels:
-        voter_share = voter_shares[label]
-        rule_share = Fraction(sum(map(funded.__getitem__, election.members[label])), supply)
-        entries.append(CategoryScores(label, voter_share, rule_share))
-        gap_squares += float(voter_share - rule_share) ** 2
-    rms = math.sqrt(gap_squares / len(labels))
+    in_labels = _label_supplies(election, funded)
+    rms = _gap_rms(election, in_labels, supply)
     return CategoryReport(
-        entries=tuple(entries),
+        entries=tuple(
+            CategoryScores(label, voter_shares[label], Fraction(in_label, supply))
+            for label, in_label in zip(election.labels, in_labels)
+        ),
         excluded_voters=excluded,
         disproportionality=rms,
         proportionality=math.exp(-rms),
     )
+
+
+def _label_supplies(election: CompiledElection, funded: Sequence[int]) -> list[int]:
+    """Per label, the funded int cost of its member projects."""
+    funded_cost = funded.__getitem__
+    return [sum(map(funded_cost, election.members[label])) for label in election.labels]
+
+
+def _gap_rms(election: CompiledElection, in_labels: Sequence[int], supply: int) -> float:
+    """Root mean square over the labels of demand share minus supply
+    share ``in_label / supply``.  Each gap is one int true division, the
+    correctly rounded float of the exact difference, so no Fraction
+    reduces the large demand denominators."""
+    voter_shares, _ = election.demand
+    gap_squares = 0.0
+    for label, in_label in zip(election.labels, in_labels):
+        share = voter_shares[label]
+        num, den = share.numerator, share.denominator
+        gap_squares += ((num * supply - in_label * den) / (den * supply)) ** 2
+    return math.sqrt(gap_squares / len(in_labels))
 
 
 def effect_score(
@@ -198,23 +222,73 @@ def metric_row(
     """One per-instance result row, keyed exactly by METRIC_COLUMNS.
     ``baseline`` is the allocation similarity is measured against (the
     greedy outcome in the comparison pipeline)."""
+    return instance_rows(instance, profile, [(rule_name, allocation)], baseline)[0]
+
+
+def instance_rows(
+    instance: Instance,
+    profile: Profile,
+    outcomes: Sequence[tuple[str, Allocation]],
+    baseline: Allocation,
+) -> list[dict]:
+    """The :func:`metric_row` of each ``(rule_name, allocation)`` in
+    ``outcomes``, in order, from one pass over the ballots."""
+    if not outcomes:
+        return []
     election = compile_election(instance, profile)
-    funded = election.funded(allocation)
-    funding = election.per_voter(funded)
-    weights, _ = election.effort_weights(funded)
-    n = len(funding)
-    report = category_proportionality(profile, instance, allocation)
-    return {
-        "instance_id": instance.instance_id,
-        "rule": rule_name,
-        "similarity": similarity(allocation, baseline, instance),
-        "winners": len(allocation),
-        "median_cost": median_selected_cost(allocation, instance),
-        "proportionality": report.proportionality if report else None,
-        "avg_satisfaction": Fraction(sum(funding), election.cost_den * n)
-        / instance.budget_limit,
-        "gini_cost": _gini(funding),
-        "gini_effort": _gini(election.per_voter(weights)),
-        # costs are positive: a voter is happy iff some funding reaches them
-        "happiness": Fraction(n - funding.count(0), n),
-    }
+    n = len(election.ballots)
+    funded = [election.funded(allocation) for _, allocation in outcomes]
+    columns = []
+    for funded_costs in funded:
+        columns += funded_costs, election.effort_weights(funded_costs)[0]
+    sums = _per_voter_sums(election, columns, [sum(column).bit_length() for column in columns])
+    baseline_funded = election.funded(baseline)
+    baseline_cost = sum(baseline_funded)
+    rows = []
+    for (rule_name, allocation), funded_costs, funding_sums, effort_sums in zip(
+        outcomes, funded, sums[::2], sums[1::2]
+    ):
+        funding = list(funding_sums)
+        supply = sum(funded_costs)
+        both = supply + baseline_cost
+        proportionality = None
+        if election.labels and allocation:
+            rms = _gap_rms(election, _label_supplies(election, funded_costs), supply)
+            proportionality = math.exp(-rms)
+        rows.append({
+            "instance_id": instance.instance_id,
+            "rule": rule_name,
+            # an unfunded project's entry is 0, so min() is the cost funded by both
+            "similarity": Fraction(2 * sum(map(min, funded_costs, baseline_funded)), both)
+            if both
+            else Fraction(1),
+            "winners": len(allocation),
+            "median_cost": median_selected_cost(allocation, instance),
+            "proportionality": proportionality,
+            "avg_satisfaction": Fraction(sum(funding), election.cost_den * n)
+            / instance.budget_limit,
+            "gini_cost": _gini(funding),
+            "gini_effort": _gini(list(effort_sums)),
+            # costs are positive: a voter is happy iff some funding reaches them
+            "happiness": Fraction(n - funding.count(0), n),
+        })
+    return rows
+
+
+def _per_voter_sums(
+    election: CompiledElection, columns: Sequence[Sequence[int]], widths: Sequence[int]
+) -> list[Iterator[int]]:
+    """Per column of non-negative project weights, an iterator over its
+    :meth:`~pbrules.model.CompiledElection.per_voter` sums, from one pass
+    over the ballots.  Each project's weights are packed into one int,
+    column k in a slot of ``widths[k]`` bits; no voter's sum exceeds the
+    column's total, so ``sum(column).bit_length()`` bits keep every sum
+    from carrying into the next slot.  The iterators unpack on demand, so
+    a caller holds one column's sums at a time."""
+    offsets = list(accumulate(widths, initial=0))
+    packed = [sum(map(int.__lshift__, weights, offsets)) for weights in zip(*columns)]
+    totals = election.per_voter(packed)
+    return [
+        map(and_, map(rshift, totals, repeat(offset)), repeat((1 << width) - 1))
+        for offset, width in zip(offsets, widths)
+    ]

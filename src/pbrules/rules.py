@@ -407,6 +407,14 @@ def mes(instance: Instance, profile: Profile) -> tuple[Allocation, MesLedger]:
     return Allocation.of(ledger.selection_order, instance), ledger
 
 
+def mes_selection(instance: Instance, profile: Profile) -> Allocation:
+    """The allocation of :func:`mes`, from a run that records no ledger."""
+    share = Fraction(instance.budget_limit, profile.voter_count)
+    selected = _make_engine(instance, profile).run(share)[0]
+    ids = compile_election(instance, profile).ids
+    return Allocation.of(map(ids.__getitem__, selected), instance)
+
+
 def complete_with_secondary(base: Allocation, instance: Instance, profile: Profile) -> Allocation:
     """Top up ``base`` with the greedy rule on the leftover budget.
 

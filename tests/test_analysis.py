@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from pbrules import rules
+from pbrules import _mes_pure, rules
 from pbrules.analysis import (
     AGGREGATE_METRICS,
     QUADRANT_LABELS,
@@ -214,18 +214,20 @@ class TestCompareRules:
             compare_rules(dataset, specs)
 
     def test_mes_and_mes_plus_share_one_run(self, monkeypatch):
+        # one equal-shares selection per instance serves both rules, and
+        # their rows are those of the rules run one by one, ledger and all
         dataset = categorized_dataset(45, 5)
         specs = [RuleSpec(Variant.GREED_COST), RuleSpec(Variant.MES), RuleSpec(Variant.MES_PLUS)]
-        calls = []
-        original = rules.mes
+        runs = []
+        original = _mes_pure.MesEngine.run
 
-        def counted_mes(instance, *args, **kwargs):
-            calls.append(instance.instance_id)
-            return original(instance, *args, **kwargs)
+        def counted_run(engine, *args, **kwargs):
+            runs.append(engine)
+            return original(engine, *args, **kwargs)
 
-        monkeypatch.setattr(rules, "mes", counted_mes)
+        monkeypatch.setattr(_mes_pure.MesEngine, "run", counted_run)
         report = compare_rules(dataset, specs)
-        assert calls == [instance.instance_id for instance, _ in dataset]
+        assert len(runs) == len(dataset)
         expected = []
         for instance, profile in dataset:
             baseline = rules.greed_cost(instance, profile)

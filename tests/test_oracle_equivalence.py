@@ -33,9 +33,11 @@ from oracle import (
 from pbrules import _mes_pure
 from pbrules.analysis import _effect_worker, instance_stats
 from pbrules.metrics import (
+    _per_voter_sums,
     category_proportionality,
     effect_score,
     gini,
+    instance_rows,
     metric_row,
     voter_category_share,
 )
@@ -59,6 +61,7 @@ from pbrules.rules import (
     emit_trace,
     greed_cost,
     mes,
+    mes_selection,
     run_rule,
 )
 
@@ -295,6 +298,35 @@ class TestPureEngineOracle:
         # the copies of a ballot pay alike, so they end in one class
         classes = engine._class
         assert all(classes[i] == classes[i - i % copies] for i in range(len(classes)))
+
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from(PRIME_VOTER_COUNTS),
+        kind=st.sampled_from(("odd", "shared", "cents")),
+        empty=st.integers(0, 3),
+        counted=st.booleans(),
+    )
+    def test_run_without_ledger_selects_as_the_ledger_run(self, seed, n, kind, empty, counted):
+        rng = random.Random(seed)
+        if kind == "odd":
+            instance, profile = odd_money_instance(rng, n, rng.random() < 0.5)
+        elif kind == "shared":
+            instance, profile = shared_wallet_instance(rng, n, rng.randint(2, 3), False)
+        else:
+            instance, profile = cent_election(rng, n)
+        blank = tuple(ApprovalBallot(f"e{i}", frozenset()) for i in range(empty))
+        profile = Profile(blank[: empty // 2] + profile.ballots + blank[empty // 2 :])
+        engine = pure_engine(instance, profile)
+        if counted:
+            engine._count_from = 0
+        share = Fraction(instance.budget_limit, profile.voter_count)
+        plain = engine.run(share)
+        assert plain[1:] == (None, None, None)
+        # a run resets the engine: the order of the two runs does not matter
+        assert engine.run(share, want_ledger=True)[0] == plain[0]
+        assert engine.run(share) == plain
+        assert mes_selection(instance, profile) == mes(instance, profile)[0]
 
     def test_shared_wallets_drain_and_split(self, monkeypatch):
         # the cases of the test above do reach the empty class, leave
@@ -1247,6 +1279,66 @@ class TestMetricsOracle:
         assert dataclasses.asdict(instance_stats(instance, profile)) == (
             oracle.instance_stats(instance, profile)
         )
+
+    @settings(max_examples=200)
+    @given(
+        **METRIC_CASES,
+        kinds=st.lists(st.sampled_from(ALLOCATION_KINDS), min_size=2, max_size=4),
+        baseline_kind=st.sampled_from(ALLOCATION_KINDS),
+    )
+    def test_rows_of_several_rules_match_definition(
+        self, seed, single_voter, approval_rate, with_categories, orphan, kinds, baseline_kind
+    ):
+        rng = random.Random(seed)
+        instance, profile = metric_case(rng, single_voter, approval_rate, with_categories, orphan)
+        chosen = [metric_allocation(rng, kind, instance, profile) for kind in kinds]
+        baseline = metric_allocation(rng, baseline_kind, instance, profile)
+        rows = instance_rows(
+            instance,
+            profile,
+            [(kind, helpers.allocation_of(ids, instance)) for kind, ids in zip(kinds, chosen)],
+            helpers.allocation_of(baseline, instance),
+        )
+        assert rows == [
+            oracle.metric_row(instance, profile, kind, ids, baseline)
+            for kind, ids in zip(kinds, chosen)
+        ]
+
+    def test_packed_slots_are_just_wide_enough(self):
+        # v1 approves every project, so each voter sum of v1 is its
+        # column's total: every slot reaches its bound
+        instance = Instance(
+            projects=tuple(
+                Project(pid, cost) for pid, cost in
+                (("a", Fraction(7, 2)), ("b", Fraction(5)), ("c", Fraction(9, 4)))
+            ),
+            budget_limit=Fraction(20),
+        )
+        profile = Profile(
+            tuple(
+                ApprovalBallot(vid, frozenset(ids))
+                for vid, ids in (("v1", "abc"), ("v2", "ab"), ("v3", "c"), ("v4", ""))
+            )
+        )
+        election = compile_election(instance, profile)
+        columns = []
+        for ids in ("abc", "ab", "bc"):
+            funded = election.funded(helpers.allocation_of(ids, instance))
+            columns += funded, election.effort_weights(funded)[0]
+        widths = [sum(column).bit_length() for column in columns]
+        expected = [election.per_voter(column) for column in columns]
+        assert [sums[0] for sums in expected] == [sum(column) for column in columns]
+        assert list(map(list, _per_voter_sums(election, columns, widths))) == expected
+        for k in range(len(columns)):
+            narrower = widths[:k] + [widths[k] - 1] + widths[k + 1 :]
+            assert list(_per_voter_sums(election, columns, narrower)[k]) != expected[k]
+        outcomes = [(ids, helpers.allocation_of(ids, instance)) for ids in ("abc", "ab", "bc")]
+        rows = instance_rows(instance, profile, outcomes, outcomes[1][1])
+        assert rows == [
+            oracle.metric_row(instance, profile, ids, frozenset(ids), frozenset("ab"))
+            for ids in ("abc", "ab", "bc")
+        ]
+        assert instance_rows(instance, profile, [], outcomes[0][1]) == []
 
     @settings(max_examples=200)
     @given(**METRIC_CASES, star=st.booleans(), precompiled=st.booleans())
