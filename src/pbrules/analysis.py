@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import stats
-from .metrics import METRIC_COLUMNS, category_proportionality, effect_value, instance_rows
+from .metrics import METRIC_COLUMNS, effect_parts, instance_rows
 from .model import Instance, Money, Profile, compile_election, format_money
 from .rules import RuleSpec, Variant, complete_with_secondary, greed_cost, mes_selection, run_rule
 
@@ -354,8 +354,10 @@ class InstanceEffectReport:
 @dataclass(frozen=True)
 class ExtremesReport:
     """Instances ranked by effect score, with full reports for the
-    smallest, median and largest effect.  Its JSON follows the field
-    order, with every money value rendered by :func:`format_money`."""
+    smallest, median and largest effect.  ``uncategorized`` lists every
+    instance whose effect score is undefined: no category labels, or
+    either rule funds nothing.  Its JSON follows the field order, with
+    every money value rendered by :func:`format_money`."""
 
     ranking: tuple[tuple[str, float], ...]
     uncategorized: tuple[str, ...]
@@ -374,7 +376,7 @@ class ExtremesReport:
         return json.dumps(dataclasses.asdict(self), indent=2, default=format_money)
 
 
-def _block(ids: set[str], instance: Instance) -> BlockSummary:
+def _block(ids: frozenset[str], instance: Instance) -> BlockSummary:
     details = tuple(
         ProjectDetail(p.id, p.name, p.cost, tuple(sorted(p.categories)))
         for p in instance.projects
@@ -398,37 +400,24 @@ def _effect_worker(args) -> InstanceEffectReport | None:
     (instance, profile), mes_spec = args
     greed_allocation = greed_cost(instance, profile)
     mes_allocation = run_rule(mes_spec, instance, profile).allocation
-    greed_report = category_proportionality(profile, instance, greed_allocation)
-    mes_report = category_proportionality(profile, instance, mes_allocation)
-    if greed_report is None or mes_report is None:
+    parts = effect_parts(instance, profile, greed_allocation, mes_allocation)
+    if parts is None:
         return None
-    election = compile_election(instance, profile)
-    greed_funding = sorted(election.voter_funding(greed_allocation))
-    mes_funding = sorted(election.voter_funding(mes_allocation))
+    effect, bars, greed_funding, mes_funding = parts
     # satisfaction = funding / cost_den / limit = funding * num / den
     limit = instance.budget_limit
-    num, den = limit.denominator, election.cost_den * limit.numerator
-    bars = tuple(
-        CategoryBar(
-            label=g.label,
-            voter_share=float(g.voter_share),
-            greed_share=float(g.rule_share),
-            mes_share=float(m.rule_share),
-        )
-        for g, m in zip(greed_report.entries, mes_report.entries)
-    )
-    greed_ids = set(greed_allocation.selected)
-    mes_ids = set(mes_allocation.selected)
+    num, den = limit.denominator, compile_election(instance, profile).cost_den * limit.numerator
+    greed_ids, mes_ids = greed_allocation.selected, mes_allocation.selected
     return InstanceEffectReport(
         instance_id=instance.instance_id,
-        effect=effect_value(greed_report, mes_report, greed_funding, mes_funding),
+        effect=effect,
         common=_block(greed_ids & mes_ids, instance),
         greed_only=_block(greed_ids - mes_ids, instance),
         mes_only=_block(mes_ids - greed_ids, instance),
-        category_bars=bars,
+        category_bars=tuple(CategoryBar(*bar) for bar in bars),
         # int / int rounds correctly, as float(Fraction) does
-        greed_curve=tuple(x * num / den for x in greed_funding),
-        mes_curve=tuple(x * num / den for x in mes_funding),
+        greed_curve=tuple(x * num / den for x in sorted(greed_funding)),
+        mes_curve=tuple(x * num / den for x in sorted(mes_funding)),
     )
 
 

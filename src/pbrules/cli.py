@@ -230,10 +230,19 @@ def _write_out(text: str, path: str | None) -> None:
 
 
 def _check_outputs(args) -> None:
-    """Report an output directory that does not exist before any input is read."""
-    for dest in ("out", "raw_out", "ledger_out", "skip_report"):
-        path = getattr(args, dest, None)
-        if path and not Path(path).parent.is_dir():
+    """Before any input is read: an output naming an earlier output's file
+    is a usage error; one that is a directory, or in none that exists, a data error."""
+    named: dict[str, str] = {}
+    for flag in ("--out", "--raw-out", "--ledger-out", "--skip-report"):
+        path = getattr(args, flag[2:].replace("-", "_"), None)
+        if not path:
+            continue
+        first = named.setdefault(os.path.realpath(path), flag)
+        if first != flag:
+            raise _UsageError(f"{first} and {flag} both name {path}")
+        if Path(path).is_dir():
+            raise _DataError(f"cannot write {path}: is a directory")
+        if not Path(path).parent.is_dir():
             raise _DataError(f"cannot write {path}: no such directory: {Path(path).parent}")
 
 

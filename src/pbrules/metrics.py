@@ -9,7 +9,9 @@ scale-invariant, needs no per-voter fraction.
 from one pass over the ballots: each project carries all the rules'
 funded costs and effort weights packed into one int, in slots wide
 enough that no voter's sum carries into the next slot, and the
-per-voter sums are unpacked from the packed sums.
+per-voter sums are unpacked from the packed sums.  :func:`effect_parts`
+does the same for a greedy and an equal-shares outcome, for the
+``extremes`` report and :func:`effect_score`, with the same helpers.
 Results stay exact: each reported number is one
 :class:`fractions.Fraction`, built at the end.  Only the proportionality
 index, an exponential of a root mean square, is a float, and its
@@ -163,33 +165,37 @@ def effect_score(
     """How much switching from the greedy rule to equal shares helps:
     the mean of the proportionality gain and the satisfaction-Gini drop.
     None when either category report is undefined."""
-    greed_report = category_proportionality(profile, instance, greed_allocation)
-    mes_report = category_proportionality(profile, instance, mes_allocation)
-    if greed_report is None or mes_report is None:
-        return None
+    parts = effect_parts(instance, profile, greed_allocation, mes_allocation)
+    return None if parts is None else parts[0]
+
+
+def effect_parts(
+    instance: Instance, profile: Profile, greed_allocation: Allocation, mes_allocation: Allocation
+) -> tuple[float, list[tuple[str, float, float, float]], list[int], list[int]] | None:
+    """The :func:`effect_score`, the category bars ``(label, demand share,
+    greedy share, equal-shares share)`` as floats and both outcomes'
+    per-voter int funded costs in ballot order; None when the score is."""
     election = compile_election(instance, profile)
-    return effect_value(
-        greed_report,
-        mes_report,
-        election.voter_funding(greed_allocation),
-        election.voter_funding(mes_allocation),
+    if not election.labels or not greed_allocation or not mes_allocation:
+        return None
+    funded = [election.funded(greed_allocation), election.funded(mes_allocation)]
+    supplies = [sum(costs) for costs in funded]
+    sums = _per_voter_sums(election, funded, [supply.bit_length() for supply in supplies])
+    greed_funding, mes_funding = map(list, sums)
+    in_labels = [_label_supplies(election, costs) for costs in funded]
+    greed_rms, mes_rms = (_gap_rms(election, *pair) for pair in zip(in_labels, supplies))
+    voter_shares, _ = election.demand
+    # int / int rounds correctly, as float(Fraction) does
+    bars = [
+        (label, float(voter_shares[label]), greed / supplies[0], mes / supplies[1])
+        for label, greed, mes in zip(election.labels, *in_labels)
+    ]
+    # funded costs are the satisfactions times a constant: the same Ginis
+    score = 0.5 * (
+        (math.exp(-mes_rms) - math.exp(-greed_rms))
+        + (float(_gini(greed_funding)) - float(_gini(mes_funding)))
     )
-
-
-def effect_value(
-    greed_report: CategoryReport,
-    mes_report: CategoryReport,
-    greed_satisfaction: Sequence[Fraction | int],
-    mes_satisfaction: Sequence[Fraction | int],
-) -> float:
-    """The :func:`effect_score` formula on the category reports and the
-    per-voter cost satisfactions of the two outcomes.  Only their Gini
-    coefficients enter, so each may be scaled by any positive constant,
-    such as the int funded costs of :meth:`CompiledElection.voter_funding`."""
-    return 0.5 * (
-        (mes_report.proportionality - greed_report.proportionality)
-        + (float(gini(greed_satisfaction)) - float(gini(mes_satisfaction)))
-    )
+    return score, bars, greed_funding, mes_funding
 
 
 METRIC_COLUMNS = (

@@ -366,11 +366,6 @@ class CompiledElection:
         weight = weights.__getitem__
         return [sum(map(weight, ballot)) for ballot in self.ballots]
 
-    def voter_funding(self, allocation: Allocation) -> list[int]:
-        """Per voter, the funded cost of their approved projects as an int
-        over ``cost_den``; ballot order."""
-        return self.per_voter(self.funded(allocation))
-
     def effort_weights(self, funded: Sequence[int]) -> tuple[list[int], int]:
         """Each funded project's cost split equally over its approvers, as
         ints over ``cost_den * scale``, and that ``scale``: the lcm of the

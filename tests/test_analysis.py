@@ -9,11 +9,12 @@ from fractions import Fraction
 import pytest
 
 import helpers
-from pbrules import _mes_pure, rules
+from pbrules import _mes_pure, metrics, rules
 from pbrules.analysis import (
     AGGREGATE_METRICS,
     QUADRANT_LABELS,
     STAT_COLUMNS,
+    _effect_worker,
     compare_rules,
     extract_extremes,
     format_sig,
@@ -22,7 +23,7 @@ from pbrules.analysis import (
     stats_csv,
 )
 from pbrules.metrics import METRIC_COLUMNS, metric_row
-from pbrules.model import ApprovalBallot, Instance, Profile, Project
+from pbrules.model import ApprovalBallot, CompiledElection, Instance, Profile, Project
 from pbrules.rules import RuleSpec, Variant
 
 
@@ -322,6 +323,32 @@ class TestExtremes:
             assert item.common.count == len(item.common.projects)
             assert len(item.greed_curve) == len(item.mes_curve)
             assert list(item.greed_curve) == sorted(item.greed_curve)
+
+    def test_one_ballot_pass_per_instance(self, monkeypatch):
+        # the effect score, the bars and both satisfaction curves of an
+        # instance come from one pass over the ballots, as compare's rows
+        # do; an instance whose score is undefined makes none
+        dataset = categorized_dataset(50, 6)
+        spec = RuleSpec(Variant.MES_STAR_PLUS)
+        passes = []
+        original = CompiledElection.per_voter
+
+        def counted_per_voter(election, weights):
+            passes.append(election)
+            return original(election, weights)
+
+        def no_report(*args):
+            raise AssertionError("extremes builds no CategoryReport")
+
+        monkeypatch.setattr(CompiledElection, "per_voter", counted_per_voter)
+        monkeypatch.setattr(metrics, "category_proportionality", no_report)
+        scored = 0
+        for pair in dataset:
+            passes.clear()
+            report = _effect_worker((pair, spec))
+            assert len(passes) == (report is not None)
+            scored += report is not None
+        assert scored > 0
 
     def test_uncategorized_instances_reported(self):
         cat = build(

@@ -462,6 +462,10 @@ class TestCompare:
         assert cli_main(argv + ["--dir", str(tmp_path / "missing")]) == EXIT_USAGE
 
 
+def _unread(*args):
+    raise AssertionError("an input was read before the outputs were checked")
+
+
 @pytest.mark.parametrize(
     "command, flag",
     [
@@ -475,9 +479,9 @@ class TestCompare:
     ],
 )
 class TestUnwritableOutput:
-    """An output path that cannot be written is a data error reported in
-    one line, for every option that writes a file; one in a directory
-    that does not exist is reported before any input is read."""
+    """An output path that is a directory, or lies in a directory that
+    does not exist, is a data error reported in one line before any
+    input is read, for every option that writes a file."""
 
     @staticmethod
     def argv(command, corpus):
@@ -486,11 +490,8 @@ class TestUnwritableOutput:
         return [command, "--dir", str(corpus)]
 
     def test_is_data_error(self, corpus, tmp_path, capsys, monkeypatch, command, flag):
-        def unread(*args):
-            raise AssertionError("an input was read before the outputs were checked")
-
-        monkeypatch.setattr(cli, "read_pabulib", unread)
-        monkeypatch.setattr(cli, "ingest_directory", unread)
+        monkeypatch.setattr(cli, "read_pabulib", _unread)
+        monkeypatch.setattr(cli, "ingest_directory", _unread)
         target = tmp_path / "missing" / "out.txt"
         assert cli_main([*self.argv(command, corpus), flag, str(target)]) == EXIT_DATA
         out, err = capsys.readouterr()
@@ -500,11 +501,45 @@ class TestUnwritableOutput:
         ]
         assert not target.parent.exists()
 
-    def test_directory_as_output_is_data_error(self, corpus, tmp_path, capsys, command, flag):
-        # the directory exists, so only the write itself fails
+    def test_directory_as_output_is_data_error(
+        self, corpus, tmp_path, capsys, monkeypatch, command, flag
+    ):
+        monkeypatch.setattr(cli, "read_pabulib", _unread)
+        monkeypatch.setattr(cli, "ingest_directory", _unread)
         assert cli_main([*self.argv(command, corpus), flag, str(tmp_path)]) == EXIT_DATA
-        last = capsys.readouterr().err.splitlines()[-1]
-        assert last.startswith(f"pbrules: data error: cannot write {tmp_path}: ")
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"pbrules: data error: cannot write {tmp_path}: is a directory"
+        ]
+
+
+@pytest.mark.parametrize(
+    "command, first, second",
+    [
+        ("stats", "--out", "--skip-report"),
+        ("run", "--out", "--ledger-out"),
+        ("compare", "--out", "--raw-out"),
+        ("compare", "--raw-out", "--skip-report"),
+        ("extremes", "--out", "--skip-report"),
+    ],
+)
+def test_two_outputs_naming_one_file_are_a_usage_error(
+    corpus, tmp_path, capsys, monkeypatch, command, first, second
+):
+    # checked before any input is read, also when the two paths differ
+    # only in spelling
+    monkeypatch.setattr(cli, "read_pabulib", _unread)
+    monkeypatch.setattr(cli, "ingest_directory", _unread)
+    target = tmp_path / "out.txt"
+    spelled = tmp_path / "sub" / ".." / "out.txt"
+    (tmp_path / "sub").mkdir()
+    argv = [*TestUnwritableOutput.argv(command, corpus), first, str(target)]
+    assert cli_main([*argv, second, str(spelled)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"{first} and {second} both name {spelled}"]
+    assert not target.exists()
 
 
 class TestEmptyBallots:

@@ -99,7 +99,7 @@ class TestDistributions:
         # funded cost per voter, as ints over the common cost denominator
         election = compile_election(INSTANCE, PROFILE)
         assert election.cost_den == 1
-        assert election.voter_funding(chosen("a", "b")) == [10, 6, 0, 0]
+        assert election.per_voter(election.funded(chosen("a", "b"))) == [10, 6, 0, 0]
 
     def test_gini_hand_values(self):
         assert gini([1, 1, 1]) == 0
@@ -250,8 +250,8 @@ class TestEffectScore:
         greed_report = category_proportionality(PROFILE, INSTANCE, greed)
         fair_report = category_proportionality(PROFILE, INSTANCE, fair)
         election = compile_election(INSTANCE, PROFILE)
-        greed_gini = gini(election.voter_funding(greed))
-        fair_gini = gini(election.voter_funding(fair))
+        greed_gini = gini(election.per_voter(election.funded(greed)))
+        fair_gini = gini(election.per_voter(election.funded(fair)))
         expected = 0.5 * (
             (fair_report.proportionality - greed_report.proportionality)
             + float(greed_gini)
