@@ -35,7 +35,7 @@ The engine works on the integer-indexed arrays of a ``CompiledElection``
 a tie rank giving the total order used to break equal affordability.
 An affordability factor comes from one walk over the distinct wallet
 classes of the project's approvers, each with its approver count, or
-over the approvers themselves when they are few.
+over the approvers' wallets when they are few.
 
 Laziness invariants the selection loop relies on:
 
@@ -71,7 +71,7 @@ checks the selection the certificate expects there: the same after a
 peel event (an approver who paid a whole wallet below a cap reaches
 it), or one project more when its approvers reach its cost first.  The
 checked replay stands in for running the round; only a failed check
-runs it.  Certificates and checks are exact integers.
+runs it.  Certificates and checks are exact, inline integer walks.
 """
 
 from __future__ import annotations
@@ -94,9 +94,8 @@ def payment_cap(wallets, order: Sequence, cost, counts=None):
     when their wallets cannot cover the cost.  Each entry of ``order``
     indexes ``wallets``.  Without ``counts`` each entry stands for one
     voter, so an index may repeat; with it, the entries are distinct and
-    ``counts[key]`` voters hold the wallet ``wallets[key]``.  The engine
-    passes wallet classes either way; the star certificate passes
-    voters.
+    ``counts[key]`` voters hold the wallet ``wallets[key]``.  Only the
+    counted waterfill calls it; other walks copy it inline.
 
     Voters whose whole wallet is below the equal share of what is still
     owed are peeled off and pay everything; the first who can cover that
@@ -223,25 +222,34 @@ class MesEngine:
         stores the factor (cap / cost) as p's exact bound and returns
         True, or returns False when the approvers cannot cover the cost,
         in which case p is dropped for the rest of the run.  A project
-        with fewer than ``_count_from`` approvers skips the count and
-        passes the class of each approver.
+        with fewer than ``_count_from`` approvers walks their sorted
+        wallets.
         """
         wallets = self._wallets
         voter_class = self._class
         approvers = self.approvers[p]
+        cost = self._costs[p]
         if len(approvers) < self._count_from:
-            order = [voter_class[v] for v in approvers]
-            order.sort(key=wallets.__getitem__)
-            counts = None
+            # the approvers' wallets, ascending, walked as payment_cap
+            # walks them
+            remaining = cost
+            left = len(approvers)
+            for wallet in sorted(map(wallets.__getitem__, map(voter_class.__getitem__, approvers))):
+                if wallet * left >= remaining:
+                    break
+                remaining -= wallet
+                left -= 1
+            else:
+                self._alive[p] = False
+                return False
         else:
             counts = Counter(map(voter_class.__getitem__, approvers))
             order = sorted(counts, key=wallets.__getitem__)
-        cost = self._costs[p]
-        cap = payment_cap(wallets, order, cost, counts)
-        if cap is None:
-            self._alive[p] = False
-            return False
-        remaining, left = cap
+            cap = payment_cap(wallets, order, cost, counts)
+            if cap is None:
+                self._alive[p] = False
+                return False
+            remaining, left = cap
         den = left * cost
         self._lb_num[p] = remaining
         self._lb_den[p] = den
@@ -391,7 +399,8 @@ class MesEngine:
         ``selected + [q]`` when q's approvers reach its cost, else None;
         ``payers`` multiplies the payer counts.  The replay starts in
         units ``hint`` times smaller: the ``payers`` of a replay with
-        the same payer counts spare every O(n) refinement.
+        the same payer counts spare every O(n) refinement.  A purchase
+        walks its approvers by value for the cap.
         """
         approvers = self.approvers
         tie_rank = self.tie_rank
@@ -399,26 +408,35 @@ class MesEngine:
         val = [wallet * hint] * self.n
         # a wallet grows by ``units`` units per unit of share
         slope = [units] * self.n
+        value = val.__getitem__
+        rate_of = slope.__getitem__
         costs = [c * (units // self._cost_den) for c in self._cost_units]
         best_num, best_den, guess = limit_num, limit_den, None
         payers = 1
         # the unbought projects not settled yet, by approver count
         live = list(self._by_count)
         for b in selected:
-            order = sorted(approvers[b], key=val.__getitem__)
-            found = payment_cap(val, order, costs[b])
-            if found is None:
+            order = sorted(approvers[b], key=value)
+            # the payment cap: the first ``cut`` voters are below it and
+            # pay their whole wallet, the others pay the cap
+            remaining = costs[b]
+            left = len(order)
+            for v in map(value, order):
+                if v * left >= remaining:
+                    break
+                remaining -= v
+                left -= 1
+            else:
                 return None
-            remaining, left = found
-            # the first ``cut`` voters are below the cap and pay their
-            # whole wallet, the others pay the cap
             cut = len(order) - left
-            drop = sum(map(slope.__getitem__, order[:cut]))
+            drop = sum(map(rate_of, order[:cut])) if cut else 0
             refine = left // gcd(remaining, drop, left)
             if refine != 1:
                 units *= refine
                 val = [v * refine for v in val]
                 slope = [v * refine for v in slope]
+                value = val.__getitem__
+                rate_of = slope.__getitem__
                 costs = [c * refine for c in costs]
                 remaining *= refine
                 drop *= refine
@@ -433,7 +451,7 @@ class MesEngine:
                         best_num, best_den, guess = num, rate, selected
             live.remove(b)
             cost_b = costs[b]
-            settled = set()
+            settled = None
             for q in live:
                 voters = approvers[q]
                 if len(voters) * cap < cost_b:
@@ -441,12 +459,15 @@ class MesEngine:
                     # approvers paying at b's factor fall short of its cost
                     break
                 cost_q = costs[q]
-                total = sum(map(val.__getitem__, voters))
+                total = sum(map(value, voters))
                 if total < cost_q:
                     # q cannot tie b before its approvers reach its cost
-                    rate = sum(map(slope.__getitem__, voters))
+                    rate = sum(map(rate_of, voters))
                     if not rate or (cost_q - total) * best_den >= best_num * rate:
-                        settled.add(q)
+                        if settled is None:
+                            settled = {q}
+                        else:
+                            settled.add(q)
                         continue
                 # x = cap * cost_q / cost_b is what an approver pays at b's
                 # factor; total and rate below are scaled by cost_b
@@ -460,18 +481,18 @@ class MesEngine:
                     below = [i for i in voters if val[i] < threshold]
                     tied = [i for i in voters if val[i] == threshold]
                 richer = len(voters) - len(below)
-                total = cost_b * (sum(map(val.__getitem__, below)) - cost_q) + richer * x
+                total = cost_b * (sum(map(value, below)) - cost_q) + richer * x
                 if total > 0 or not total and (not richer or tie_rank[q] < tie_rank[b]):
                     # q's factor is below b's, or equal and q is first in
                     # the tie order
                     return None
-                rate = cost_b * sum(map(slope.__getitem__, below))
+                rate = cost_b * sum(map(rate_of, below))
                 rate += (richer - len(tied)) * x_slope
                 for i in tied:
                     rate += min(slope[i] * cost_b, x_slope)
                 if rate > 0 and -total * best_den < best_num * rate:
                     best_num, best_den, guess = -total, rate, None
-            if settled:
+            if settled is not None:
                 live = [q for q in live if q not in settled]
             for i in order[:cut]:
                 val[i] = 0
@@ -482,9 +503,9 @@ class MesEngine:
         # after the last purchase every unbought project is unaffordable
         # until its approvers reach its cost; a wallet with slope 0 is 0
         for q in live:
-            rate = sum(map(slope.__getitem__, approvers[q]))
+            rate = sum(map(rate_of, approvers[q]))
             if rate > 0:
-                num = costs[q] - sum(map(val.__getitem__, approvers[q]))
+                num = costs[q] - sum(map(value, approvers[q]))
                 if num <= 0:
                     return None
                 if num * best_den < best_num * rate:
@@ -567,18 +588,26 @@ class MesEngine:
                 # the certificate expects this round to buy ``guess``: a
                 # replay checks that before the engine runs
                 found = self._certificate(guess, wallet, units, limit, den, hint)
-            if found is not None:
-                selected = guess
-            else:
+            if found is None:
                 self._reset(wallet, units)
                 selected, _, _ = self._select(record=False)
-            leftover = budget_units - sum(costs[p] for p in selected)
-            if leftover < 0:
-                return previous, max(r - 1, 0), r + 1, STATUS_NEXT_INFEASIBLE, rounds_run
-            cheapest = next((p for p in by_cost if p not in selected), None)
-            if cheapest is None or costs[cheapest] > leftover:
-                return selected, r, r + 1, STATUS_COMPLETE, rounds_run
-            previous = selected
+                spent = sum(map(costs.__getitem__, selected))
+                bought = set(selected)
+            elif guess is not previous:
+                # the guess appends one project to the last selection
+                selected = guess
+                spent += costs[selected[-1]]
+                bought.add(selected[-1])
+            # the last selection again is neither complete nor over the
+            # limit, as it was in its own round
+            if selected is not previous:
+                leftover = budget_units - spent
+                if leftover < 0:
+                    return previous, max(r - 1, 0), r + 1, STATUS_NEXT_INFEASIBLE, rounds_run
+                cheapest = next((p for p in by_cost if p not in bought), None)
+                if cheapest is None or costs[cheapest] > leftover:
+                    return selected, r, r + 1, STATUS_COMPLETE, rounds_run
+                previous = selected
             if found is None:
                 found = self._certificate(selected, wallet, units, limit, den, hint)
             # go on at the first round at or past the certificate

@@ -3,6 +3,7 @@ the test modules."""
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -81,6 +82,35 @@ def random_instance(
     profile = Profile(ballots=tuple(ballots))
     assert all(b.approved <= instance.project_ids for b in profile.ballots)
     return instance, profile
+
+
+def small_share_election(rng: random.Random, n: int, m: int, cents: bool):
+    """A district-style election of ``n`` voters and ``m`` projects with
+    0.7 per voter, whose limit buys 40% of the total cost: the shape of
+    the benchmark's star corpus, where the star search runs many rounds.
+    Costs are log-uniform over a 30-fold spread, in whole units or in
+    cents; each ballot approves 1 to 6 projects drawn by a popularity
+    with a Pareto tail."""
+    budget = max(1, round(0.7 * n))
+    raw = [math.exp(rng.uniform(0.0, math.log(30.0))) for _ in range(m)]
+    scale = budget / 0.4 / sum(raw)
+    unit = 100 if cents else 1
+    costs = [Fraction(max(unit + 1, round(value * scale * unit)), unit) for value in raw]
+    projects = tuple(Project(id=str(j + 1), cost=cost) for j, cost in enumerate(costs))
+    popularity = [rng.paretovariate(2.0) for _ in range(m)]
+    sizes = rng.choices(range(1, 7), weights=(18, 24, 22, 16, 12, 8), k=n)
+    ballots = []
+    for v, k in enumerate(sizes):
+        picks = set()
+        while len(picks) < k:
+            picks.add(rng.choices(range(m), weights=popularity)[0])
+        ballots.append(ApprovalBallot(str(v + 1), frozenset(str(j + 1) for j in picks)))
+    for j in range(m):
+        if not any(str(j + 1) in b.approved for b in ballots):
+            v = rng.randrange(n)
+            ballots[v] = ApprovalBallot(ballots[v].voter_id, ballots[v].approved | {str(j + 1)})
+    instance = Instance(projects=projects, budget_limit=Fraction(budget), meta={"instance_id": "small"})
+    return instance, Profile(tuple(ballots))
 
 
 def affordability(budgets, voter_ids, cost):

@@ -765,6 +765,61 @@ class TestSkippingStarOracle:
             f"p{j}" for j in (1, 3, 4, 5, 6, 8, 9, 10, 11, 12, 14, 15, 16, 17, 18)
         ]
 
+    # run_star's tuple (selected, chosen_round, rounds_examined, status,
+    # rounds_run) on small_share_election(Random(seed), 25 + 5 * (seed % 6),
+    # 10 + seed % 5, cents=seed % 2 == 1) at one cent per voter per round
+    PINNED_STAR_COUNTS = {
+        0: ([7, 8, 9, 2, 3, 4, 5], 51, 52, "complete", 9),
+        1: ([6, 7, 0, 3, 5, 8], 27, 28, "complete", 13),
+        2: ([3, 4, 2, 10, 11, 7], 26, 27, "complete", 9),
+        3: ([4, 9, 0, 6, 2, 3, 5, 11, 1, 8], 38, 39, "complete", 25),
+        4: ([10, 1, 12, 9, 13, 2, 0, 4, 3, 11], 165, 167, "next_infeasible", 21),
+        5: ([0, 9, 6, 4, 7], 56, 58, "next_infeasible", 11),
+        6: ([4, 9, 10, 3, 8, 2], 35, 36, "complete", 10),
+        7: ([5, 8, 1, 10, 6, 0, 11], 55, 57, "next_infeasible", 14),
+        8: ([10, 0, 12, 4, 7, 9, 5], 41, 43, "next_infeasible", 11),
+        9: ([0, 5, 7, 9, 13, 2, 1, 10, 4], 69, 71, "next_infeasible", 24),
+        10: ([2, 1, 8, 3, 7, 9], 33, 34, "complete", 8),
+        11: ([5, 6, 3, 8, 10, 7], 47, 48, "complete", 10),
+    }
+
+    @staticmethod
+    def small_share_case(seed):
+        rng = random.Random(seed)
+        instance, profile = helpers.small_share_election(
+            rng, 25 + 5 * (seed % 6), 10 + seed % 5, cents=seed % 2 == 1
+        )
+        return instance, profile, Fraction(profile.voter_count, 100)
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_STAR_COUNTS))
+    def test_star_counts_are_pinned(self, seed):
+        # `run` prints rounds_run, so a faster search must run exactly the
+        # rounds it ran before, not only reach the same outcome
+        instance, profile, epsilon = self.small_share_case(seed)
+        found = pure_engine(instance, profile).run_star(instance.budget_limit, epsilon, 10_000)
+        assert found == self.PINNED_STAR_COUNTS[seed]
+
+    def test_star_search_leaves_no_state_behind(self):
+        # complete_star replays the chosen round on the search's engine:
+        # a second search, and a run after a search, must equal a fresh
+        # engine's
+        for seed in range(6):
+            instance, profile, epsilon = self.small_share_case(seed)
+            budget = instance.budget_limit
+            engine = pure_engine(instance, profile)
+            first = engine.run_star(budget, epsilon, 10_000)
+            assert engine.run_star(budget, epsilon, 10_000) == first
+            assert first == pure_engine(instance, profile).run_star(budget, epsilon, 10_000)
+            share = (budget + first[1] * epsilon) / profile.voter_count
+            fresh = pure_engine(instance, profile).run(share, want_ledger=True)
+            replay = engine.run(share, want_ledger=True)
+            assert replay[:3] == fresh[:3]
+            assert replay[0] == first[0]
+            classes, wallets, units = replay[3]
+            fresh_classes, fresh_wallets, fresh_units = fresh[3]
+            assert units == fresh_units
+            assert [wallets[c] for c in classes] == [fresh_wallets[c] for c in fresh_classes]
+
     @pytest.mark.parametrize("limit", [2, 3])
     def test_certificate_checks_what_equal_shares_buys(self, limit):
         # b costs 1 and only v1 approves it (factor 1); q costs 2 and v1
