@@ -135,9 +135,11 @@ class MesEngine:
 
     ``n_voters``, the project ``costs``, the per-project
     ``approver_lists`` and the ``tie_rank`` of each project are read and
-    never mutated.  ``ballot_lists`` (per-voter project indices) is not
-    read: it stays only so that the benchmark's five-argument call keeps
-    working.
+    never mutated.  ``tie_rank`` must put cheaper projects first, as the
+    compiled one does: :meth:`run_star` takes the first unbought project
+    in tie order as the cheapest.  ``ballot_lists`` (per-voter project
+    indices) is not read: it stays only so that the benchmark's
+    five-argument call keeps working.
     """
 
     # approver count from which _waterfill counts classes.  Timed on
@@ -569,7 +571,6 @@ class MesEngine:
         # costs and budget as integers in units of 1/(cost_den * budget den)
         costs = [c * budget.denominator for c in self._cost_units]
         budget_units = budget.numerator * self._cost_den
-        by_cost = sorted(range(self.m), key=costs.__getitem__)
         # round r shares (base + r * step) / den among the voters
         den = budget.denominator * epsilon.denominator * self.n
         base = budget.numerator * epsilon.denominator
@@ -604,7 +605,7 @@ class MesEngine:
                 leftover = budget_units - spent
                 if leftover < 0:
                     return previous, max(r - 1, 0), r + 1, STATUS_NEXT_INFEASIBLE, rounds_run
-                cheapest = next((p for p in by_cost if p not in bought), None)
+                cheapest = next((p for p in self._by_rank if p not in bought), None)
                 if cheapest is None or costs[cheapest] > leftover:
                     return selected, r, r + 1, STATUS_COMPLETE, rounds_run
                 previous = selected

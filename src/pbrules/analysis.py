@@ -245,7 +245,7 @@ def compare_rules(
         for name in rule_names:
             values = [row[metric] for row in by_rule[name]]
             defined = [float(v) for v in values if v is not None]
-            mean = stats.mean(defined) if defined else None
+            mean = statistics.fmean(defined) if defined else None
             se = stats.standard_error(defined) if len(defined) > 1 else None
             p = None
             significant = None

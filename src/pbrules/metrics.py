@@ -248,15 +248,12 @@ def instance_rows(
     for funded_costs in funded:
         columns += funded_costs, election.effort_weights(funded_costs)[0]
     sums = _per_voter_sums(election, columns, [sum(column).bit_length() for column in columns])
-    baseline_funded = election.funded(baseline)
-    baseline_cost = sum(baseline_funded)
     rows = []
     for (rule_name, allocation), funded_costs, funding_sums, effort_sums in zip(
         outcomes, funded, sums[::2], sums[1::2]
     ):
         funding = list(funding_sums)
         supply = sum(funded_costs)
-        both = supply + baseline_cost
         proportionality = None
         if election.labels and allocation:
             rms = _gap_rms(election, _label_supplies(election, funded_costs), supply)
@@ -264,10 +261,7 @@ def instance_rows(
         rows.append({
             "instance_id": instance.instance_id,
             "rule": rule_name,
-            # an unfunded project's entry is 0, so min() is the cost funded by both
-            "similarity": Fraction(2 * sum(map(min, funded_costs, baseline_funded)), both)
-            if both
-            else Fraction(1),
+            "similarity": similarity(allocation, baseline, instance),
             "winners": len(allocation),
             "median_cost": median_selected_cost(allocation, instance),
             "proportionality": proportionality,

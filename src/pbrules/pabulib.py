@@ -407,7 +407,7 @@ def write_pabulib(instance: Instance, profile: Profile) -> str:
 
     lines.append("VOTES")
     lines.append("voter_id;vote")
-    ids = frozenset(project.id for project in instance.projects)
+    ids = instance.project_ids
     for ballot in profile.ballots:
         if not ballot.approved <= ids:
             unknown = min(ballot.approved - ids, key=id_sort_key)

@@ -11,6 +11,7 @@ density.
 from __future__ import annotations
 
 import math
+import statistics
 from typing import NamedTuple, Sequence
 
 _MAX_ITER = 500
@@ -30,25 +31,20 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        numerator = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        numerator = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + numerator * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + numerator / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and the odd term of step m, each one Lentz update
+        for numerator in (
+            m * (b - m) * x / ((qam + m2) * (a + m2)),
+            -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2)),
+        ):
+            d = 1.0 + numerator * d
+            if abs(d) < _TINY:
+                d = _TINY
+            c = 1.0 + numerator / c
+            if abs(c) < _TINY:
+                c = _TINY
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < _EPS:
             return h
     raise ArithmeticError(f"incomplete beta did not converge (a={a}, b={b}, x={x})")
@@ -87,17 +83,11 @@ def student_t_two_sided_p(t: float, df: int) -> float:
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
 
 
-def mean(values: Sequence[float]) -> float:
-    if not values:
-        raise ValueError("mean of an empty sequence")
-    return math.fsum(values) / len(values)
-
-
 def sample_std(values: Sequence[float]) -> float:
     """Sample standard deviation (n - 1 denominator)."""
     if len(values) < 2:
         raise ValueError("sample standard deviation needs at least two values")
-    center = mean(values)
+    center = statistics.fmean(values)
     return math.sqrt(math.fsum((v - center) ** 2 for v in values) / (len(values) - 1))
 
 
@@ -124,7 +114,7 @@ def paired_t_test(x: Sequence[float], y: Sequence[float]) -> TTestResult:
     if n < 2:
         raise ValueError("paired t-test needs at least two pairs")
     differences = [float(a) - float(b) for a, b in zip(x, y)]
-    d_mean = mean(differences)
+    d_mean = statistics.fmean(differences)
     d_std = sample_std(differences)
     if d_std == 0.0:
         if d_mean == 0.0:

@@ -8,7 +8,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pbrules.stats import (
-    mean,
     paired_t_test,
     regularized_incomplete_beta,
     sample_std,
@@ -97,15 +96,52 @@ class TestStudentT:
         )
 
 
+class TestExactFloats:
+    """Exact bits, not tolerances: a reordered float operation in the
+    continued fraction or the moments changes the last bit and fails
+    here, where the checks above and the 4-digit golden files pass it."""
+
+    @pytest.mark.parametrize(
+        "a, b, x, bits",
+        [
+            # x below the mode: the continued fraction at (a, b, x)
+            (2.0, 3.0, 0.1, "0x1.ac710cb295e9cp-5"),
+            (17.0, 0.5, 0.6, "0x1.258716e4b7fd8p-15"),
+            # x at or above it: one minus the fraction at (b, a, 1 - x)
+            (5.0, 2.5, 0.9, "0x1.e3ab49256d641p-1"),
+            (1.5, 12.0, 0.7, "0x1.ffffc2e7c9892p-1"),
+        ],
+    )
+    def test_incomplete_beta(self, a, b, x, bits):
+        assert regularized_incomplete_beta(a, b, x).hex() == bits
+
+    @pytest.mark.parametrize(
+        "t, df, bits",
+        [
+            (0.3, 1, "0x1.a0fff67fb6813p-1"),
+            (2.1, 3, "0x1.03349dee199f7p-3"),
+            (2.6, 34, "0x1.c0c75c0d90e22p-7"),
+            (4.2, 40, "0x1.2fd90db833fdbp-13"),
+        ],
+    )
+    def test_student_t(self, t, df, bits):
+        assert student_t_two_sided_p(t, df).hex() == bits
+
+    def test_paired_t(self):
+        x = [0.61, 0.72, 0.55, 0.9, 0.48, 0.77, 0.66]
+        y = [0.5, 0.7, 0.58, 0.81, 0.41, 0.69, 0.6]
+        result = paired_t_test(x, y)
+        assert result.statistic.hex() == "0x1.975348cb42393p+1"
+        assert result.p_value.hex() == "0x1.37a8da59729f7p-6"
+        assert sample_std(x).hex() == "0x1.2125d74bccd3bp-3"
+
+
 class TestMoments:
     def test_mean_and_std(self):
-        assert mean([1.0, 2.0, 3.0]) == 2.0
         assert sample_std([1.0, 2.0, 3.0]) == pytest.approx(1.0)
         assert standard_error([1.0, 2.0, 3.0]) == pytest.approx(1.0 / math.sqrt(3))
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            mean([])
         with pytest.raises(ValueError):
             sample_std([1.0])
 
