@@ -4,8 +4,9 @@ The one selection engine behind every equal-shares rule in ``rules``.
 The arithmetic is exact; inside a run, money is a Python ``int``
 counting units of ``1/L``, where ``L`` is the lcm of the cost
 denominators and the share's denominator.  ``fractions.Fraction``
-appears only at the edges: the arguments and the affordability factors
-of a ledger run.
+appears only at the edges: the arguments, read through their
+``numerator`` and ``denominator`` (an ``int`` has both), and the
+affordability factors of a ledger run.
 
 A selection run keeps wallets per class, not per voter.  A payment
 depends only on the payer's wallet and the cap, and ties are broken over
@@ -87,15 +88,14 @@ STATUS_NEXT_INFEASIBLE = "next_infeasible"
 STATUS_EXHAUSTED = "exhausted"
 
 
-def payment_cap(wallets, order: Sequence, cost, counts=None):
-    """Payment cap at which the voters in ``order`` (sorted by wallet,
-    ascending) buy a project of positive ``cost`` paying min(wallet,
-    cap) each, as ``(remaining, left)`` with cap = remaining / left; None
-    when their wallets cannot cover the cost.  Each entry of ``order``
-    indexes ``wallets``.  Without ``counts`` each entry stands for one
-    voter, so an index may repeat; with it, the entries are distinct and
-    ``counts[key]`` voters hold the wallet ``wallets[key]``.  Only the
-    counted waterfill calls it; other walks copy it inline.
+def payment_cap(wallets, order: Sequence, cost, counts):
+    """Payment cap at which the voters counted in ``order`` (sorted by
+    wallet, ascending) buy a project of positive ``cost`` paying
+    min(wallet, cap) each, as ``(remaining, left)`` with cap = remaining
+    / left; None when their wallets cannot cover the cost.  The entries
+    of ``order`` are distinct keys of ``wallets``, and ``counts[key]``
+    voters hold the wallet ``wallets[key]``.  Only the counted waterfill
+    calls it; other walks copy it inline.
 
     Voters whose whole wallet is below the equal share of what is still
     owed are peeled off and pay everything; the first who can cover that
@@ -108,12 +108,12 @@ def payment_cap(wallets, order: Sequence, cost, counts=None):
     cover it, and running out of voters proves the wallets fall short.
     """
     remaining = cost
-    left = len(order) if counts is None else sum(counts.values())
+    left = sum(counts.values())
     for key in order:
         wallet = wallets[key]
         if wallet * left >= remaining:
             return remaining, left
-        count = 1 if counts is None else counts[key]
+        count = counts[key]
         remaining -= wallet * count
         left -= count
     return None
@@ -158,13 +158,10 @@ class MesEngine:
         ballot_lists: Sequence[Sequence[int]],
     ):
         self.n = n_voters
-        fractions = [Fraction(c) for c in costs]
-        self.m = len(fractions)
+        self.m = len(costs)
         # every cost as an integer count of 1/cost_den
-        self._cost_den = lcm(*(c.denominator for c in fractions))
-        self._cost_units = [
-            c.numerator * (self._cost_den // c.denominator) for c in fractions
-        ]
+        self._cost_den = lcm(*(c.denominator for c in costs))
+        self._cost_units = [c.numerator * (self._cost_den // c.denominator) for c in costs]
         # the caller's lists, read and never mutated
         self.approvers = approver_lists
         self.tie_rank = tie_rank
@@ -535,7 +532,6 @@ class MesEngine:
         ``rules.MesLedger`` is built from these lists; the next run
         starts new ones.
         """
-        share = Fraction(share)
         self._reset(*_share_units(share.numerator, share.denominator, self._cost_den))
         selected, factors, payments = self._select(record=want_ledger)
         if not want_ledger:
@@ -566,8 +562,6 @@ class MesEngine:
         rounds_run) with status one of "complete", "next_infeasible",
         "exhausted"; ``rounds_run`` counts the rounds actually run.
         """
-        budget = Fraction(budget)
-        epsilon = Fraction(epsilon)
         # costs and budget as integers in units of 1/(cost_den * budget den)
         costs = [c * budget.denominator for c in self._cost_units]
         budget_units = budget.numerator * self._cost_den

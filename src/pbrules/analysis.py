@@ -19,6 +19,7 @@ import operator
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Sequence
 
 from . import stats
@@ -172,22 +173,23 @@ class ComparisonReport:
         return _csv(METRIC_COLUMNS, self.raw)
 
 
-def _map_jobs(worker, work: list, jobs: int) -> list:
-    """``worker`` over ``work`` in order: in this process when one worker
-    would do, else on a pool of at most one process per item."""
-    workers = min(jobs, len(work))
+def _map_jobs(worker, dataset: Dataset, setting, jobs: int) -> list:
+    """``worker(instance, profile, setting)`` over ``dataset`` in order: in
+    this process when one worker would do, else on a pool of at most one
+    process per instance."""
+    workers = min(jobs, len(dataset))
+    columns = (*zip(*dataset), repeat(setting))
     if workers <= 1:
-        return [worker(item) for item in work]
+        return list(map(worker, *columns))
     from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, work))
+        return list(pool.map(worker, *columns))
 
 
-def _instance_comparison(args) -> list[dict]:
+def _instance_comparison(instance, profile, specs) -> list[dict]:
     """The metric rows of every rule on one instance.  ``mes`` and ``mes+``
     share one equal-shares run, which records no ledger."""
-    (instance, profile), specs = args
     baseline = greed_cost(instance, profile)
     mes_run = functools.cache(lambda: mes_selection(instance, profile))
     outcomes = []
@@ -229,16 +231,11 @@ def compare_rules(
     if repeated:
         raise ValueError(f"rules requested more than once: {', '.join(repeated)}")
     rule_names = [spec.variant.value for spec in specs]
-    work = [((instance, profile), tuple(specs)) for instance, profile in dataset]
-    per_instance = _map_jobs(_instance_comparison, work, jobs)
+    per_instance = _map_jobs(_instance_comparison, dataset, tuple(specs), jobs)
 
     raw: list[dict] = [row for rows in per_instance for row in rows]
     baseline_name = Variant.GREED_COST.value
-
-    by_rule: dict[str, list[dict]] = {name: [] for name in rule_names}
-    for rows in per_instance:
-        for name, row in zip(rule_names, rows):
-            by_rule[name].append(row)
+    by_rule = dict(zip(rule_names, zip(*per_instance)))
 
     table: list[ComparisonRow] = []
     for metric in AGGREGATE_METRICS:
@@ -394,10 +391,9 @@ def _block(ids: frozenset[str], instance: Instance) -> BlockSummary:
     )
 
 
-def _effect_worker(args) -> InstanceEffectReport | None:
+def _effect_worker(instance, profile, mes_spec) -> InstanceEffectReport | None:
     """The effect report of one instance, or None when its effect score
     is undefined (see :func:`pbrules.metrics.effect_score`)."""
-    (instance, profile), mes_spec = args
     greed_allocation = greed_cost(instance, profile)
     mes_allocation = run_rule(mes_spec, instance, profile).allocation
     parts = effect_parts(instance, profile, greed_allocation, mes_allocation)
@@ -432,8 +428,7 @@ def extract_extremes(
     if not dataset:
         raise ValueError("empty dataset")
     mes_spec = mes_spec or RuleSpec(Variant.MES_STAR_PLUS)
-    work = [((instance, profile), mes_spec) for instance, profile in dataset]
-    results = _map_jobs(_effect_worker, work, jobs)
+    results = _map_jobs(_effect_worker, dataset, mes_spec, jobs)
 
     uncategorized = tuple(
         instance.instance_id

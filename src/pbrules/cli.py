@@ -85,7 +85,7 @@ def _load_config(path: str, options: dict[str, argparse.Action]) -> dict[str, st
     on/off flag's value becomes a bool."""
     mapping: dict[str, str | bool] = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read config {path!r}: {exc}") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -229,17 +229,20 @@ def _write_out(text: str, path: str | None) -> None:
         raise _DataError(f"cannot write {path}: {exc}") from None
 
 
-def _check_outputs(args) -> None:
-    """Before any input is read: an output naming an earlier output's file
-    is a usage error; one that is a directory, or in none that exists, a data error."""
+def _check_outputs(args, config: str | None) -> None:
+    """Before any input is read: an output naming the file of an input
+    (``--file``, the ``config`` read) or of an earlier output is a usage
+    error; one that is a directory, or in none that exists, a data error."""
     named: dict[str, str] = {}
-    for flag in ("--out", "--raw-out", "--ledger-out", "--skip-report"):
-        path = getattr(args, flag[2:].replace("-", "_"), None)
+    for flag in ("--file", "--config", "--out", "--raw-out", "--ledger-out", "--skip-report"):
+        path = config if flag == "--config" else getattr(args, flag[2:].replace("-", "_"), None)
         if not path:
             continue
         first = named.setdefault(os.path.realpath(path), flag)
         if first != flag:
             raise _UsageError(f"{first} and {flag} both name {path}")
+        if flag in ("--file", "--config"):
+            continue
         if Path(path).is_dir():
             raise _DataError(f"cannot write {path}: is a directory")
         if not Path(path).parent.is_dir():
@@ -363,7 +366,7 @@ def cli_main(argv=None) -> int:
         except SystemExit as exc:  # --help / --version
             return int(exc.code or 0)
         _check_config(subcommands[args.command], options, mapping)
-        _check_outputs(args)
+        _check_outputs(args, known.config)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(exc, file=sys.stderr)

@@ -100,8 +100,8 @@ def format_money(value: Money) -> str:
 
 def id_sort_key(identifier: str) -> tuple[int, int, str]:
     """Sort key for project, voter and instance ids: ids of decimal digits first,
-    numerically, then the rest lexicographically."""
-    return (0, int(identifier), "") if identifier.isdecimal() else (1, 0, identifier)
+    numerically, then as text (``01`` before ``1``); then the rest lexicographically."""
+    return (0, int(identifier), identifier) if identifier.isdecimal() else (1, 0, identifier)
 
 
 @dataclass(frozen=True)

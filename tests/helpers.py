@@ -120,7 +120,7 @@ def affordability(budgets, voter_ids, cost):
     ``budgets``; zero payments are omitted.  None when the wallets cannot
     cover the cost."""
     order = sorted(voter_ids, key=budgets.__getitem__)
-    peel = payment_cap(budgets, order, cost)
+    peel = payment_cap(budgets, order, cost, dict.fromkeys(order, 1))
     if peel is None:
         return None
     cap = Fraction(*peel)

@@ -140,8 +140,8 @@ class TestCompareRules:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, worker, work):
-                return map(worker, work)
+            def map(self, worker, *columns):
+                return map(worker, *columns)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         dataset = categorized_dataset(43, 2)
@@ -345,7 +345,7 @@ class TestExtremes:
         scored = 0
         for pair in dataset:
             passes.clear()
-            report = _effect_worker((pair, spec))
+            report = _effect_worker(*pair, spec)
             assert len(passes) == (report is not None)
             scored += report is not None
         assert scored > 0

@@ -542,6 +542,44 @@ def test_two_outputs_naming_one_file_are_a_usage_error(
     assert not target.exists()
 
 
+class TestOutputNamingAnInput:
+    """An output naming the ``--file`` or ``--config`` the command reads
+    is a usage error before any input is read, and leaves it as it was."""
+
+    @pytest.mark.parametrize("flag", ["--out", "--ledger-out"])
+    def test_output_naming_the_election_file(self, one_file, capsys, monkeypatch, flag):
+        monkeypatch.setattr(cli, "read_pabulib", _unread)
+        before = one_file.read_bytes()
+        argv = ["run", "--file", str(one_file), "--rule", "mes", flag, str(one_file)]
+        assert cli_main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"--file and {flag} both name {one_file}"]
+        assert one_file.read_bytes() == before
+
+    @pytest.mark.parametrize("config_first", [False, True])
+    @pytest.mark.parametrize(
+        "command, flag", [("stats", "--out"), ("stats", "--skip-report"), ("compare", "--raw-out")]
+    )
+    def test_output_naming_the_config(
+        self, corpus, tmp_path, capsys, monkeypatch, command, flag, config_first
+    ):
+        # --config before the command name is read as well as after it
+        monkeypatch.setattr(cli, "ingest_directory", _unread)
+        cfg = tmp_path / "pb.cfg"
+        cfg.write_text(f"dir = {corpus}\n", encoding="utf-8")
+        before = cfg.read_bytes()
+        spelled = tmp_path / "sub" / ".." / "pb.cfg"
+        (tmp_path / "sub").mkdir()
+        argv = [command, flag, str(spelled)]
+        config = ["--config", str(cfg)]
+        assert cli_main(config + argv if config_first else argv + config) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"--config and {flag} both name {spelled}"]
+        assert cfg.read_bytes() == before
+
+
 class TestEmptyBallots:
     """An election where every ballot is empty: no voter has a demand
     share, and no equal-shares round can buy anything."""
@@ -677,6 +715,14 @@ class TestConfig:
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         assert cli_main(["stats", "--config", str(tmp_path / "none.cfg")]) == EXIT_USAGE
+
+    def test_config_may_start_with_a_byte_order_mark(self, corpus, tmp_path, capsys):
+        cfg = tmp_path / "pb.cfg"
+        cfg.write_text(f"\ufeffformat = json\ndir = {corpus}\n", encoding="utf-8")
+        assert cli_main(["stats", "--config", str(cfg)]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert len(json.loads(out)) == 3
+        assert err == "accepted 3 instances, skipped 0 files\n"
 
     def test_undecodable_config_is_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "pb.cfg"

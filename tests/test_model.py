@@ -1,6 +1,7 @@
 """Model layer: money parsing, validation, allocations, the district builder."""
 
 import dataclasses
+import itertools
 import pickle
 import random
 from decimal import Decimal
@@ -137,6 +138,13 @@ class TestIdSortKey:
     def test_other_unicode_digits_sort_as_text(self):
         # "²".isdigit() is True but int("²") raises
         assert id_sort_key("²") == (1, 0, "²")
+
+    def test_ids_equal_as_numbers_sort_by_their_text(self):
+        # a key that tied them would leave their order to the input's,
+        # which for a frozenset of ids is the hash order
+        for ids in itertools.permutations(["1", "01", "001"]):
+            assert sorted(ids, key=id_sort_key) == ["001", "01", "1"]
+        assert sorted(["2", "01", "10", "a"], key=id_sort_key) == ["01", "2", "10", "a"]
 
 
 class TestValidation:

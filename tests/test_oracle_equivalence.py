@@ -117,14 +117,27 @@ class TestPaymentCap:
             units *= rng.choice((1, 2, 5))
             scaled = [int(w * units) for w in wallets]
             order = sorted(range(k), key=wallets.__getitem__)
-            exact = _mes_pure.payment_cap(wallets, order, cost)
-            integral = _mes_pure.payment_cap(scaled, order, int(cost * units))
+            counts = dict.fromkeys(order, 1)
+            exact = _mes_pure.payment_cap(wallets, order, cost, counts)
+            integral = _mes_pure.payment_cap(scaled, order, int(cost * units), counts)
             if exact is None:
                 assert integral is None
                 assert sum(wallets) < cost
                 continue
             assert all(isinstance(x, int) for x in integral)
             assert Fraction(*integral) == exact[0] / exact[1] * units
+
+    @staticmethod
+    def voter_walk(wallets, cost):
+        """The payment cap of voters with ``wallets``, ascending, walked
+        one voter at a time: the definition the counted walk groups."""
+        remaining, left = cost, len(wallets)
+        for wallet in wallets:
+            if wallet * left >= remaining:
+                return remaining, left
+            remaining -= wallet
+            left -= 1
+        return None
 
     def test_grouped_walk_matches_the_walk_over_voters(self):
         # classes of 1 to 6 voters, several of them on one wallet and some
@@ -140,7 +153,7 @@ class TestPaymentCap:
             total = sum(map(wallets.__getitem__, voters))
             cost = rng.randint(1, total + total // 4 + 1)
             grouped = _mes_pure.payment_cap(wallets, order, cost, counts)
-            single = _mes_pure.payment_cap(wallets, voters, cost)
+            single = self.voter_walk([wallets[c] for c in voters], cost)
             assert grouped == single
             if grouped is None:
                 short += 1
@@ -336,9 +349,9 @@ class TestPureEngineOracle:
         peeled_classes = []
         payment_cap = _mes_pure.payment_cap
 
-        def recording_cap(wallets, order, cost, counts=None):
+        def recording_cap(wallets, order, cost, counts):
             found = payment_cap(wallets, order, cost, counts)
-            if found is not None and counts is not None:
+            if found is not None:
                 # the classes walked past before the cap was pinned
                 unpinned = sum(counts.values()) - found[1]
                 for c in order:
@@ -1408,7 +1421,7 @@ class TestMetricsOracle:
         result = run_rule(spec, instance, profile)
         # an unpickled profile carries no election and compiles its own
         assert result == run_rule(spec, instance, pickle.loads(pickle.dumps(profile)))
-        report = _effect_worker(((instance, profile), spec))
+        report = _effect_worker(instance, profile, spec)
         expected = oracle.effect_report(
             instance,
             profile,
