@@ -4,141 +4,24 @@ Deterministic implementations of greedy cost welfare and the Method of
 Equal Shares (with completion by budget increase and by a greedy top-up
 on the leftover budget), exact-rational money arithmetic end to end, PaBuLib file I/O,
 outcome metrics and a corpus analysis pipeline with a CLI.
+
+Each module's ``__all__`` is its public API; this package republishes them.
 """
 
 __version__ = "0.1.0"
 
-from .model import (
-    Allocation,
-    ApprovalBallot,
-    CompiledElection,
-    Instance,
-    Money,
-    Profile,
-    Project,
-    build_district_example,
-    compile_election,
-    format_money,
-    is_complete,
-    money,
-    parse_money,
-    total_cost,
-)
-from .pabulib import (
-    IngestFilter,
-    IngestResult,
-    PabulibParseError,
-    SkippedFile,
-    ingest_directory,
-    parse_pabulib,
-    read_pabulib,
-    write_pabulib,
-)
-from .rules import (
-    RULE_NAMES,
-    MesLedger,
-    RuleResult,
-    RuleSpec,
-    StarResult,
-    Variant,
-    complete_star,
-    complete_with_secondary,
-    default_epsilon,
-    emit_trace,
-    greed_cost,
-    mes,
-    run_rule,
-)
-from .metrics import (
-    METRIC_COLUMNS,
-    CategoryReport,
-    CategoryScores,
-    category_proportionality,
-    effect_score,
-    gini,
-    median_selected_cost,
-    metric_row,
-    similarity,
-    voter_category_share,
-)
-from .stats import (
-    TTestResult,
-    paired_t_test,
-    regularized_incomplete_beta,
-    standard_error,
-    student_t_two_sided_p,
-)
-from .analysis import (
-    ComparisonReport,
-    ComparisonRow,
-    ExtremesReport,
-    InstanceStats,
-    QuadrantPartition,
-    compare_rules,
-    extract_extremes,
-    instance_stats,
-    quadrant_partition,
-)
+# each ``from .x import *`` also binds the submodule ``x`` read below
+from .model import *
+from .pabulib import *
+from .rules import *
+from .metrics import *
+from .stats import *
+from .analysis import *
 
-__all__ = [
-    "__version__",
-    "Allocation",
-    "ApprovalBallot",
-    "Instance",
-    "Money",
-    "Profile",
-    "Project",
-    "build_district_example",
-    "format_money",
-    "is_complete",
-    "money",
-    "parse_money",
-    "total_cost",
-    "IngestFilter",
-    "IngestResult",
-    "PabulibParseError",
-    "SkippedFile",
-    "ingest_directory",
-    "parse_pabulib",
-    "read_pabulib",
-    "write_pabulib",
-    "RULE_NAMES",
-    "MesLedger",
-    "RuleResult",
-    "RuleSpec",
-    "StarResult",
-    "Variant",
-    "complete_star",
-    "complete_with_secondary",
-    "default_epsilon",
-    "emit_trace",
-    "greed_cost",
-    "mes",
-    "run_rule",
-    "METRIC_COLUMNS",
-    "CategoryReport",
-    "CategoryScores",
-    "CompiledElection",
-    "category_proportionality",
-    "compile_election",
-    "effect_score",
-    "gini",
-    "median_selected_cost",
-    "metric_row",
-    "similarity",
-    "voter_category_share",
-    "TTestResult",
-    "paired_t_test",
-    "regularized_incomplete_beta",
-    "standard_error",
-    "student_t_two_sided_p",
-    "ComparisonReport",
-    "ComparisonRow",
-    "ExtremesReport",
-    "InstanceStats",
-    "QuadrantPartition",
-    "compare_rules",
-    "extract_extremes",
-    "instance_stats",
-    "quadrant_partition",
-]
+__all__ = ["__version__"]
+__all__ += model.__all__
+__all__ += pabulib.__all__
+__all__ += rules.__all__
+__all__ += metrics.__all__
+__all__ += stats.__all__
+__all__ += analysis.__all__

@@ -10,6 +10,11 @@ arithmetic stays exact or double precision.
 
 from __future__ import annotations
 
+__all__ = [
+    "ComparisonReport", "ComparisonRow", "ExtremesReport", "InstanceStats", "QuadrantPartition",
+    "compare_rules", "extract_extremes", "instance_stats", "quadrant_partition",
+]
+
 import csv
 import dataclasses
 import functools

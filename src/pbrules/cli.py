@@ -6,7 +6,9 @@ smallest rule effects).  Exit codes: 0 on success, 1 for usage errors,
 2 for data errors (unreadable, undecodable or ill-formed input files,
 unwritable output paths, empty corpus).
 
-``--dir`` defaults to the PB_DATA_DIR environment variable.  ``--config``
+``--dir`` defaults to the PB_DATA_DIR environment variable.  An output
+that names a ``.pb`` file in that corpus directory, existing or not, is
+a usage error: the next ingest would read it as an election.  ``--config``
 names a flat key=value file whose keys mirror the long option names;
 explicit flags win over the config, the config wins over defaults.  Every
 config value is converted and checked by its option's ``type`` and
@@ -229,10 +231,16 @@ def _write_out(text: str, path: str | None) -> None:
         raise _DataError(f"cannot write {path}: {exc}") from None
 
 
+def _corpus_dir(args) -> str | None:
+    return args.dir or os.environ.get("PB_DATA_DIR")
+
+
 def _check_outputs(args, config: str | None) -> None:
     """Before any input is read: an output naming the file of an input
-    (``--file``, the ``config`` read) or of an earlier output is a usage
-    error; one that is a directory, or in none that exists, a data error."""
+    (``--file``, the ``config`` read), of an earlier output or a ``.pb``
+    file in the corpus directory is a usage error; one that is a
+    directory, or in none that exists, a data error."""
+    corpus = _corpus_dir(args) if args.command != "run" else None
     named: dict[str, str] = {}
     for flag in ("--file", "--config", "--out", "--raw-out", "--ledger-out", "--skip-report"):
         path = config if flag == "--config" else getattr(args, flag[2:].replace("-", "_"), None)
@@ -243,6 +251,12 @@ def _check_outputs(args, config: str | None) -> None:
             raise _UsageError(f"{first} and {flag} both name {path}")
         if flag in ("--file", "--config"):
             continue
+        if (
+            corpus
+            and Path(path).match("*.pb")
+            and os.path.realpath(Path(path).parent) == os.path.realpath(corpus)
+        ):
+            raise _UsageError(f"{flag} {path} names a .pb file in the corpus directory {corpus}")
         if Path(path).is_dir():
             raise _DataError(f"cannot write {path}: is a directory")
         if not Path(path).parent.is_dir():
@@ -250,7 +264,7 @@ def _check_outputs(args, config: str | None) -> None:
 
 
 def _ingest(args) -> tuple:
-    directory = args.dir or os.environ.get("PB_DATA_DIR")
+    directory = _corpus_dir(args)
     if not directory:
         raise _UsageError("no corpus directory: pass --dir or set PB_DATA_DIR")
     base = IngestFilter() if args.filter_defaults else IngestFilter(min_voters=1, min_projects=1)

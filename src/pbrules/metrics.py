@@ -21,6 +21,12 @@ allocation take the :class:`Allocation` a rule returns.
 
 from __future__ import annotations
 
+__all__ = [
+    "METRIC_COLUMNS", "CategoryReport", "CategoryScores", "category_proportionality",
+    "effect_score", "gini", "median_selected_cost", "metric_row", "similarity",
+    "voter_category_share",
+]
+
 import math
 import statistics
 from dataclasses import dataclass

@@ -15,6 +15,12 @@ metrics of one instance share one compile.
 
 from __future__ import annotations
 
+__all__ = [
+    "Allocation", "ApprovalBallot", "CompiledElection", "Instance", "Money", "Profile", "Project",
+    "build_district_example", "compile_election", "format_money", "is_complete", "money",
+    "parse_money", "total_cost",
+]
+
 import math
 import random
 import re

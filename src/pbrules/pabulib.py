@@ -26,6 +26,11 @@ for them.  Files are read by :func:`read_pabulib`.
 
 from __future__ import annotations
 
+__all__ = [
+    "IngestFilter", "IngestResult", "PabulibParseError", "SkippedFile",
+    "ingest_directory", "parse_pabulib", "read_pabulib", "write_pabulib",
+]
+
 import json
 from dataclasses import dataclass
 from fractions import Fraction

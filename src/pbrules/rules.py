@@ -19,6 +19,12 @@ the money left over.
 
 from __future__ import annotations
 
+__all__ = [
+    "RULE_NAMES", "MesLedger", "RuleResult", "RuleSpec", "StarResult", "Variant",
+    "complete_star", "complete_with_secondary", "default_epsilon", "emit_trace",
+    "greed_cost", "mes", "run_rule",
+]
+
 import enum
 import math
 import operator

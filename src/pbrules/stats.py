@@ -10,6 +10,11 @@ density.
 
 from __future__ import annotations
 
+__all__ = [
+    "TTestResult", "paired_t_test", "regularized_incomplete_beta", "standard_error",
+    "student_t_two_sided_p",
+]
+
 import math
 import statistics
 from typing import NamedTuple, Sequence

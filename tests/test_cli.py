@@ -580,6 +580,64 @@ class TestOutputNamingAnInput:
         assert cfg.read_bytes() == before
 
 
+@pytest.mark.parametrize("name", ["city_1.pb", "new.pb"])
+@pytest.mark.parametrize(
+    "command, flag, from_env",
+    [
+        ("stats", "--out", False),
+        ("stats", "--skip-report", False),
+        ("compare", "--raw-out", False),
+        ("extremes", "--out", True),
+    ],
+)
+def test_output_naming_a_corpus_election_is_a_usage_error(
+    corpus, capsys, monkeypatch, command, flag, from_env, name
+):
+    # the next ingest would read the output as an election: refused
+    # before any input is read, whether the file exists yet or not, with
+    # the corpus directory from --dir or from PB_DATA_DIR
+    monkeypatch.setattr(cli, "ingest_directory", _unread)
+    before = {path.name: path.read_bytes() for path in corpus.iterdir()}
+    if from_env:
+        monkeypatch.setenv("PB_DATA_DIR", str(corpus))
+        argv = [command]
+    else:
+        monkeypatch.delenv("PB_DATA_DIR", raising=False)
+        argv = [command, "--dir", str(corpus)]
+    target = corpus / "sub" / ".." / name
+    assert cli_main([*argv, flag, str(target)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"{flag} {target} names a .pb file in the corpus directory {corpus}"
+    ]
+    assert {path.name: path.read_bytes() for path in corpus.iterdir()} == before
+
+
+def test_other_outputs_in_the_corpus_directory_are_written(corpus, capsys):
+    target = corpus / "stats.csv"
+    assert cli_main(["stats", "--dir", str(corpus), "--out", str(target)]) == EXIT_OK
+    assert target.read_text(encoding="utf-8").startswith("instance_id,")
+    assert cli_main(["stats", "--dir", str(corpus)]) == EXIT_OK
+    assert "accepted 3 instances, skipped 0 files" in capsys.readouterr().err
+
+
+def test_failed_write_is_data_error(corpus, tmp_path, capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    target = tmp_path / "stats.csv"
+    assert cli_main(["stats", "--dir", str(corpus), "--out", str(target)]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "accepted 3 instances, skipped 0 files",
+        f"pbrules: data error: cannot write {target}: [Errno 13] Permission denied: '{target}'",
+    ]
+    assert not target.exists()
+
+
 class TestEmptyBallots:
     """An election where every ballot is empty: no voter has a demand
     share, and no equal-shares round can buy anything."""

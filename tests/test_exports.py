@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import pbrules
-from pbrules import _mes_pure, rules
+from pbrules import _mes_pure, analysis, metrics, model, pabulib, rules, stats
 from pbrules.cli import cli_main
 from pbrules.pabulib import parse_pabulib
 
@@ -35,6 +35,75 @@ def test_star_import_binds_every_exported_name():
     namespace: dict = {}
     exec("from pbrules import *", namespace)
     assert set(pbrules.__all__) <= namespace.keys()
+
+
+PUBLIC_MODULES = (model, pabulib, rules, metrics, stats, analysis)
+
+EXPORTED = {
+    "__version__",
+    "Allocation", "ApprovalBallot", "CompiledElection", "Instance", "Money", "Profile", "Project",
+    "build_district_example", "compile_election", "format_money", "is_complete", "money",
+    "parse_money", "total_cost",
+    "IngestFilter", "IngestResult", "PabulibParseError", "SkippedFile",
+    "ingest_directory", "parse_pabulib", "read_pabulib", "write_pabulib",
+    "RULE_NAMES", "MesLedger", "RuleResult", "RuleSpec", "StarResult", "Variant",
+    "complete_star", "complete_with_secondary", "default_epsilon", "emit_trace",
+    "greed_cost", "mes", "run_rule",
+    "METRIC_COLUMNS", "CategoryReport", "CategoryScores", "category_proportionality",
+    "effect_score", "gini", "median_selected_cost", "metric_row", "similarity",
+    "voter_category_share",
+    "TTestResult", "paired_t_test", "regularized_incomplete_beta", "standard_error",
+    "student_t_two_sided_p",
+    "ComparisonReport", "ComparisonRow", "ExtremesReport", "InstanceStats", "QuadrantPartition",
+    "compare_rules", "extract_extremes", "instance_stats", "quadrant_partition",
+}
+
+
+class TestSingleDeclaration:
+    """Each public name is declared once, in the ``__all__`` of the module
+    that defines it, and the package republishes those lists."""
+
+    @pytest.mark.parametrize("module", PUBLIC_MODULES, ids=lambda module: module.__name__)
+    def test_module_defines_every_name_it_exports(self, module):
+        tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+        defined, classes_and_functions = set(), set()
+        for statement in tree.body:
+            if isinstance(statement, (ast.ClassDef, ast.FunctionDef)):
+                defined.add(statement.name)
+                classes_and_functions.add(statement.name)
+            elif isinstance(statement, ast.Assign):
+                defined.update(t.id for t in statement.targets if isinstance(t, ast.Name))
+            elif isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+                defined.add(statement.target.id)
+        assert isinstance(module.__all__, list)
+        assert [name for name in module.__all__ if name not in defined] == []
+        assert [
+            name
+            for name in module.__all__
+            if name in classes_and_functions
+            and getattr(module, name).__module__ != module.__name__
+        ] == []
+
+    def test_no_name_is_in_two_module_lists(self):
+        names = [name for module in PUBLIC_MODULES for name in module.__all__]
+        assert len(names) == len(set(names))
+
+    def test_package_list_is_the_module_lists(self):
+        expected = ["__version__"]
+        for module in PUBLIC_MODULES:
+            expected += module.__all__
+        assert pbrules.__all__ == expected
+        assert set(pbrules.__all__) == EXPORTED
+
+    def test_package_init_names_no_public_name(self):
+        tree = ast.parse(Path(pbrules.__file__).read_text(encoding="utf-8"))
+        nodes = list(ast.walk(tree))
+        imported = {a.name for node in nodes if isinstance(node, ast.ImportFrom) for a in node.names}
+        listed = [
+            node.value for node in nodes if isinstance(node, ast.Constant) and node.value in EXPORTED
+        ]
+        assert imported == {"*"}
+        assert listed == ["__version__"]
 
 
 def test_no_module_imports_a_name_it_does_not_use():
