@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 
 from . import stats
 from .metrics import METRIC_COLUMNS, effect_parts, instance_rows
-from .model import Instance, Money, Profile, compile_election, format_money
+from .model import Instance, Money, Profile, compile_election, format_money, id_sort_key
 from .rules import RuleSpec, Variant, complete_with_secondary, greed_cost, mes_selection, run_rule
 
 Dataset = Sequence[tuple[Instance, Profile]]
@@ -442,7 +442,7 @@ def extract_extremes(
     )
     scored = sorted(
         (report for report in results if report is not None),
-        key=lambda report: (report.effect, report.instance_id),
+        key=lambda report: (report.effect, id_sort_key(report.instance_id)),
     )
     if not scored:
         raise ValueError("no categorized instances: effect scores undefined everywhere")

@@ -238,23 +238,23 @@ def _corpus_dir(args) -> str | None:
 def _check_outputs(args, config: str | None) -> None:
     """Before any input is read: an output naming the file of an input
     (``--file``, the ``config`` read), of an earlier output or a ``.pb``
-    file in the corpus directory is a usage error; one that is a
-    directory, or in none that exists, a data error."""
+    file in the corpus directory, as named or through links, is a usage
+    error; one that is a directory, or in none that exists, a data error."""
     corpus = _corpus_dir(args) if args.command != "run" else None
     named: dict[str, str] = {}
     for flag in ("--file", "--config", "--out", "--raw-out", "--ledger-out", "--skip-report"):
         path = config if flag == "--config" else getattr(args, flag[2:].replace("-", "_"), None)
         if not path:
             continue
-        first = named.setdefault(os.path.realpath(path), flag)
+        real = os.path.realpath(path)
+        first = named.setdefault(real, flag)
         if first != flag:
             raise _UsageError(f"{first} and {flag} both name {path}")
         if flag in ("--file", "--config"):
             continue
-        if (
-            corpus
-            and Path(path).match("*.pb")
-            and os.path.realpath(Path(path).parent) == os.path.realpath(corpus)
+        link = os.path.join(os.path.realpath(Path(path).parent), Path(path).name)
+        if corpus and any(
+            Path(p).match("*.pb") and os.path.dirname(p) == os.path.realpath(corpus) for p in (link, real)
         ):
             raise _UsageError(f"{flag} {path} names a .pb file in the corpus directory {corpus}")
         if Path(path).is_dir():

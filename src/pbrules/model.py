@@ -92,10 +92,9 @@ def decimal_string(value: Money) -> str | None:
     if digits == 0:
         return str(value.numerator)
     scaled = value.numerator * 10**digits // value.denominator
+    # the last digit is never 0: the numerator is coprime to the 2s or 5s left
     text = str(scaled).rjust(digits + 1, "0")
-    whole, frac = text[:-digits], text[-digits:]
-    frac = frac.rstrip("0")
-    return f"{whole}.{frac}" if frac else whole
+    return f"{text[:-digits]}.{text[-digits:]}"
 
 
 def format_money(value: Money) -> str:

@@ -135,9 +135,10 @@ class MesLedger:
     that it sorts each purchase's payers by voter id as plain strings:
     with ballots ``b`` then ``a``, the ``payments`` keys are ``b, a`` and
     the JSON keys ``a, b``; ``budgets`` keeps ballot order in both.  It and
-    :func:`emit_trace` read the groups: each distinct value is formatted
-    once per ledger, and the per-payer and per-wallet work is lookups,
-    counts and joins done by ``map``, ``Counter`` and ``str.join`` in C.
+    :func:`emit_trace` pass single values to ``format_money``, test each
+    denominator once for a decimal form and format each amount once per
+    unit; the per-payer and per-wallet work is lookups, counts and joins
+    done by ``map``, ``Counter`` and ``str.join`` in C.
     """
 
     run_budget: Money
@@ -147,7 +148,6 @@ class MesLedger:
     voters: tuple[str, ...]
     purchases: dict[str, tuple[list[int], list[int], dict[int, int], int]]
     final: tuple[list[int], list[int], int]
-    _values: dict = field(default_factory=dict, init=False, repr=False)  # (num, den) -> text
     _tails: dict = field(default_factory=dict, init=False, repr=False)  # den -> "/den", or ""
     _amounts: dict = field(default_factory=dict, init=False, repr=False)  # units -> {amount: text}
 
@@ -176,20 +176,12 @@ class MesLedger:
 
     def _format(self, num: int, den: int) -> str:
         """:func:`~pbrules.model.format_money` of the reduced fraction
-        ``num / den``.  Each distinct value is formatted once per ledger,
-        and each distinct denominator tested once for a finite decimal
-        form."""
-        text = self._values.get((num, den))
-        if text is None:
-            tail = self._tails.get(den)
-            if tail is None:
-                tail = self._tails[den] = "" if decimal_places(den) is not None else f"/{den}"
-            text = f"{num}{tail}" if tail else format_money(Fraction(num, den))
-            self._values[num, den] = text
-        return text
-
-    def _money(self, value: Money) -> str:
-        return self._format(*value.as_integer_ratio())
+        ``num / den``, for :meth:`_texts`: each distinct denominator is
+        tested once per ledger for a finite decimal form."""
+        tail = self._tails.get(den)
+        if tail is None:
+            tail = self._tails[den] = "" if decimal_places(den) is not None else f"/{den}"
+        return f"{num}{tail}" if tail else format_money(Fraction(num, den))
 
     def _texts(self, amounts: Iterable[int], units: int) -> dict[int, str]:
         """The text of ``amount / units`` for each of ``amounts``, and of
@@ -211,15 +203,15 @@ class MesLedger:
         classes, wallets, units = self.final
         text = self._texts(map(wallets.__getitem__, set(classes)), units)
         fields = {
-            "run_budget": [f'"{self._money(self.run_budget)}"'],
-            "initial_share": [f'"{self._money(self.initial_share)}"'],
+            "run_budget": [f'"{format_money(self.run_budget)}"'],
+            "initial_share": [f'"{format_money(self.initial_share)}"'],
             "selection_order": _json_block(
                 "[]", None, list(map(encode_basestring_ascii, self.selection_order)), 1
             ),
             "affordabilities": _json_block(
                 "{}",
                 list(map(encode_basestring_ascii, self.affordabilities)),
-                list(map(self._money, self.affordabilities.values())),
+                list(map(format_money, self.affordabilities.values())),
                 1,
                 quote='"',
             ),
@@ -520,7 +512,7 @@ def emit_trace(ledger: MesLedger, instance: Instance) -> str:
     final wallets.
 
     Every number is exact.  The trace reads the ledger's groups (see
-    :class:`MesLedger`) and shares its formatted values with
+    :class:`MesLedger`) and shares its formatted amounts with
     :meth:`MesLedger.to_json`.  A purchase's payers and the final
     wallets are counted per amount with ``Counter`` in C, and the groups
     and the wallet summary (min, median, max, total left) computed from
@@ -528,21 +520,20 @@ def emit_trace(ledger: MesLedger, instance: Instance) -> str:
     trace names them, and a ledger of at most 12 voters, whose wallets
     it lists, run Python code per voter.
     """
-    money = ledger._money
     voters = ledger.voters
     classes, wallets, units = ledger.final
     n = len(classes)
     lines = [
-        f"Budget {money(ledger.run_budget)} split equally: "
-        f"{n} voters, {money(ledger.initial_share)} each."
+        f"Budget {format_money(ledger.run_budget)} split equally: "
+        f"{n} voters, {format_money(ledger.initial_share)} each."
     ]
     for step, pid in enumerate(ledger.selection_order, start=1):
         project = instance.project(pid)
         payers, paid, amounts, scale = ledger.purchases[pid]
         text = ledger._texts(amounts.values(), scale)
         label = f"{pid} ({project.name})" if project.name else pid
-        head = f"{step}. buy {label}, cost {money(project.cost)}, "
-        head += f"alpha = {money(ledger.affordabilities[pid])}: "
+        head = f"{step}. buy {label}, cost {format_money(project.cost)}, "
+        head += f"alpha = {format_money(ledger.affordabilities[pid])}: "
         groups = _by_amount(paid, amounts)
         if len(groups) == 1:
             amount, count = groups[0]

@@ -2,9 +2,11 @@
 
 import concurrent.futures
 import csv
+import dataclasses
 import io
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +26,7 @@ from pbrules.analysis import (
 )
 from pbrules.metrics import METRIC_COLUMNS, metric_row
 from pbrules.model import ApprovalBallot, CompiledElection, Instance, Profile, Project
+from pbrules.pabulib import read_pabulib
 from pbrules.rules import RuleSpec, Variant
 
 
@@ -365,6 +368,19 @@ class TestExtremes:
         report = extract_extremes([cat, plain], mes_spec=RuleSpec(Variant.MES_PLUS))
         assert report.uncategorized == ("c-inst",)
         assert [iid for iid, _ in report.ranking] == ["a-inst"]
+
+    def test_tied_effects_rank_in_id_order(self):
+        # greedy and mes*+ fund the same projects of basic.pb: both effects
+        # are 0, and the tie goes by id_sort_key, 9 before 10
+        instance, profile = read_pabulib(Path(__file__).parent / "data" / "basic.pb")
+        dataset = [
+            (dataclasses.replace(instance, meta={**instance.meta, "instance_id": iid}), profile)
+            for iid in ("9", "10")
+        ]
+        report = extract_extremes(dataset)
+        assert report.ranking == (("9", 0.0), ("10", 0.0))
+        assert report.minimum.instance_id == report.median.instance_id == "9"
+        assert report.maximum.instance_id == "10"
 
     def test_all_uncategorized_raises(self):
         plain = build([("c", 5)], 10, [("v1", {"c"})])

@@ -614,6 +614,50 @@ def test_output_naming_a_corpus_election_is_a_usage_error(
     assert {path.name: path.read_bytes() for path in corpus.iterdir()} == before
 
 
+@pytest.mark.parametrize("name", ["city_1.pb", "new.pb"])
+@pytest.mark.parametrize("from_env", [False, True])
+def test_output_linking_to_a_corpus_election_is_a_usage_error(
+    corpus, tmp_path, capsys, monkeypatch, from_env, name
+):
+    # a symbolic link outside the corpus, to an election or to a .pb file
+    # not there yet (a dangling link), is refused as the election's own
+    # name is; the message names the link as typed
+    monkeypatch.setattr(cli, "ingest_directory", _unread)
+    before = {path.name: path.read_bytes() for path in corpus.iterdir()}
+    if from_env:
+        monkeypatch.setenv("PB_DATA_DIR", str(corpus))
+        argv = ["stats"]
+    else:
+        monkeypatch.delenv("PB_DATA_DIR", raising=False)
+        argv = ["stats", "--dir", str(corpus)]
+    link = tmp_path / "out.csv"
+    link.symlink_to(corpus / name)
+    assert cli_main([*argv, "--out", str(link)]) == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"--out {link} names a .pb file in the corpus directory {corpus}"]
+    assert {path.name: path.read_bytes() for path in corpus.iterdir()} == before
+
+
+def test_link_in_the_corpus_to_an_outside_file_is_a_usage_error(corpus, tmp_path, capsys):
+    # the next ingest would read the link's target as an election
+    target = tmp_path / "stats.csv"
+    (corpus / "link.pb").symlink_to(target)
+    argv = ["stats", "--dir", str(corpus), "--out", str(corpus / "link.pb")]
+    assert cli_main(argv) == EXIT_USAGE
+    assert "names a .pb file in the corpus directory" in capsys.readouterr().err
+    assert not target.exists()
+
+
+def test_link_to_a_file_outside_the_corpus_is_written(corpus, tmp_path):
+    target = tmp_path / "stats.csv"
+    link = tmp_path / "link.pb"
+    link.symlink_to(target)
+    assert cli_main(["stats", "--dir", str(corpus), "--out", str(link)]) == EXIT_OK
+    assert target.read_text(encoding="utf-8").startswith("instance_id,")
+    assert link.is_symlink()
+
+
 def test_other_outputs_in_the_corpus_directory_are_written(corpus, capsys):
     target = corpus / "stats.csv"
     assert cli_main(["stats", "--dir", str(corpus), "--out", str(target)]) == EXIT_OK

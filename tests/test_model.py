@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import math
 import pickle
 import random
 from decimal import Decimal
@@ -121,6 +122,22 @@ class TestMoney:
         multiple of r, so r cancels and the value is a finite decimal."""
         value = Fraction(units * (odd if cancel else 1), 2**twos * 5**fives * odd)
         assert decimal_string(value) == decimal_by_definition(value)
+
+    def test_decimal_string_never_ends_in_zero(self):
+        # of a reduced num / (2^a * 5^b), the last of the max(a, b) places
+        # is never 0: the numerator is coprime to the 2s or 5s the scaling
+        # leaves, so decimal_string strips no zeros
+        for twos, fives in itertools.product(range(8), repeat=2):
+            den = 2**twos * 5**fives
+            for num in range(400):
+                if math.gcd(num, den) != 1:
+                    continue
+                value = Fraction(num, den)
+                text = decimal_string(value)
+                _, dot, frac = text.partition(".")
+                assert len(frac) == max(twos, fives) and not frac.endswith("0"), text
+                assert bool(dot) == (den > 1), text
+                assert parse_money(text) == value, text
 
     def test_format_money_falls_back_to_fraction(self):
         assert format_money(Fraction(1, 3)) == "1/3"
